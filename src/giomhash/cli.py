@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         return _cmd_analyze(args, parser)
     except SystemExit as exc:  # parser.error inside a handler
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (ValueError, OSError, ParseError, IntegrityError) as exc:
+    except (ValueError, OSError, ParseError, IntegrityError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

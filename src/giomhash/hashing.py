@@ -2,7 +2,8 @@
 
 giom_hash maps every row of a cylinder set through m Gaussian matrices and
 keeps only the 1-based argmax column per matrix, giving an N x m index code.
-iom_hash is the single fixed-vector case. rmf_features keeps the max value
+iom_hash is the single fixed-vector case. Both, and evaluation.hash_dataset,
+go through the one blocked kernel hash_rows. rmf_features keeps the max value
 instead of its index, and biohash is the classic sign-threshold baseline.
 """
 
@@ -59,8 +60,23 @@ def _check_rows(rows: np.ndarray, bank: GaussianBank) -> np.ndarray:
     return rows
 
 
+# Rows are hashed 128 at a time against blocks of whole matrices, so one
+# block's projection holds about 2 MiB of float64 whatever the dataset size.
+_ROW_CHUNK = 128
+_BLOCK_FLOATS = 1 << 18
+
+
+def _block_matrices(q: int) -> int:
+    """Matrices per projection block for alphabet size q (at least one)."""
+    return max(1, _BLOCK_FLOATS // (_ROW_CHUNK * q))
+
+
 def project_rows(rows, bank: GaussianBank) -> np.ndarray:
-    """Inner products of each row with every bank column, shape (N, m, q)."""
+    """Inner products of each row with every bank column, shape (N, m, q).
+
+    This materialises the whole (N, m, q) float64 tensor and is meant for a
+    few rows; hashing goes through hash_rows, which never builds it.
+    """
     rows = _check_rows(rows, bank)
     return (rows @ bank.flat()).reshape(rows.shape[0], bank.m, bank.q)
 
@@ -69,9 +85,25 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     """1-based winner indices for each row and matrix, shape (N, m).
 
     Ties resolve to the smallest column index (numpy argmax convention).
+    Rows go through in chunks of 128 against blocks of whole matrices, so
+    beyond the (N, m) int64 result the working memory is one block's
+    projection, about 2 MiB, independent of N and m. A block never splits a
+    matrix, which keeps the first-wins tie rule.
     """
-    proj = project_rows(rows, bank)
-    return np.argmax(proj, axis=2).astype(np.int64) + 1
+    rows = _check_rows(rows, bank)
+    n, m, q = rows.shape[0], bank.m, bank.q
+    flat = bank.flat()
+    step = _block_matrices(q)
+    codes = np.empty((n, m), dtype=np.int64)
+    for lo in range(0, n, _ROW_CHUNK):
+        chunk = rows[lo : lo + _ROW_CHUNK]
+        c = chunk.shape[0]
+        for j in range(0, m, step):
+            k = min(step, m - j)
+            proj = chunk @ flat[:, j * q : (j + k) * q]
+            np.argmax(proj.reshape(c, k, q), axis=2, out=codes[lo : lo + c, j : j + k])
+    codes += 1
+    return codes
 
 
 def giom_hash(cylinders: CylinderSet, bank: GaussianBank) -> HashedTemplate:

@@ -154,44 +154,80 @@ class HashKey:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianBank:
-    """m stacked d x q matrices of standard-normal entries, the projection key.
+    """m d x q matrices of standard-normal entries, the projection key.
 
-    When built from a HashKey the key travels with the bank so hashed output
-    can record its fingerprint.
+    The bank is held once, in a C-contiguous (d, m*q) buffer: matrix i fills
+    columns [i*q, (i+1)*q). `flat()` returns that buffer and `matrices` a
+    read-only (m, d, q) view of it. A bank built from an (m, d, q) array is
+    copied into that layout. When built from a HashKey the key travels with
+    the bank so hashed output can record its fingerprint.
     """
 
-    matrices: np.ndarray
-    key: HashKey | None = None
+    _buffer: np.ndarray
+    _q: int
+    key: HashKey | None
 
-    def __post_init__(self) -> None:
-        mats = np.asarray(self.matrices, dtype=float)
+    def __init__(self, matrices, key: HashKey | None = None) -> None:
+        mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3:
             raise ValueError(f"bank must have shape (m, d, q), got {mats.shape}")
-        if not np.isfinite(mats).all():
-            raise ValueError("bank entries must be finite")
         m, d, q = mats.shape
-        if m < 1 or d < 1 or q < 2:
-            raise ValueError(f"degenerate bank shape {mats.shape}")
-        if self.key is not None and (m, d, q) != (self.key.m, self.key.d, self.key.q):
+        buf = np.empty((d, m * q))
+        buf.reshape(d, m, q)[...] = mats.transpose(1, 0, 2)
+        self._adopt(buf, mats.shape, key)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, key: HashKey) -> GaussianBank:
+        """Adopt a (d, m*q) float64 buffer laid out as `flat()` describes, without a copy.
+
+        The buffer is made read-only; the caller must hold no other writable
+        reference to it.
+        """
+        if flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ValueError("bank buffer must be a C-contiguous float64 array")
+        if flat.shape != (key.d, key.m * key.q):
             raise ValueError(
-                f"bank shape {mats.shape} does not match key (m={self.key.m}, "
-                f"d={self.key.d}, q={self.key.q})"
+                f"bank buffer shape {flat.shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
             )
-        object.__setattr__(self, "matrices", _frozen_array(mats, float))
+        bank = cls.__new__(cls)
+        bank._adopt(flat, (key.m, key.d, key.q), key)
+        return bank
+
+    def _adopt(self, buf: np.ndarray, shape: tuple[int, int, int], key: HashKey | None) -> None:
+        # min and max propagate NaN and reach +-inf, so both are finite exactly
+        # when every entry is; unlike isfinite(buf) this allocates nothing
+        if buf.size and not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
+            raise ValueError("bank entries must be finite")
+        m, d, q = shape
+        if m < 1 or d < 1 or q < 2:
+            raise ValueError(f"degenerate bank shape {shape}")
+        if key is not None and shape != (key.m, key.d, key.q):
+            raise ValueError(
+                f"bank shape {shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
+            )
+        buf.flags.writeable = False
+        object.__setattr__(self, "_buffer", buf)
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "key", key)
 
     @property
     def m(self) -> int:
-        return self.matrices.shape[0]
+        return self._buffer.shape[1] // self._q
 
     @property
     def d(self) -> int:
-        return self.matrices.shape[1]
+        return self._buffer.shape[0]
 
     @property
     def q(self) -> int:
-        return self.matrices.shape[2]
+        return self._q
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The read-only (m, d, q) view of the bank buffer."""
+        return self._buffer.reshape(self.d, self.m, self.q).transpose(1, 0, 2)
 
     def fingerprint(self) -> str:
         if self.key is not None:
@@ -199,13 +235,8 @@ class GaussianBank:
         return hashlib.sha256(self.matrices.tobytes()).hexdigest()[:16]
 
     def flat(self) -> np.ndarray:
-        """The bank reshaped to (d, m*q) for one-shot projection of row stacks."""
-        cached = self.__dict__.get("_flat")
-        if cached is None:
-            cached = np.ascontiguousarray(self.matrices.transpose(1, 0, 2).reshape(self.d, self.m * self.q))
-            self.__dict__["_flat"] = cached
-            cached.flags.writeable = False
-        return cached
+        """The read-only (d, m*q) bank buffer itself, for projecting row stacks."""
+        return self._buffer
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBank):

@@ -32,9 +32,16 @@ def bank_matrix(key: HashKey, index: int) -> np.ndarray:
 
 
 def derive_bank(key: HashKey) -> GaussianBank:
-    """Materialize all m matrices of the bank for key."""
-    mats = np.stack([bank_matrix(key, i) for i in range(key.m)])
-    return GaussianBank(matrices=mats, key=key)
+    """Materialize all m matrices of the bank for key.
+
+    The one (d, m*q) buffer is allocated before any matrix is drawn, so a
+    bank too large for memory fails at once with MemoryError; matrix i is
+    then written into columns [i*q, (i+1)*q).
+    """
+    flat = np.empty((key.d, key.m * key.q))
+    for i in range(key.m):
+        flat[:, i * key.q : (i + 1) * key.q] = bank_matrix(key, i)
+    return GaussianBank.from_flat(flat, key)
 
 
 @dataclass(frozen=True, eq=False)

@@ -207,6 +207,15 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_out_of_memory_is_runtime_error(self, data_dir, tmp_path, capsys, monkeypatch):
+        # stands in for numpy failing to allocate an oversized bank buffer
+        def no_memory(key):
+            raise MemoryError(f"Unable to allocate bank for m={key.m}")
+
+        monkeypatch.setattr("giomhash.evaluation.derive_bank", no_memory)
+        assert self.run(data_dir, tmp_path / "x") == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
 
 class TestSweep:
     def test_writes_grid_csvs(self, data_dir, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,9 @@ from oracles import oracle_hash
 
 from giomhash.cases import get_case, square_case_region
 from giomhash.hashing import (
+    _ROW_CHUNK,
     BioHashCode,
+    _block_matrices,
     biohash,
     giom_hash,
     hash_rows,
@@ -107,6 +111,65 @@ class TestGiomHash:
         bank = derive_bank(HashKey(seed=1, m=2, q=3, d=4))
         with pytest.raises(ValueError, match="finite"):
             iom_hash(np.array([1.0, np.nan, 0.0, 0.0]), bank)
+
+
+def _per_matrix_codes(rows, bank):
+    return np.stack(
+        [np.argmax(rows @ bank.matrices[i], axis=1) + 1 for i in range(bank.m)], axis=1
+    )
+
+
+class TestBlockedKernel:
+    """hash_rows walks 128-row chunks and blocks of whole matrices; cross every edge."""
+
+    @pytest.mark.parametrize("q", [2, 100])
+    @pytest.mark.parametrize("n", [1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 300])
+    @pytest.mark.parametrize("edge", range(5), ids=["m=1", "m=B-1", "m=B", "m=B+1", "m=2B+3"])
+    def test_matches_per_matrix_argmax(self, q, n, edge):
+        b = _block_matrices(q)
+        m = [1, b - 1, b, b + 1, 2 * b + 3][edge]
+        rng = np.random.default_rng([q, n, m])
+        bank = GaussianBank(rng.standard_normal((m, 6, q)))
+        rows = rng.random((n, 6))
+        codes = hash_rows(rows, bank)
+        assert codes.shape == (n, m) and codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, _per_matrix_codes(rows, bank))
+        if n * m * q <= 20_000:
+            expected = [oracle_hash(row, bank.matrices.tolist()) for row in rows]
+            np.testing.assert_array_equal(codes, expected)
+
+    def test_ties_at_block_edge_break_to_smallest_index(self):
+        # dyadic rows and integer columns make every projection exact, so the
+        # duplicated winning columns tie bit for bit
+        q = 100
+        b = _block_matrices(q)
+        m = 2 * b + 3
+        rng = np.random.default_rng(12)
+        mats = rng.integers(-4, 5, size=(m, 6, q)).astype(float)
+        winners = {b - 1: (90, 10), b: (99, 0), b + 1: (50, 51)}
+        for i, cols in winners.items():
+            mats[i][:, list(cols)] = 64.0
+        bank = GaussianBank(mats)
+        rows = rng.integers(1, 8, size=(_ROW_CHUNK + 5, 6)) / 8.0
+        codes = hash_rows(rows, bank)
+        for i, cols in winners.items():
+            assert (codes[:, i] == min(cols) + 1).all()
+        np.testing.assert_array_equal(codes, _per_matrix_codes(rows, bank))
+
+    def test_peak_memory_independent_of_row_count(self):
+        bank = derive_bank(HashKey(seed=8, m=100, q=100, d=32))
+        rng = np.random.default_rng(3)
+        peaks = {}
+        for n in (512, 4096):
+            rows = rng.random((n, bank.d))
+            tracemalloc.start()
+            try:
+                hash_rows(rows, bank)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_growth = (4096 - 512) * bank.m * 8
+        assert peaks[4096] - peaks[512] <= output_growth + (1 << 20)
 
 
 class TestRmf:

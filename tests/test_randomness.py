@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +29,31 @@ class TestBankDerivation:
         small = derive_bank(HashKey(seed=9, m=3, q=4, d=5))
         large = derive_bank(HashKey(seed=9, m=6, q=4, d=5))
         np.testing.assert_array_equal(large.matrices[:3], small.matrices)
+
+    def test_matrices_come_from_per_index_streams(self):
+        key = HashKey(seed=13, m=5, q=3, d=4)
+        bank = derive_bank(key)
+        for i in range(key.m):
+            np.testing.assert_array_equal(bank.matrices[i], bank_matrix(key, i))
+            np.testing.assert_array_equal(bank.flat()[:, i * key.q : (i + 1) * key.q], bank_matrix(key, i))
+
+    def test_one_read_only_buffer(self):
+        bank = derive_bank(HashKey(seed=4, m=6, q=5, d=7))
+        flat = bank.flat()
+        assert flat.shape == (7, 30) and flat.flags.c_contiguous
+        assert bank.flat() is flat
+        assert np.shares_memory(bank.matrices, flat)
+        assert not flat.flags.writeable and not bank.matrices.flags.writeable
+
+    def test_peak_memory_is_one_bank(self):
+        key = HashKey(seed=8, m=200, q=50, d=144)
+        tracemalloc.start()
+        try:
+            derive_bank(key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * key.m * key.d * key.q * 8
 
     def test_distinct_matrices_within_bank(self):
         bank = derive_bank(HashKey(seed=2, m=4, q=3, d=8))
