@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
+THREADS_HELP = "accepted for compatibility; scoring is batched, so it changes neither results nor speed"
+
 DEFAULT_M = 700
 DEFAULT_Q = 100
 DEFAULT_M_GRID = "5,10,50,100,150,200,250,300,500,700"
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonneg_int, required=True)
     p.add_argument("--m", type=_positive_int, default=DEFAULT_M)
     p.add_argument("--q", type=_positive_int, default=DEFAULT_Q)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     _add_mcc_args(p)
     _add_lgs_args(p)
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_int_list, default=_int_list(DEFAULT_M_GRID))
     p.add_argument("--q", type=_int_list, default=_int_list(DEFAULT_Q_GRID))
     p.add_argument("--trials", type=_positive_int, default=3)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     _add_mcc_args(p)
     _add_lgs_args(p)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .hashing import hash_rows
-from .matching import LgsParams, lgs_match
+from .matching import LgsParams, lgs_scores
 from .mcc import MccParams, encode_cylinders
 from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate
 from .randomness import derive_bank
@@ -148,11 +147,15 @@ def encode_dataset(dataset, mcc: MccParams) -> dict[TemplateKey, np.ndarray]:
 
 
 def hash_dataset(cylinders: dict[TemplateKey, np.ndarray], key: HashKey) -> dict[TemplateKey, HashedTemplate]:
-    """Hash every template under one key, batching all rows through the bank once."""
+    """Hash every template under one key, batching all rows through the bank once.
+
+    The templates' codes are read-only views of one frozen (N, m) array.
+    """
     bank = derive_bank(key)
     keys = list(cylinders)
     stacked = np.vstack([cylinders[k] for k in keys])
     codes = hash_rows(stacked, bank)
+    codes.flags.writeable = False
     out: dict[TemplateKey, HashedTemplate] = {}
     offset = 0
     fingerprint = bank.fingerprint()
@@ -171,20 +174,15 @@ def score_pairs(
     allow_cross_key: bool = False,
     hashed_b: dict[TemplateKey, HashedTemplate] | None = None,
 ) -> list[float]:
-    """Match scores in pair order, identical regardless of thread count.
+    """Match scores in pair order, through the batched scorer lgs_scores.
 
     hashed_b, when given, supplies the second template of each pair (used by
-    the cross-key experiments); otherwise both come from `hashed`.
+    the cross-key experiments); otherwise both come from `hashed`. `threads`
+    is accepted for compatibility and changes neither results nor speed;
+    the matrix products are the only parallel work, and BLAS threads do it.
     """
     second = hashed if hashed_b is None else hashed_b
-
-    def one(pair: Pair) -> float:
-        return lgs_match(hashed[pair[0]], second[pair[1]], lgs, allow_cross_key).value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, pairs))
-    return [one(pair) for pair in pairs]
+    return lgs_scores(((hashed[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
 
 
 def evaluation_config(key: HashKey, mcc: MccParams, lgs: LgsParams) -> dict:

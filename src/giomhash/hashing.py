@@ -109,6 +109,7 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
 def giom_hash(cylinders: CylinderSet, bank: GaussianBank) -> HashedTemplate:
     """Hash a variable-size cylinder set into an N x m protected index code."""
     codes = hash_rows(cylinders.vectors, bank)
+    codes.flags.writeable = False
     return HashedTemplate(codes=codes, q=bank.q, key_fingerprint=bank.fingerprint())
 
 

@@ -4,6 +4,11 @@ The pair budget n_p follows a sigmoid of the smaller template's point count,
 so small templates are compared on few pairs and large ones on up to max_np.
 Greedy-unique selection repeatedly takes the best remaining pair and retires
 its row and column; flat selection just takes the top n_p matrix entries.
+
+One kernel scores every comparison: lgs_scores takes pairs in blocks,
+lgs_match_detail is a block of one and similarity_matrix a single matrix.
+Distances come from gram matrices of the integer codes, which is exact, so
+scores are bit-identical to a direct per-pair distance computation.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .hashing import BioHashCode
 from .model import HashedTemplate, MatchScore
@@ -93,27 +97,154 @@ def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
     codes_b = np.asarray(codes_b)
     if codes_a.shape[1] != codes_b.shape[1]:
         raise ValueError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
-    m = codes_a.shape[1]
-    dist = cdist(codes_a.astype(float), codes_b.astype(float))
-    sim = 1.0 - dist / ((q - 1) * math.sqrt(m))
-    return np.clip(sim, 0.0, 1.0)
+    return _similarities(codes_a[None].astype(float), codes_b[None].astype(float), q)[0]
 
 
-def _greedy_pairs(sim: np.ndarray, n_p: int) -> list[tuple[int, int]]:
-    work = sim.copy()
-    pairs = []
-    for _ in range(n_p):
-        flat = int(np.argmax(work))
-        row, col = divmod(flat, work.shape[1])
-        pairs.append((row, col))
-        work[row, :] = -1.0
-        work[:, col] = -1.0
-    return pairs
+# Pairs are scored in blocks whose padded float64 code stacks hold at most
+# 2 MiB (one pair at least), so the scorer's working memory does not grow
+# with the number of pairs.
+_BLOCK_FLOATS = 1 << 18
 
 
-def _flat_pairs(sim: np.ndarray, n_p: int) -> list[tuple[int, int]]:
-    order = np.argsort(-sim, axis=None, kind="stable")[:n_p]
-    return [divmod(int(flat), sim.shape[1]) for flat in order]
+def _similarities(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Point similarities of float64 code stacks a (P, A, m) and b (P, B, m), shape (P, A, B).
+
+    Squared distances come from ||a||^2 + ||b||^2 - 2 a.b with batched
+    matmuls. For integer codes in [1, q] every partial sum is an integer
+    below 4*m*q^2, so while that bound is under 2^53 the result is the exact
+    sum of squared differences, and the similarities are bit-identical to
+    those of a direct distance computation.
+    """
+    m, q = int(a.shape[-1]), int(q)
+    # float64 holds every integer below 2^53 exactly
+    if 4 * m * q * q >= 1 << 53:
+        raise ValueError(
+            f"m={m}, q={q} is too large for exact scoring: need 4*m*q^2 < 2^53, got {4 * m * q * q}"
+        )
+    sq = np.matmul(a, b.transpose(0, 2, 1))
+    sq *= -2.0
+    sq += np.einsum("pam,pam->pa", a, a)[:, :, None]
+    sq += np.einsum("pbm,pbm->pb", b, b)[:, None, :]
+    # only non-integer input can round below zero
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    sq /= (q - 1) * math.sqrt(m)
+    np.subtract(1.0, sq, out=sq)
+    return np.clip(sq, 0.0, 1.0, out=sq)
+
+
+def _greedy_picks(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy-unique picks on a (P, A, B) stack: `steps` (row, col) index arrays of shape (P, steps).
+
+    Each step takes every matrix's first maximum in row-major order and
+    retires its row and column with -1. Modifies `work`.
+    """
+    p, _, b = work.shape
+    flat = work.reshape(p, -1)
+    index = np.arange(p)
+    rows = np.empty((p, steps), dtype=np.intp)
+    cols = np.empty((p, steps), dtype=np.intp)
+    for k in range(steps):
+        row, col = np.divmod(flat.argmax(axis=1), b)
+        rows[:, k], cols[:, k] = row, col
+        work[index, row] = -1.0
+        work[index, :, col] = -1.0
+    return rows, cols
+
+
+def _flat_picks(sim: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `steps` largest entries of each (A, B) matrix, first in row-major order among equals."""
+    p, _, b = sim.shape
+    order = np.argsort(-sim.reshape(p, -1), axis=1, kind="stable")[:, :steps]
+    return np.divmod(order, b)
+
+
+def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> None:
+    if a.m != b.m:
+        raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
+    if a.q != b.q:
+        raise ValueError(f"index range mismatch: q={a.q} vs q={b.q}")
+    if not allow_cross_key and a.key_fingerprint != b.key_fingerprint:
+        raise ValueError(
+            f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
+            "templates hashed under different keys are not comparable"
+        )
+
+
+def _swapped(a: HashedTemplate, b: HashedTemplate) -> bool:
+    """Whether (b, a) precedes (a, b) in the canonical (n_points, code bytes) order.
+
+    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
+    """
+    if a.n_points != b.n_points:
+        return b.n_points < a.n_points
+    return b.codes.tobytes() < a.codes.tobytes()
+
+
+def _match_block(block, greedy: bool):
+    """Score a block of (first, second, n_p) triples sharing m and q.
+
+    Returns (rows, cols, values, scores): the picked rows of `first`, columns
+    of `second` and their similarities, each (P, max n_p) in pick order (a
+    pair's entries past its own n_p are filler), and the (P,) mean scores.
+    The codes are stacked into zero-padded (P, A, m) and (P, B, m) float64
+    arrays; pad cells of the similarity stack hold -2, below every real or
+    retired entry, and the padded layout keeps each matrix's row-major order,
+    so every pair's picks and ties are those of its own matrix.
+    """
+    firsts, seconds, n_ps = zip(*block)
+    n_a = np.array([t.n_points for t in firsts])
+    n_b = np.array([t.n_points for t in seconds])
+    stack_a = np.zeros((len(block), n_a.max(), firsts[0].m))
+    stack_b = np.zeros((len(block), n_b.max(), firsts[0].m))
+    for i, (first, second) in enumerate(zip(firsts, seconds)):
+        stack_a[i, : n_a[i]] = first.codes
+        stack_b[i, : n_b[i]] = second.codes
+    sim = _similarities(stack_a, stack_b, firsts[0].q)
+    pad_rows = np.arange(sim.shape[1]) >= n_a[:, None]
+    pad_cols = np.arange(sim.shape[2]) >= n_b[:, None]
+    sim[pad_rows[:, :, None] | pad_cols[:, None, :]] = -2.0
+    n_ps = np.array(n_ps)
+    steps = int(n_ps.max())
+    if greedy:
+        rows, cols = _greedy_picks(sim.copy(), steps)
+    else:
+        rows, cols = _flat_picks(sim, steps)
+    values = sim[np.arange(len(block))[:, None], rows, cols]
+    scores = np.empty(len(block))
+    for n_p in set(n_ps.tolist()):
+        chosen = n_ps == n_p
+        scores[chosen] = values[chosen, :n_p].mean(axis=1)
+    return rows, cols, values, scores
+
+
+def lgs_scores(pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False) -> list[float]:
+    """lgs_match(a, b, params, allow_cross_key).value for every (a, b) in `pairs`, in order.
+
+    `pairs` may be any iterable of template pairs, a generator included.
+    Pairs go through in blocks whose padded code stacks hold at most about
+    2 MiB of float64 (one pair at least), so beyond the returned list the
+    working memory does not grow with the number of pairs. A pair that fails
+    lgs_match's checks raises the same error.
+    """
+    scores: list[float] = []
+    block: list[tuple[HashedTemplate, HashedTemplate, int]] = []
+    rows_a = rows_b = 0
+    for a, b in pairs:
+        _check_pair(a, b, allow_cross_key)
+        first, second = (b, a) if _swapped(a, b) else (a, b)
+        rows_a, rows_b = max(rows_a, first.n_points), max(rows_b, second.n_points)
+        if block and (
+            (a.m, a.q) != (block[0][0].m, block[0][0].q)
+            or (len(block) + 1) * (rows_a + rows_b) * a.m > _BLOCK_FLOATS
+        ):
+            scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
+            block = []
+            rows_a, rows_b = first.n_points, second.n_points
+        block.append((first, second, np_select(a.n_points, b.n_points, params)))
+    if block:
+        scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
+    return scores
 
 
 def lgs_match(
@@ -139,25 +270,14 @@ def lgs_match_detail(
     allow_cross_key: bool = False,
 ) -> tuple[MatchScore, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
-    if a.m != b.m:
-        raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
-    if a.q != b.q:
-        raise ValueError(f"index range mismatch: q={a.q} vs q={b.q}")
-    if not allow_cross_key and a.key_fingerprint != b.key_fingerprint:
-        raise ValueError(
-            f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
-            "templates hashed under different keys are not comparable"
-        )
-    # canonical orientation makes greedy tie-breaking symmetric in (a, b)
-    swapped = (b.n_points, b.codes.tobytes()) < (a.n_points, a.codes.tobytes())
+    _check_pair(a, b, allow_cross_key)
+    swapped = _swapped(a, b)
     first, second = (b, a) if swapped else (a, b)
-    sim = similarity_matrix(first.codes, second.codes, a.q)
     n_p = np_select(a.n_points, b.n_points, params)
-    picker = _greedy_pairs if params.greedy_unique else _flat_pairs
-    pairs = picker(sim, n_p)
-    selected = [(c, r, float(sim[r, c])) if swapped else (r, c, float(sim[r, c])) for r, c in pairs]
-    score = MatchScore(float(np.mean([s for _, _, s in selected])))
-    return score, selected, n_p
+    rows, cols, values, scores = _match_block([(first, second, n_p)], params.greedy_unique)
+    picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
+    selected = [(c, r, s) if swapped else (r, c, s) for r, c, s in picks]
+    return MatchScore(float(scores[0])), selected, n_p
 
 
 def hamming_similarity(a: BioHashCode, b: BioHashCode) -> float:

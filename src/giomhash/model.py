@@ -91,6 +91,15 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def _is_frozen(arr: np.ndarray) -> bool:
+    """Whether arr and every array it views are read-only, so nothing can write its data."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 @dataclass(frozen=True, eq=False)
 class CylinderSet:
     """Real-valued local descriptors, one row per point, all cells in [0, 1]."""
@@ -246,7 +255,12 @@ class GaussianBank:
 
 @dataclass(frozen=True, eq=False)
 class HashedTemplate:
-    """Protected template: one row of 1-based winning-column indices per point."""
+    """Protected template: one row of 1-based winning-column indices per point.
+
+    Codes that are already int64 and frozen (read-only, viewing only
+    read-only arrays) are kept as given, so templates can share one frozen
+    code array; any other input is copied into a new read-only array.
+    """
 
     codes: np.ndarray
     q: int
@@ -266,7 +280,9 @@ class HashedTemplate:
             raise ValueError("q must be >= 2")
         if codes.min() < 1 or codes.max() > self.q:
             raise ValueError(f"code indices must lie in [1, {self.q}]")
-        object.__setattr__(self, "codes", _frozen_array(codes, np.int64))
+        if codes.dtype != np.int64 or not _is_frozen(codes):
+            codes = _frozen_array(codes, np.int64)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def n_points(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import genuine_pairs, impostor_pairs, encode_dataset, hash_dataset, score_pairs
-from .matching import LgsParams, lgs_match
+from .matching import LgsParams, lgs_scores
 from .mcc import MccParams
 from .model import GaussianBank, HashKey
 
@@ -219,21 +219,20 @@ def revocability_experiment(
     firsts = [min(ts, key=lambda t: t.sample_id).key for _, ts in sorted(by_finger.items())]
     first_rows = {k: cylinders[k] for k in firsts}
 
-    mated: list[float] = []
-    for finger_index, template_key in enumerate(firsts):
-        for key_index in range(n_keys):
-            if key_seeds is not None:
-                fresh_seed = key_seeds[key_index]
-            else:
-                seq = np.random.SeedSequence([int(seed), finger_index, key_index])
-                fresh_seed = int(seq.generate_state(1, np.uint64)[0])
-            fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
-            renewed = hash_dataset({template_key: first_rows[template_key]}, fresh_key)
-            score = lgs_match(
-                under_base[template_key], renewed[template_key], lgs, allow_cross_key=True
-            )
-            mated.append(score.value)
+    def mated_pairs():
+        # renewed lazily, so the scorer holds one block of them at a time
+        for finger_index, template_key in enumerate(firsts):
+            for key_index in range(n_keys):
+                if key_seeds is not None:
+                    fresh_seed = key_seeds[key_index]
+                else:
+                    seq = np.random.SeedSequence([int(seed), finger_index, key_index])
+                    fresh_seed = int(seq.generate_state(1, np.uint64)[0])
+                fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
+                renewed = hash_dataset({template_key: first_rows[template_key]}, fresh_key)
+                yield under_base[template_key], renewed[template_key]
 
+    mated = lgs_scores(mated_pairs(), lgs, allow_cross_key=True)
     genuine = score_pairs(genuine_pairs(dataset), under_base, lgs)
     impostor = score_pairs(impostor_pairs(dataset), under_base, lgs)
     return mated, genuine, impostor

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def oracle_hash(vector, matrices):
     """1-based argmax indices of vector against each matrix, first-wins ties."""
@@ -143,3 +145,72 @@ def oracle_genuine_count(fingers, samples):
 
 def oracle_impostor_count(fingers):
     return fingers * (fingers - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# frozen per-pair scorer
+#
+# The one exception to the plain-loop rule above: this is the per-pair
+# scorer the batched one replaced (scipy's cdist, a greedy or flat pick
+# per matrix, np.mean), kept verbatim so the batched scores can be required
+# to match it bit for bit, ties and orientation included.
+
+
+def reference_similarity_matrix(codes_a, codes_b, q):
+    from scipy.spatial.distance import cdist
+
+    codes_a = np.asarray(codes_a)
+    codes_b = np.asarray(codes_b)
+    if codes_a.shape[1] != codes_b.shape[1]:
+        raise ValueError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
+    m = codes_a.shape[1]
+    dist = cdist(codes_a.astype(float), codes_b.astype(float))
+    sim = 1.0 - dist / ((q - 1) * math.sqrt(m))
+    return np.clip(sim, 0.0, 1.0)
+
+
+def _reference_greedy_pairs(sim, n_p):
+    work = sim.copy()
+    pairs = []
+    for _ in range(n_p):
+        flat = int(np.argmax(work))
+        row, col = divmod(flat, work.shape[1])
+        pairs.append((row, col))
+        work[row, :] = -1.0
+        work[:, col] = -1.0
+    return pairs
+
+
+def _reference_flat_pairs(sim, n_p):
+    order = np.argsort(-sim, axis=None, kind="stable")[:n_p]
+    return [divmod(int(flat), sim.shape[1]) for flat in order]
+
+
+def reference_lgs_match_detail(a, b, params, allow_cross_key=False):
+    """(score value, selected (row_in_a, row_in_b, similarity) pairs, n_p) of one pair."""
+    from giomhash.matching import np_select
+
+    if a.m != b.m:
+        raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
+    if a.q != b.q:
+        raise ValueError(f"index range mismatch: q={a.q} vs q={b.q}")
+    if not allow_cross_key and a.key_fingerprint != b.key_fingerprint:
+        raise ValueError(
+            f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
+            "templates hashed under different keys are not comparable"
+        )
+    swapped = (b.n_points, b.codes.tobytes()) < (a.n_points, a.codes.tobytes())
+    first, second = (b, a) if swapped else (a, b)
+    sim = reference_similarity_matrix(first.codes, second.codes, a.q)
+    n_p = np_select(a.n_points, b.n_points, params)
+    picker = _reference_greedy_pairs if params.greedy_unique else _reference_flat_pairs
+    pairs = picker(sim, n_p)
+    selected = [(c, r, float(sim[r, c])) if swapped else (r, c, float(sim[r, c])) for r, c in pairs]
+    return float(np.mean([s for _, _, s in selected])), selected, n_p
+
+
+def reference_score_pairs(pairs, hashed, params, allow_cross_key=False, hashed_b=None):
+    second = hashed if hashed_b is None else hashed_b
+    return [
+        reference_lgs_match_detail(hashed[x], second[y], params, allow_cross_key)[0] for x, y in pairs
+    ]

@@ -14,6 +14,13 @@ SMALL_MCC = ["--radius", "100", "--ns", "6", "--nd", "4"]
 SMALL_KEY = ["--m", "8", "--q", "6"]
 
 
+def child_env():
+    """Environment for a child interpreter that imports the giomhash under test, not an installed copy."""
+    src = str(Path(giomhash.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
+
+
 def read_bytes(directory):
     return {
         path.name: path.read_bytes()
@@ -365,21 +372,23 @@ class TestTopLevel:
             "sys.argv[0] = 'giom'\n"
             "sys.exit(entry())\n"
         )
-        # the child imports the giomhash under test, not an installed copy
-        src = str(Path(giomhash.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src,
-        )
         proc = subprocess.run(
             [sys.executable, "-c", launcher, "hash", "--case", "1"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 2 1\n"
+
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test dependency only; importing it cost the CLI ~0.4 s
+        probe = "import sys, giomhash.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(
         shutil.which("giom") is None, reason="giom console script is not installed"

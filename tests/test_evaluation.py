@@ -1,10 +1,11 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import oracle_eer, oracle_genuine_count, oracle_impostor_count
+from oracles import oracle_eer, oracle_genuine_count, oracle_impostor_count, reference_score_pairs
 
 from giomhash.evaluation import (
     EvalReport,
@@ -15,12 +16,13 @@ from giomhash.evaluation import (
     impostor_pairs,
     load_report,
     run_evaluation,
+    score_pairs,
     sweep,
     write_sweep_csv,
 )
 from giomhash.matching import LgsParams
 from giomhash.mcc import MccParams, SynthParams, synth_dataset
-from giomhash.model import HashKey, IntegrityError, Minutia, MinutiaeTemplate
+from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate
 
 
 def flat_dataset(fingers, samples):
@@ -192,6 +194,81 @@ class TestRunEvaluation:
         bank = derive_bank(key)
         one = giom_hash(encode_cylinders(dataset[0], mcc), bank)
         assert batch[dataset[0].key] == one
+
+    def test_hash_dataset_templates_view_one_frozen_array(self, eval_setup):
+        dataset, key, mcc = eval_setup
+        batch = list(hash_dataset(encode_dataset(dataset, mcc), key).values())
+        base = batch[0].codes.base
+        assert base is not None and base.shape == (sum(t.n_points for t in batch), key.m)
+        assert not base.flags.writeable
+        for template in batch:
+            assert template.codes.base is base and not template.codes.flags.writeable
+
+    def test_hash_dataset_holds_codes_once(self):
+        # m=256, q=2, d=4: the codes (4.2 MB) dwarf the bank (16 KiB) and the
+        # stacked rows (66 KB); copying them per template would double them
+        rng = np.random.default_rng(3)
+        key = HashKey(seed=1, m=256, q=2, d=4)
+        cylinders = {("f", i): rng.random((16, 4)) for i in range(128)}
+        codes_bytes = 128 * 16 * key.m * 8
+        tracemalloc.start()
+        try:
+            hash_dataset(cylinders, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one projection block of hash_rows is 2 MiB; allow 1 MiB more
+        assert peak <= codes_bytes + (3 << 20)
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_score_pairs_matches_reference(self, eval_setup, greedy):
+        dataset, key, mcc = eval_setup
+        hashed = hash_dataset(encode_dataset(dataset, mcc), key)
+        lgs = LgsParams(greedy_unique=greedy)
+        pairs = genuine_pairs(dataset) + impostor_pairs(dataset)
+        pairs += [(b, a) for a, b in pairs]
+        want = reference_score_pairs(pairs, hashed, lgs)
+        assert score_pairs(pairs, hashed, lgs) == want
+        assert score_pairs(pairs, hashed, lgs, threads=3) == want
+
+    def test_score_pairs_cross_key_matches_reference(self, eval_setup):
+        dataset, key, mcc = eval_setup
+        cylinders = encode_dataset(dataset, mcc)
+        under_a = hash_dataset(cylinders, key)
+        under_b = hash_dataset(cylinders, HashKey(seed=key.seed + 1, m=key.m, q=key.q, d=key.d))
+        pairs = genuine_pairs(dataset)
+        want = reference_score_pairs(pairs, under_a, LgsParams(), allow_cross_key=True, hashed_b=under_b)
+        got = score_pairs(pairs, under_a, LgsParams(), allow_cross_key=True, hashed_b=under_b)
+        assert got == want
+        with pytest.raises(ValueError, match="key fingerprint mismatch"):
+            score_pairs(pairs, under_a, LgsParams(), hashed_b=under_b)
+
+    def test_score_pairs_empty(self, eval_setup):
+        assert score_pairs([], {}, LgsParams()) == []
+
+    def test_score_pairs_memory_independent_of_pair_count(self):
+        rng = np.random.default_rng(5)
+        hashed = {
+            i: HashedTemplate(rng.integers(1, 9, size=(int(rng.integers(12, 24)), 64)), 8, "k")
+            for i in range(100)
+        }
+        keys = list(hashed)
+        all_pairs = [(keys[i % 100], keys[(i * 7 + 3) % 100]) for i in range(8000)]
+        usage = {}
+        for n in (2000, 8000):
+            pairs = all_pairs[:n]
+            tracemalloc.start()
+            try:
+                scores = score_pairs(pairs, hashed, LgsParams())
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(scores) == n
+            usage[n] = (current, peak)
+        # the returned list is all that may grow with the pair count
+        output_growth = usage[8000][0] - usage[2000][0]
+        assert output_growth > 0
+        assert usage[8000][1] - usage[2000][1] <= output_growth + (1 << 20)
 
 
 class TestEvalReport:

@@ -9,14 +9,18 @@ from oracles import (
     oracle_greedy_score_set,
     oracle_point_similarity,
     oracle_similarity_matrix,
+    reference_lgs_match_detail,
+    reference_similarity_matrix,
 )
 
 from giomhash.hashing import BioHashCode, giom_hash
 from giomhash.matching import (
+    _BLOCK_FLOATS,
     LgsParams,
     hamming_similarity,
     lgs_match,
     lgs_match_detail,
+    lgs_scores,
     np_select,
     point_similarity,
     similarity_matrix,
@@ -212,6 +216,125 @@ class TestLgsMatch:
             giom_hash(CylinderSet(rows_a * 0.25), bank), giom_hash(CylinderSet(rows_b), bank)
         ).value
         assert scaled == base
+
+
+def reference_scores(pairs, params, allow_cross_key=False):
+    return [reference_lgs_match_detail(a, b, params, allow_cross_key)[0] for a, b in pairs]
+
+
+def random_templates(rng, count, m, q, rows=(1, 25), fp="k0"):
+    return [
+        hashed(rng.integers(1, q + 1, size=(int(rng.integers(*rows)), m)), q=q, fp=fp)
+        for _ in range(count)
+    ]
+
+
+# greedy and flat selection, with budgets that reach past 8 picks (numpy's
+# pairwise summation unrolls from 8 terms)
+SELECTIONS = [
+    LgsParams(),
+    LgsParams(greedy_unique=False),
+    LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7),
+    LgsParams(min_np=9, max_np=20, mu_p=5.0, tau_p=0.3),
+    LgsParams(min_np=9, max_np=20, mu_p=5.0, tau_p=0.3, greedy_unique=False),
+]
+
+
+class TestBatchedScorer:
+    """lgs_scores and lgs_match_detail against the frozen per-pair scorer, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [(1, 25), (6, 7)], ids=["unequal", "equal"])
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("params", SELECTIONS)
+    def test_heavy_ties_both_orientations(self, q, params, rows):
+        # equal sizes leave the orientation to the code bytes
+        rng = np.random.default_rng(q)
+        templates = random_templates(rng, 12, m=4, q=q, rows=rows)
+        templates.append(templates[0])
+        pairs = [(a, b) for a in templates for b in templates]
+        assert lgs_scores(pairs, params) == reference_scores(pairs, params)
+
+    @pytest.mark.parametrize("rows", [(1, 14), (5, 6)], ids=["unequal", "equal"])
+    @pytest.mark.parametrize("params", SELECTIONS)
+    def test_detail_matches_reference(self, params, rows):
+        rng = np.random.default_rng(11)
+        templates = random_templates(rng, 6, m=3, q=2, rows=rows)
+        for a in templates:
+            for b in templates:
+                score, selected, n_p = lgs_match_detail(a, b, params)
+                assert (score.value, selected, n_p) == reference_lgs_match_detail(a, b, params)
+
+    def test_similarity_matrix_matches_reference(self):
+        rng = np.random.default_rng(12)
+        for m, q in ((1, 2), (7, 3), (100, 100), (700, 100)):
+            a = rng.integers(1, q + 1, size=(23, m))
+            b = rng.integers(1, q + 1, size=(17, m))
+            np.testing.assert_array_equal(similarity_matrix(a, b, q), reference_similarity_matrix(a, b, q))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, offset):
+        rows, m, q = 8, 512, 100
+        block = _BLOCK_FLOATS // (2 * rows * m)
+        rng = np.random.default_rng(20 + offset)
+        templates = random_templates(rng, 2 * block + 2, m=m, q=q, rows=(rows, rows + 1))
+        pairs = list(zip(templates[0::2], templates[1::2]))[: block + offset]
+        params = LgsParams(min_np=2, max_np=6, mu_p=6.0, tau_p=1.0)
+        assert len(pairs) == block + offset
+        assert lgs_scores(pairs, params) == reference_scores(pairs, params)
+        assert lgs_scores(iter(pairs), params) == reference_scores(pairs, params)
+
+    def test_mixed_code_lengths_and_alphabets(self):
+        rng = np.random.default_rng(21)
+        groups = [random_templates(rng, 4, m=m, q=q) for m, q in ((3, 5), (6, 5), (3, 7))]
+        pairs = [(a, b) for group in groups for a in group for b in group]
+        pairs = pairs[::2] + pairs[1::2]
+        assert lgs_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
+
+    def test_cross_key_and_empty(self):
+        rng = np.random.default_rng(22)
+        under_a = random_templates(rng, 5, m=6, q=4, fp="k0")
+        under_b = random_templates(rng, 5, m=6, q=4, fp="k1")
+        pairs = list(zip(under_a, under_b))
+        got = lgs_scores(pairs, LgsParams(), allow_cross_key=True)
+        assert got == reference_scores(pairs, LgsParams(), allow_cross_key=True)
+        assert lgs_scores([], LgsParams()) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [hashed([[1, 2, 3]]), hashed([[1, 2]], q=11), hashed([[1, 2]], fp="k1")],
+        ids=["m", "q", "fingerprint"],
+    )
+    def test_errors_match_reference(self, bad):
+        good = hashed([[1, 2], [3, 4]])
+        with pytest.raises(ValueError) as want:
+            reference_lgs_match_detail(good, bad, LgsParams())
+        message = str(want.value)
+        # the bad pair comes after good ones
+        pairs = [(good, good)] * 3 + [(good, bad)]
+        with pytest.raises(ValueError) as got:
+            lgs_scores(pairs, LgsParams())
+        assert str(got.value) == message
+        with pytest.raises(ValueError) as got:
+            lgs_match_detail(good, bad, LgsParams())
+        assert str(got.value) == message
+
+    def test_exactness_bound(self):
+        # m=2: 4*m*q^2 < 2^53 holds up to q = 2^25 - 1
+        q = (1 << 25) - 1
+        low, high = hashed([[1, 1], [2, q]], q=q), hashed([[q, q], [q, 1]], q=q)
+        params = LgsParams(min_np=2, max_np=2)
+        assert lgs_scores([(low, high)], params) == reference_scores([(low, high)], params)
+        np.testing.assert_array_equal(
+            similarity_matrix(low.codes, high.codes, q), reference_similarity_matrix(low.codes, high.codes, q)
+        )
+        q += 1
+        low, high = hashed([[1, 1]], q=q), hashed([[q, q]], q=q)
+        with pytest.raises(ValueError, match=r"too large for exact scoring: need 4\*m\*q\^2 < 2\^53"):
+            lgs_scores([(low, high)], params)
+        with pytest.raises(ValueError, match="too large for exact scoring"):
+            lgs_match(low, high)
+        with pytest.raises(ValueError, match="too large for exact scoring"):
+            similarity_matrix(low.codes, high.codes, q)
 
 
 class TestHammingSimilarity:

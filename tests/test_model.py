@@ -202,6 +202,33 @@ class TestHashedTemplate:
         c = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="cd")
         assert a == b and a != c
 
+    def test_frozen_int64_codes_kept_without_copy(self):
+        codes = np.array([[1, 2], [3, 1], [2, 2]], dtype=np.int64)
+        codes.flags.writeable = False
+        t = HashedTemplate(codes[1:], q=3, key_fingerprint="ab")
+        assert np.shares_memory(t.codes, codes)
+        assert not t.codes.flags.writeable
+
+    def test_writable_codes_copied(self):
+        codes = np.array([[1, 2]], dtype=np.int64)
+        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
+        assert not np.shares_memory(t.codes, codes) and not t.codes.flags.writeable
+        codes[0, 0] = 3
+        assert t.codes[0, 0] == 1
+
+    def test_read_only_view_of_writable_codes_copied(self):
+        codes = np.array([[1, 2]], dtype=np.int64)
+        view = codes.view()
+        view.flags.writeable = False
+        t = HashedTemplate(view, q=3, key_fingerprint="ab")
+        assert not np.shares_memory(t.codes, codes)
+
+    def test_frozen_codes_of_another_dtype_copied(self):
+        codes = np.array([[1, 2]], dtype=np.int32)
+        codes.flags.writeable = False
+        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
+        assert t.codes.dtype == np.int64 and not np.shares_memory(t.codes, codes)
+
 
 class TestMatchScore:
     def test_range(self):

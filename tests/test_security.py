@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import reference_lgs_match_detail
+
 from giomhash.cases import get_case
+from giomhash.evaluation import encode_dataset, hash_dataset
 from giomhash.hashing import iom_hash
+from giomhash.matching import LgsParams
 from giomhash.model import HashKey
 from giomhash.randomness import derive_bank
 from giomhash.security import (
@@ -255,6 +259,27 @@ class TestRevocability:
         assert len(mated) == 5 * 2
         assert len(genuine) == 5 * 3
         assert len(impostor) == 10
+
+    def test_mated_scores_match_reference(self, small_dataset, small_mcc):
+        base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
+        key_seeds = [7, 8, 9]
+        mated, _, _ = revocability_experiment(
+            small_dataset, base, n_keys=3, seed=0, mcc=small_mcc, key_seeds=key_seeds
+        )
+        cylinders = encode_dataset(small_dataset, small_mcc)
+        under_base = hash_dataset(cylinders, base)
+        firsts = sorted(t.key for t in small_dataset if t.sample_id == 1)
+        want = [
+            reference_lgs_match_detail(
+                under_base[k],
+                hash_dataset({k: cylinders[k]}, HashKey(seed=s, m=base.m, q=base.q, d=base.d))[k],
+                LgsParams(),
+                allow_cross_key=True,
+            )[0]
+            for k in firsts
+            for s in key_seeds
+        ]
+        assert mated == want
 
     def test_fresh_keys_break_the_match(self, small_dataset, small_mcc):
         base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
