@@ -25,7 +25,6 @@ def main() -> int:
     parser.add_argument("--m", default=None, help="comma-separated code lengths")
     parser.add_argument("--q", default=None, help="comma-separated alphabet sizes")
     parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     out = Path(args.out)
@@ -52,7 +51,6 @@ def main() -> int:
         "--data", str(data_dir),
         "--seed", str(args.seed),
         "--trials", str(args.trials),
-        "--threads", str(args.threads),
         "--radius", "100",
         "--ns", "6",
         "--nd", "4",

@@ -45,7 +45,6 @@ from .hashing import (
     rmf_features,
     biohash,
     hash_rows,
-    project_rows,
 )
 from .mcc import MccParams, SynthParams, encode_cylinders, synth_dataset, write_dataset
 from .matching import (

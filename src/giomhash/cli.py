@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import cases, security
-from .evaluation import run_evaluation, sweep, write_sweep_csv, evaluation_config
-from .hashing import giom_hash, hash_rows
+from .evaluation import encode_dataset, evaluation_config, hash_dataset, run_evaluation, sweep, write_sweep_csv
+from .hashing import hash_rows
 from .matching import LgsParams, lgs_match_detail
-from .mcc import MccParams, SynthParams, encode_cylinders, synth_dataset, write_dataset
+from .mcc import MccParams, SynthParams, synth_dataset, write_dataset
 from .model import (
     HashKey,
     IntegrityError,
@@ -31,7 +31,6 @@ from .model import (
     save_hashed,
     save_key,
 )
-from .randomness import derive_bank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,13 +244,12 @@ def _cmd_hash(args, parser: argparse.ArgumentParser) -> int:
         parser.error("hash requires --data, --seed and --out (or --case)")
     mcc = _mcc_from_args(args)
     key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
-    bank = derive_bank(key)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     templates = load_minutiae(args.data)
-    for template in templates:
-        hashed = giom_hash(encode_cylinders(template, mcc), bank)
-        save_hashed(hashed, out / f"{template.finger_id}_{template.sample_id:02d}.json")
+    hashed = hash_dataset(encode_dataset(templates, mcc), key)
+    for (finger_id, sample_id), template in hashed.items():
+        save_hashed(template, out / f"{finger_id}_{sample_id:02d}.json")
     save_key(key, out / "key.json")
     print(f"hashed {len(templates)} templates under key {key.fingerprint()} to {args.out}")
     return EXIT_OK
@@ -281,7 +279,7 @@ def _cmd_evaluate(args) -> int:
     lgs = _lgs_from_args(args)
     key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
     dataset = load_minutiae(args.data)
-    report = run_evaluation(dataset, key, mcc, lgs, threads=args.threads)
+    report = run_evaluation(dataset, key, mcc, lgs)
     report = dataclasses.replace(report, config={**report.config, "data": args.data})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -295,7 +293,7 @@ def _cmd_sweep(args) -> int:
     mcc = _mcc_from_args(args)
     lgs = _lgs_from_args(args)
     dataset = load_minutiae(args.data)
-    result = sweep(dataset, args.m, args.q, args.trials, args.seed, mcc, lgs, threads=args.threads)
+    result = sweep(dataset, args.m, args.q, args.trials, args.seed, mcc, lgs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(result, out / "sweep_trials.csv", out / "sweep_means.csv")

@@ -50,10 +50,14 @@ def genuine_pairs(dataset) -> list[Pair]:
     return pairs
 
 
+def first_samples(dataset) -> list[TemplateKey]:
+    """Each finger's lowest-numbered sample, in finger order."""
+    return [templates[0].key for templates in _by_finger(dataset).values()]
+
+
 def impostor_pairs(dataset) -> list[Pair]:
     """First samples of distinct fingers, unordered; F fingers give F*(F-1)/2 pairs."""
-    fingers = _by_finger(dataset)
-    firsts = [templates[0].key for templates in fingers.values()]
+    firsts = first_samples(dataset)
     return [
         (firsts[i], firsts[j])
         for i in range(len(firsts))
@@ -170,16 +174,13 @@ def score_pairs(
     pairs,
     hashed: dict[TemplateKey, HashedTemplate],
     lgs: LgsParams,
-    threads: int = 1,
     allow_cross_key: bool = False,
     hashed_b: dict[TemplateKey, HashedTemplate] | None = None,
 ) -> list[float]:
     """Match scores in pair order, through the batched scorer lgs_scores.
 
     hashed_b, when given, supplies the second template of each pair (used by
-    the cross-key experiments); otherwise both come from `hashed`. `threads`
-    is accepted for compatibility and changes neither results nor speed;
-    the matrix products are the only parallel work, and BLAS threads do it.
+    the cross-key experiments); otherwise both come from `hashed`.
     """
     second = hashed if hashed_b is None else hashed_b
     return lgs_scores(((hashed[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
@@ -201,7 +202,6 @@ def run_evaluation(
     key: HashKey,
     mcc: MccParams = MccParams(),
     lgs: LgsParams = LgsParams(),
-    threads: int = 1,
     cylinders: dict[TemplateKey, np.ndarray] | None = None,
 ) -> EvalReport:
     """Full protocol run: encode, hash under key, score all pairs, table the ROC.
@@ -216,8 +216,8 @@ def run_evaluation(
     if cylinders is None:
         cylinders = encode_dataset(dataset, mcc)
     hashed = hash_dataset(cylinders, key)
-    genuine_scores = score_pairs(gen, hashed, lgs, threads)
-    impostor_scores = score_pairs(imp, hashed, lgs, threads)
+    genuine_scores = score_pairs(gen, hashed, lgs)
+    impostor_scores = score_pairs(imp, hashed, lgs)
     if not impostor_scores:
         raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
     eer, roc = compute_eer(genuine_scores, impostor_scores)
@@ -251,7 +251,6 @@ def sweep(
     base_seed: int,
     mcc: MccParams = MccParams(),
     lgs: LgsParams = LgsParams(),
-    threads: int = 1,
 ) -> SweepResult:
     """Mean EER per (m, q) over `trials` evaluations with fresh derived seeds.
 
@@ -273,7 +272,7 @@ def sweep(
             for trial in range(trials):
                 seed = _trial_seed(base_seed, m, q, trial)
                 key = HashKey(seed=seed, m=m, q=q, d=mcc.dim)
-                report = run_evaluation(dataset, key, mcc, lgs, threads, cylinders=cylinders)
+                report = run_evaluation(dataset, key, mcc, lgs, cylinders=cylinders)
                 records.append((m, q, trial, seed, report.eer))
                 eers.append(report.eer)
             means.append((m, q, float(np.mean(eers))))

@@ -71,16 +71,6 @@ def _block_matrices(q: int) -> int:
     return max(1, _BLOCK_FLOATS // (_ROW_CHUNK * q))
 
 
-def project_rows(rows, bank: GaussianBank) -> np.ndarray:
-    """Inner products of each row with every bank column, shape (N, m, q).
-
-    This materialises the whole (N, m, q) float64 tensor and is meant for a
-    few rows; hashing goes through hash_rows, which never builds it.
-    """
-    rows = _check_rows(rows, bank)
-    return (rows @ bank.flat()).reshape(rows.shape[0], bank.m, bank.q)
-
-
 def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     """1-based winner indices for each row and matrix, shape (N, m).
 
@@ -126,7 +116,7 @@ def rmf_features(x, bank: GaussianBank) -> RmfVector:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    proj = project_rows(x[None, :], bank)[0]
+    proj = (_check_rows(x[None, :], bank) @ bank.flat()).reshape(bank.m, bank.q)
     return RmfVector(proj.max(axis=1) / np.sqrt(bank.m))
 
 

@@ -416,12 +416,13 @@ def save_hashed(template: HashedTemplate, path) -> None:
         "key_fingerprint": template.key_fingerprint,
         "codes": template.codes.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def load_hashed(path, expected_key: HashKey | None = None) -> HashedTemplate:
-    """Load a hashed template, validating index ranges and row lengths.
+    """Load a hashed template, validating types, index ranges and row lengths.
 
+    q, m and every code must be JSON integers (true and false are not).
     Passing expected_key warns (KeyMismatchWarning) if the stored fingerprint
     does not match; comparing templates across keys is meaningless.
     """
@@ -431,16 +432,23 @@ def load_hashed(path, expected_key: HashKey | None = None) -> HashedTemplate:
         codes = payload["codes"]
         q = payload["q"]
         fingerprint = payload["key_fingerprint"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path.name}: invalid hashed-template file ({exc})") from None
-    rows = [len(row) for row in codes] if isinstance(codes, list) else []
-    if rows and len(set(rows)) != 1:
-        raise IntegrityError(f"{path.name}: ragged code rows {sorted(set(rows))}")
+    for name in ("q", "m"):
+        if name in payload and type(payload[name]) is not int:
+            raise IntegrityError(f"{path.name}: {name} must be an integer, got {payload[name]!r}")
+    if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
+        raise IntegrityError(f"{path.name}: codes must be a list of rows")
+    if not all(type(c) is int for row in codes for c in row):
+        raise IntegrityError(f"{path.name}: codes must be integers")
+    rows = {len(row) for row in codes}
+    if len(rows) > 1:
+        raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
     try:
-        template = HashedTemplate(np.asarray(codes), q, str(fingerprint))
-    except ValueError as exc:
+        template = HashedTemplate(np.asarray(codes, dtype=np.int64), q, str(fingerprint))
+    except (ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path.name}: {exc}") from None
-    if "m" in payload and int(payload["m"]) != template.m:
+    if "m" in payload and payload["m"] != template.m:
         raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
     if expected_key is not None and template.key_fingerprint != expected_key.fingerprint():
         warnings.warn(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import genuine_pairs, impostor_pairs, encode_dataset, hash_dataset, score_pairs
+from .evaluation import encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
 from .matching import LgsParams, lgs_scores
 from .mcc import MccParams
 from .model import GaussianBank, HashKey
@@ -173,12 +173,9 @@ def unlinkability_experiment(
     under_a = hash_dataset(cylinders, key_a)
     under_b = hash_dataset(cylinders, key_b)
     mated_pairs = genuine_pairs(dataset)
-    fingers = {t.finger_id for t in dataset}
-    if len(fingers) < 2:
+    non_mated_pairs = impostor_pairs(dataset)
+    if not non_mated_pairs:
         warnings.warn("single-finger dataset: non-mated score set is empty", stacklevel=2)
-        non_mated_pairs = []
-    else:
-        non_mated_pairs = impostor_pairs(dataset)
     mated = score_pairs(mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
     non_mated = score_pairs(non_mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
     return mated, non_mated
@@ -212,12 +209,7 @@ def revocability_experiment(
         raise ValueError(f"key d={base_key.d} does not match cylinder dimension {mcc.dim}")
     cylinders = encode_dataset(dataset, mcc)
     under_base = hash_dataset(cylinders, base_key)
-
-    by_finger: dict[str, list] = {}
-    for template in dataset:
-        by_finger.setdefault(template.finger_id, []).append(template)
-    firsts = [min(ts, key=lambda t: t.sample_id).key for _, ts in sorted(by_finger.items())]
-    first_rows = {k: cylinders[k] for k in firsts}
+    firsts = first_samples(dataset)
 
     def mated_pairs():
         # renewed lazily, so the scorer holds one block of them at a time
@@ -229,7 +221,7 @@ def revocability_experiment(
                     seq = np.random.SeedSequence([int(seed), finger_index, key_index])
                     fresh_seed = int(seq.generate_state(1, np.uint64)[0])
                 fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
-                renewed = hash_dataset({template_key: first_rows[template_key]}, fresh_key)
+                renewed = hash_dataset({template_key: cylinders[template_key]}, fresh_key)
                 yield under_base[template_key], renewed[template_key]
 
     mated = lgs_scores(mated_pairs(), lgs, allow_cross_key=True)

@@ -9,6 +9,9 @@ import pytest
 
 import giomhash
 from giomhash.cli import main
+from giomhash.evaluation import encode_dataset, hash_dataset
+from giomhash.mcc import MccParams
+from giomhash.model import HashKey, load_hashed, load_minutiae
 
 SMALL_MCC = ["--radius", "100", "--ns", "6", "--nd", "4"]
 SMALL_KEY = ["--m", "8", "--q", "6"]
@@ -117,6 +120,15 @@ class TestHash:
         assert hashed["m"] == 8
         assert all(1 <= c <= 6 for row in hashed["codes"] for c in row)
 
+    def test_files_equal_hash_dataset(self, data_dir, hashed_dir):
+        mcc = MccParams(radius=100, ns=6, nd=4)
+        key = HashKey(seed=3, m=8, q=6, d=mcc.dim)
+        want = hash_dataset(encode_dataset(load_minutiae(data_dir), mcc), key)
+        written = sorted(p.name for p in hashed_dir.iterdir() if p.name != "key.json")
+        assert written == sorted(f"{f}_{s:02d}.json" for f, s in want)
+        for (finger_id, sample_id), template in want.items():
+            assert load_hashed(hashed_dir / f"{finger_id}_{sample_id:02d}.json", expected_key=key) == template
+
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
@@ -171,6 +183,14 @@ class TestMatch:
         )
         assert code == 2
         assert "fingerprint mismatch" in capsys.readouterr().err
+
+    def test_malformed_file_is_runtime_error(self, hashed_dir, tmp_path, capsys):
+        payload = json.loads((hashed_dir / "f0000_01.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload | {"q": None}))
+        code = main(["match", "--a", str(bad), "--b", str(hashed_dir / "f0000_01.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad.json: q must be an integer, got None\n"
 
 
 class TestEvaluate:

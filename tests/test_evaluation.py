@@ -165,12 +165,6 @@ class TestRunEvaluation:
         b = run_evaluation(dataset, key, mcc)
         assert a == b
 
-    def test_threads_do_not_change_results(self, eval_setup):
-        dataset, key, mcc = eval_setup
-        a = run_evaluation(dataset, key, mcc, threads=1)
-        b = run_evaluation(dataset, key, mcc, threads=3)
-        assert a.to_json() == b.to_json()
-
     def test_dimension_mismatch_rejected(self, eval_setup):
         dataset, _, mcc = eval_setup
         bad_key = HashKey(seed=1, m=4, q=5, d=mcc.dim + 1)
@@ -189,11 +183,11 @@ class TestRunEvaluation:
         from giomhash.mcc import encode_cylinders
         from giomhash.randomness import derive_bank
 
-        cylinders = encode_dataset(dataset, mcc)
-        batch = hash_dataset(cylinders, key)
+        batch = hash_dataset(encode_dataset(dataset, mcc), key)
         bank = derive_bank(key)
-        one = giom_hash(encode_cylinders(dataset[0], mcc), bank)
-        assert batch[dataset[0].key] == one
+        assert list(batch) == [t.key for t in dataset]
+        for template in dataset:
+            assert batch[template.key] == giom_hash(encode_cylinders(template, mcc), bank)
 
     def test_hash_dataset_templates_view_one_frozen_array(self, eval_setup):
         dataset, key, mcc = eval_setup
@@ -229,7 +223,6 @@ class TestRunEvaluation:
         pairs += [(b, a) for a, b in pairs]
         want = reference_score_pairs(pairs, hashed, lgs)
         assert score_pairs(pairs, hashed, lgs) == want
-        assert score_pairs(pairs, hashed, lgs, threads=3) == want
 
     def test_score_pairs_cross_key_matches_reference(self, eval_setup):
         dataset, key, mcc = eval_setup

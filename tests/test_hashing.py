@@ -15,7 +15,6 @@ from giomhash.hashing import (
     giom_hash,
     hash_rows,
     iom_hash,
-    project_rows,
     rmf_features,
 )
 from giomhash.model import CylinderSet, GaussianBank, HashKey
@@ -34,7 +33,7 @@ def under_case():
 
 class TestWorkedExamples:
     def test_square_case_projections(self, square_case):
-        proj = project_rows(square_case.vector[None, :], square_case.bank)[0]
+        proj = square_case.vector @ square_case.bank.matrices
         np.testing.assert_allclose(proj, square_case.expected_projections, atol=1e-12)
 
     def test_square_case_code(self, square_case):
@@ -187,7 +186,7 @@ class TestRmf:
         rng = np.random.default_rng(5)
         bank = derive_bank(HashKey(seed=7, m=8, q=5, d=6))
         x = rng.standard_normal(6)
-        proj = project_rows(x[None, :], bank)[0]
+        proj = x @ bank.matrices
         scaled_max = rmf_features(x, bank).values
         code = iom_hash(x, bank)
         for i in range(bank.m):

@@ -356,6 +356,51 @@ class TestHashedIO:
         with pytest.raises(IntegrityError, match="declared m=5"):
             load_hashed(tmp_path / "h.json")
 
+    def test_written_as_one_compact_line(self, tmp_path):
+        t = HashedTemplate(np.array([[1, 5], [3, 2]]), q=5, key_fingerprint="feed")
+        save_hashed(t, tmp_path / "h.json")
+        assert (tmp_path / "h.json").read_text() == (
+            '{"q": 5, "m": 2, "key_fingerprint": "feed", "codes": [[1, 5], [3, 2]]}\n'
+        )
+
+    def test_indented_layout_still_loads(self, tmp_path):
+        t = HashedTemplate(np.array([[1, 5], [3, 2]]), q=5, key_fingerprint="feed")
+        payload = {"q": 5, "m": 2, "key_fingerprint": "feed", "codes": [[1, 5], [3, 2]]}
+        (tmp_path / "h.json").write_text(json.dumps(payload, indent=2) + "\n")
+        assert load_hashed(tmp_path / "h.json") == t
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"q": None}, "q must be an integer, got None"),
+            ({"q": 5.9}, "q must be an integer, got 5.9"),
+            ({"q": True}, "q must be an integer, got True"),
+            ({"q": "5"}, "q must be an integer, got '5'"),
+            ({"m": None}, "m must be an integer, got None"),
+            ({"m": "x"}, "m must be an integer, got 'x'"),
+            ({"m": 2.0}, "m must be an integer, got 2.0"),
+            ({"codes": [[1, True]]}, "codes must be integers"),
+            ({"codes": [[True, True]]}, "codes must be integers"),
+            ({"codes": [[1, 2.0]]}, "codes must be integers"),
+            ({"codes": [[1, None]]}, "codes must be integers"),
+            ({"codes": [1, 2]}, "codes must be a list of rows"),
+            ({"codes": {"a": 1}}, "codes must be a list of rows"),
+            ({"codes": [[1, 2**70]]}, "too large"),
+            ({"q": 2**64, "codes": [[1, 2**63]]}, "too large"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, change, message):
+        payload = {"q": 5, "m": 2, "key_fingerprint": "x", "codes": [[1, 2]]} | change
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=r"^bad\.json: ") as info:
+            load_hashed(tmp_path / "bad.json")
+        assert message in str(info.value)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"q": 5}')
+        with pytest.raises(IntegrityError, match=r"^bad\.json: invalid hashed-template file"):
+            load_hashed(tmp_path / "bad.json")
+
     def test_key_mismatch_warns(self, tmp_path):
         key = HashKey(seed=1, m=2, q=3, d=4)
         other = HashKey(seed=2, m=2, q=3, d=4)
