@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GaussianBank
+from .model import GaussianBank, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,11 +28,9 @@ class InversionCase:
     def __post_init__(self) -> None:
         for field in ("vector", "expected_code", "expected_projections"):
             arr = getattr(self, field)
-            if arr is None:
-                continue
-            arr = np.array(arr, dtype=float if field != "expected_code" else np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+            if arr is not None:
+                dtype = np.int64 if field == "expected_code" else float
+                object.__setattr__(self, field, _frozen_array(arr, dtype))
 
 
 def _case_square() -> InversionCase:

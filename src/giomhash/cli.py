@@ -203,17 +203,13 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_hist_csv(path: Path, columns: dict[str, list[float]], bins: int = security.DEFAULT_HIST_BINS) -> None:
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    fractions = {}
-    for name, scores in columns.items():
-        hist, _ = np.histogram(np.asarray(scores, dtype=float), bins=bins, range=(0.0, 1.0))
-        total = max(len(scores), 1)
-        fractions[name] = hist / total
+def _write_hist_csv(path: Path, columns: dict[str, list[float]]) -> None:
+    edges = security.HIST_EDGES
+    fractions = {name: security.score_fractions(scores) for name, scores in columns.items()}
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin_left", "bin_right"] + [f"{name}_fraction" for name in columns])
-        for i in range(bins):
+        for i in range(len(edges) - 1):
             row = [repr(float(edges[i])), repr(float(edges[i + 1]))]
             row += [repr(float(fractions[name][i])) for name in columns]
             writer.writerow(row)

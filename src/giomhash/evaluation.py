@@ -19,7 +19,7 @@ from .hashing import hash_rows
 from .matching import LgsParams, lgs_scores
 from .mcc import MccParams, encode_cylinders
 from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate
-from .randomness import derive_bank
+from .randomness import child_seed, derive_bank
 
 TemplateKey = tuple[str, int]
 Pair = tuple[TemplateKey, TemplateKey]
@@ -238,11 +238,6 @@ class SweepResult:
     means: tuple[tuple[int, int, float], ...]  # (m, q, mean eer)
 
 
-def _trial_seed(base_seed: int, m: int, q: int, trial: int) -> int:
-    seq = np.random.SeedSequence([int(base_seed), int(m), int(q), int(trial)])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def sweep(
     dataset,
     m_list,
@@ -270,7 +265,7 @@ def sweep(
         for q in q_list:
             eers = []
             for trial in range(trials):
-                seed = _trial_seed(base_seed, m, q, trial)
+                seed = child_seed(base_seed, m, q, trial)
                 key = HashKey(seed=seed, m=m, q=q, d=mcc.dim)
                 report = run_evaluation(dataset, key, mcc, lgs, cylinders=cylinders)
                 records.append((m, q, trial, seed, report.eer))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CylinderSet, GaussianBank, HashedTemplate
+from .model import CylinderSet, GaussianBank, HashedTemplate, _frozen_array
 from .randomness import OrthoMatrix
 
 
@@ -27,9 +27,7 @@ class RmfVector:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or not np.isfinite(vals).all():
             raise ValueError("values must be a finite 1-d array")
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_array(vals, float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +41,7 @@ class BioHashCode:
         bits = np.asarray(self.bits)
         if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
             raise ValueError("bits must be a 1-d array of 0/1")
-        bits = np.asarray(bits, dtype=np.uint8)
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _frozen_array(bits, np.uint8))
         object.__setattr__(self, "tau", float(self.tau))
 
 

@@ -159,7 +159,13 @@ def _flat_picks(sim: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(order, b)
 
 
-def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> None:
+def _prepare(
+    a: HashedTemplate, b: HashedTemplate, params: LgsParams, allow_cross_key: bool
+) -> tuple[HashedTemplate, HashedTemplate, int, bool]:
+    """Check a pair and put it in the canonical (n_points, code bytes) order: (first, second, n_p, swapped).
+
+    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
+    """
     if a.m != b.m:
         raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
     if a.q != b.q:
@@ -169,16 +175,12 @@ def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> 
             f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
             "templates hashed under different keys are not comparable"
         )
-
-
-def _swapped(a: HashedTemplate, b: HashedTemplate) -> bool:
-    """Whether (b, a) precedes (a, b) in the canonical (n_points, code bytes) order.
-
-    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
-    """
     if a.n_points != b.n_points:
-        return b.n_points < a.n_points
-    return b.codes.tobytes() < a.codes.tobytes()
+        swapped = b.n_points < a.n_points
+    else:
+        swapped = b.codes.tobytes() < a.codes.tobytes()
+    first, second = (b, a) if swapped else (a, b)
+    return first, second, np_select(a.n_points, b.n_points, params), swapped
 
 
 def _match_block(block, greedy: bool):
@@ -231,8 +233,7 @@ def lgs_scores(pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = F
     block: list[tuple[HashedTemplate, HashedTemplate, int]] = []
     rows_a = rows_b = 0
     for a, b in pairs:
-        _check_pair(a, b, allow_cross_key)
-        first, second = (b, a) if _swapped(a, b) else (a, b)
+        first, second, n_p, _ = _prepare(a, b, params, allow_cross_key)
         rows_a, rows_b = max(rows_a, first.n_points), max(rows_b, second.n_points)
         if block and (
             (a.m, a.q) != (block[0][0].m, block[0][0].q)
@@ -241,7 +242,7 @@ def lgs_scores(pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = F
             scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
             block = []
             rows_a, rows_b = first.n_points, second.n_points
-        block.append((first, second, np_select(a.n_points, b.n_points, params)))
+        block.append((first, second, n_p))
     if block:
         scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
     return scores
@@ -270,10 +271,7 @@ def lgs_match_detail(
     allow_cross_key: bool = False,
 ) -> tuple[MatchScore, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
-    _check_pair(a, b, allow_cross_key)
-    swapped = _swapped(a, b)
-    first, second = (b, a) if swapped else (a, b)
-    n_p = np_select(a.n_points, b.n_points, params)
+    first, second, n_p, swapped = _prepare(a, b, params, allow_cross_key)
     rows, cols, values, scores = _match_block([(first, second, n_p)], params.greedy_unique)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped else (r, c, s) for r, c, s in picks]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, save_minutiae
+from .randomness import stream
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def synth_dataset(seed: int, params: SynthParams = SynthParams()) -> list[Minuti
     lo, hi = params.minutiae_range
     dataset: list[MinutiaeTemplate] = []
     for f in range(params.fingers):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), f]))
+        rng = stream(seed, f)
         count = int(rng.integers(lo, hi + 1))
         master_xy = rng.random((count, 2)) * params.field_size
         master_theta = rng.random(count) * TWO_PI

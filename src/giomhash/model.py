@@ -400,12 +400,25 @@ def save_key(key: HashKey, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _check_int_fields(payload: dict, names, path: Path) -> None:
+    """Raise IntegrityError naming path unless each named field present is a JSON int, not a bool."""
+    for name in names:
+        if name in payload and type(payload[name]) is not int:
+            raise IntegrityError(f"{path.name}: {name} must be an integer, got {payload[name]!r}")
+
+
 def load_key(path) -> HashKey:
+    """Load a hash key; seed, m, q and d must all be JSON integers."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
-        return HashKey(**{k: payload[k] for k in ("seed", "m", "q", "d")})
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        fields = {k: payload[k] for k in ("seed", "m", "q", "d")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"{path.name}: invalid key file ({exc})") from None
+    _check_int_fields(fields, fields, path)
+    try:
+        return HashKey(**fields)
+    except ValueError as exc:
         raise IntegrityError(f"{path.name}: invalid key file ({exc})") from None
 
 
@@ -434,9 +447,7 @@ def load_hashed(path, expected_key: HashKey | None = None) -> HashedTemplate:
         fingerprint = payload["key_fingerprint"]
     except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path.name}: invalid hashed-template file ({exc})") from None
-    for name in ("q", "m"):
-        if name in payload and type(payload[name]) is not int:
-            raise IntegrityError(f"{path.name}: {name} must be an integer, got {payload[name]!r}")
+    _check_int_fields(payload, ("q", "m"), path)
     if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
         raise IntegrityError(f"{path.name}: codes must be a list of rows")
     if not all(type(c) is int for row in codes for c in row):

@@ -1,9 +1,10 @@
-"""Seeded bank derivation and orthonormal projection utilities.
+"""Seeded streams, bank derivation and orthonormal projection utilities.
 
-Bank matrices come from per-index child streams of a SeedSequence, so matrix i
-is the same no matter how many matrices the bank holds. Orthonormal bases for
-the projection baselines come from modified Gram-Schmidt; LAPACK QR is avoided
-because its sign conventions differ from plain Gram-Schmidt.
+Every seeded draw comes from `stream` and every derived seed from `child_seed`.
+Bank matrices come from per-index streams, so matrix i is the same no matter
+how many matrices the bank holds. Orthonormal bases for the projection
+baselines come from modified Gram-Schmidt; LAPACK QR is avoided because its
+sign conventions differ from plain Gram-Schmidt.
 """
 
 from __future__ import annotations
@@ -13,10 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GaussianBank, HashKey
+from .model import GaussianBank, HashKey, _frozen_array
 
 GS_PIVOT_TOL = 1e-10
 ORTHO_CHECK_TOL = 1e-8
+
+
+def stream(*entropy: int) -> np.random.Generator:
+    """The generator seeded by the integers in entropy; equal entropy, equal draws."""
+    return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+
+
+def child_seed(*entropy: int) -> int:
+    """A 64-bit seed derived from the integers in entropy, for keys renewed or swept per index."""
+    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
 
 
 def bank_matrix(key: HashKey, index: int) -> np.ndarray:
@@ -27,8 +38,7 @@ def bank_matrix(key: HashKey, index: int) -> np.ndarray:
     """
     if not 0 <= index < key.m:
         raise ValueError(f"matrix index {index} out of range for m={key.m}")
-    rng = np.random.default_rng(np.random.SeedSequence([key.seed, index]))
-    return rng.standard_normal((key.d, key.q))
+    return stream(key.seed, index).standard_normal((key.d, key.q))
 
 
 def derive_bank(key: HashKey) -> GaussianBank:
@@ -57,9 +67,7 @@ class OrthoMatrix:
         gram = ent.T @ ent
         if not np.allclose(gram, np.eye(ent.shape[1]), atol=ORTHO_CHECK_TOL):
             raise ValueError("columns are not orthonormal")
-        ent = ent.copy()
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries", _frozen_array(ent, float))
 
     @property
     def n(self) -> int:
@@ -96,8 +104,7 @@ def gram_schmidt(matrix) -> OrthoMatrix:
 
 def random_ortho(n: int, k: int, seed: int) -> OrthoMatrix:
     """A seeded random orthonormal n x k basis (Gram-Schmidt on Gaussian draws)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    return gram_schmidt(rng.standard_normal((n, k)))
+    return gram_schmidt(stream(seed).standard_normal((n, k)))
 
 
 def random_projection(x, ortho: OrthoMatrix) -> np.ndarray:

@@ -16,9 +16,16 @@ import numpy as np
 from .evaluation import encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
 from .matching import LgsParams, lgs_scores
 from .mcc import MccParams
-from .model import GaussianBank, HashKey
+from .model import GaussianBank, HashKey, _frozen_array
+from .randomness import child_seed, stream
 
-DEFAULT_HIST_BINS = 100
+# Candidate batch sizes. They fix which stream each candidate comes from, so
+# changing one changes every result drawn with it.
+PREIMAGE_BATCH = 4096
+VOLUME_BATCH = 65536
+
+# 100 equal score bins over [0, 1]
+HIST_EDGES = np.linspace(0.0, 1.0, 101)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +42,7 @@ class InequalitySystem:
         object.__setattr__(self, "variable_dim", int(self.variable_dim))
         if normals.shape[1] != self.variable_dim:
             raise ValueError(f"normals have dimension {normals.shape[1]}, expected {self.variable_dim}")
-        normals = normals.copy()
-        normals.flags.writeable = False
-        object.__setattr__(self, "normals", normals)
+        object.__setattr__(self, "normals", _frozen_array(normals, float))
 
     @property
     def n_constraints(self) -> int:
@@ -74,45 +79,37 @@ def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:
     return InequalitySystem(normals=np.array(rows), variable_dim=bank.d)
 
 
-def sample_preimage(
-    system: InequalitySystem,
-    attempts: int,
-    seed: int,
-    batch_size: int = 4096,
-) -> np.ndarray | None:
+def _seeded_batches(total: int, batch: int, seed: int):
+    """(index, generator, size) for consecutive batches covering `total` draws.
+
+    Batch i draws from stream(seed, i).
+    """
+    total = int(total)
+    for index, start in enumerate(range(0, total, batch)):
+        yield index, stream(seed, index), min(batch, total - start)
+
+
+def sample_preimage(system: InequalitySystem, attempts: int, seed: int) -> np.ndarray | None:
     """Rejection-sample a vector satisfying every constraint strictly.
 
-    Candidate batches alternate standard-normal draws with uniform draws over
-    [0, 1]^d (the cylinder-value domain). Returns the first hit, or None once
-    `attempts` candidates are exhausted. Reproducible from (seed, attempts,
-    batch_size).
+    Candidate batches of PREIMAGE_BATCH alternate standard-normal draws with
+    uniform draws over [0, 1]^d (the cylinder-value domain). Returns the
+    first hit, or None once `attempts` candidates are exhausted.
+    Reproducible from (seed, attempts).
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    remaining = int(attempts)
-    batch_index = 0
-    while remaining > 0:
-        n = min(batch_size, remaining)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), batch_index]))
-        if batch_index % 2 == 0:
-            candidates = rng.standard_normal((n, system.variable_dim))
-        else:
-            candidates = rng.random((n, system.variable_dim))
+    for index, rng, n in _seeded_batches(attempts, PREIMAGE_BATCH, seed):
+        shape = (n, system.variable_dim)
+        candidates = rng.random(shape) if index % 2 else rng.standard_normal(shape)
         hits = system.satisfied(candidates)
         if hits.any():
             return candidates[int(np.argmax(hits))].copy()
-        remaining -= n
-        batch_index += 1
     return None
 
 
-def preimage_volume_estimate(
-    system: InequalitySystem,
-    samples: int,
-    seed: int = 0,
-    batch_size: int = 65536,
-) -> float:
-    """Fraction of uniform-[0, 1]^d samples inside the cone.
+def preimage_volume_estimate(system: InequalitySystem, samples: int, seed: int = 0) -> float:
+    """Fraction of uniform-[0, 1]^d samples inside the cone, drawn in batches of VOLUME_BATCH.
 
     A larger fraction at fixed q and smaller m means the code constrains the
     input more weakly. An empty constraint set gives exactly 1.0.
@@ -120,15 +117,8 @@ def preimage_volume_estimate(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        n = min(batch_size, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), batch_index]))
-        candidates = rng.random((n, system.variable_dim))
-        hits += int(system.satisfied(candidates).sum())
-        done += n
-        batch_index += 1
+    for _, rng, n in _seeded_batches(samples, VOLUME_BATCH, seed):
+        hits += int(system.satisfied(rng.random((n, system.variable_dim))).sum())
     return hits / samples
 
 
@@ -139,15 +129,19 @@ def brute_force_guess_count(decimal_places: int = 4, dim: int = 1536) -> int:
     return 10 ** (decimal_places * dim)
 
 
-def histogram_intersection(a, b, bins: int = DEFAULT_HIST_BINS, value_range=(0.0, 1.0)) -> float:
+def score_fractions(scores) -> np.ndarray:
+    """Fraction of the scores in each bin of HIST_EDGES; an empty score set gives all zeros."""
+    scores = np.asarray(list(scores), dtype=float)
+    counts, _ = np.histogram(scores, bins=HIST_EDGES)
+    return counts / max(scores.size, 1)
+
+
+def histogram_intersection(a, b) -> float:
     """Overlap of two score samples: sum of per-bin minimum mass fractions."""
-    a = np.asarray(list(a), dtype=float)
-    b = np.asarray(list(b), dtype=float)
-    if a.size == 0 or b.size == 0:
+    a, b = list(a), list(b)
+    if not a or not b:
         raise ValueError("both score sets must be non-empty")
-    hist_a, _ = np.histogram(a, bins=bins, range=value_range)
-    hist_b, _ = np.histogram(b, bins=bins, range=value_range)
-    return float(np.minimum(hist_a / a.size, hist_b / b.size).sum())
+    return float(np.minimum(score_fractions(a), score_fractions(b)).sum())
 
 
 def unlinkability_experiment(
@@ -218,8 +212,7 @@ def revocability_experiment(
                 if key_seeds is not None:
                     fresh_seed = key_seeds[key_index]
                 else:
-                    seq = np.random.SeedSequence([int(seed), finger_index, key_index])
-                    fresh_seed = int(seq.generate_state(1, np.uint64)[0])
+                    fresh_seed = child_seed(seed, finger_index, key_index)
                 fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
                 renewed = hash_dataset({template_key: cylinders[template_key]}, fresh_key)
                 yield under_base[template_key], renewed[template_key]

@@ -214,3 +214,43 @@ def reference_score_pairs(pairs, hashed, params, allow_cross_key=False, hashed_b
     return [
         reference_lgs_match_detail(hashed[x], second[y], params, allow_cross_key)[0] for x, y in pairs
     ]
+
+
+# ---------------------------------------------------------------------------
+# frozen preimage samplers
+#
+# The rejection sampler and volume estimate as first written, each with its
+# own batch loop and its own seeding, kept so the shared batch loop can be
+# required to draw exactly the same candidates at every batch boundary.
+
+
+def reference_sample_preimage(system, attempts, seed, batch_size):
+    remaining = int(attempts)
+    batch_index = 0
+    while remaining > 0:
+        n = min(batch_size, remaining)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), batch_index]))
+        if batch_index % 2 == 0:
+            candidates = rng.standard_normal((n, system.variable_dim))
+        else:
+            candidates = rng.random((n, system.variable_dim))
+        hits = system.satisfied(candidates)
+        if hits.any():
+            return candidates[int(np.argmax(hits))].copy()
+        remaining -= n
+        batch_index += 1
+    return None
+
+
+def reference_volume_estimate(system, samples, seed, batch_size):
+    hits = 0
+    done = 0
+    batch_index = 0
+    while done < samples:
+        n = min(batch_size, samples - done)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), batch_index]))
+        candidates = rng.random((n, system.variable_dim))
+        hits += int(system.satisfied(candidates).sum())
+        done += n
+        batch_index += 1
+    return hits / samples

@@ -229,3 +229,10 @@ class TestBioHash:
     def test_code_type_validation(self):
         with pytest.raises(ValueError, match="0/1"):
             BioHashCode(bits=np.array([0, 2]), tau=0.0)
+
+    def test_code_owns_a_frozen_copy(self):
+        base = np.array([1, 0, 1, 1], dtype=np.uint8)
+        code = BioHashCode(base[:3], tau=0.0)
+        assert base.flags.writeable and not code.bits.flags.writeable
+        base[:] = 0
+        np.testing.assert_array_equal(code.bits, [1, 0, 1])

@@ -331,6 +331,29 @@ class TestKeyIO:
         with pytest.raises(IntegrityError):
             load_key(tmp_path / "key.json")
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"m": 5.9}, "m must be an integer, got 5.9"),
+            ({"m": True}, "m must be an integer, got True"),
+            ({"q": "3"}, "q must be an integer, got '3'"),
+            ({"d": None}, "d must be an integer, got None"),
+            ({"seed": 2.0}, "seed must be an integer, got 2.0"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, tmp_path, change, message):
+        payload = {"seed": 1, "m": 5, "q": 4, "d": 3} | change
+        (tmp_path / "key.json").write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=r"^key\.json: ") as info:
+            load_key(tmp_path / "key.json")
+        assert str(info.value).endswith(message)
+
+    def test_non_object_rejected(self, tmp_path):
+        (tmp_path / "key.json").write_text("[1, 2, 3, 4]")
+        with pytest.raises(IntegrityError, match="invalid key file"):
+            load_key(tmp_path / "key.json")
+
 
 class TestHashedIO:
     def test_round_trip(self, tmp_path):

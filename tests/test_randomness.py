@@ -1,20 +1,63 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import giomhash
 from giomhash.model import HashKey
 from giomhash.randomness import (
     GS_PIVOT_TOL,
     OrthoMatrix,
     bank_matrix,
+    child_seed,
     derive_bank,
     gram_schmidt,
     jl_dimension,
     random_ortho,
     random_projection,
+    stream,
 )
+
+
+class TestSeededStreams:
+    # literals computed with np.random.SeedSequence and default_rng directly,
+    # independently of `stream` and `child_seed`
+    @pytest.mark.parametrize(
+        "entropy,expected",
+        [
+            ((7, 700, 100, 0), 10248368981111676572),
+            ((4, 5, 30, 1), 2088035925727464381),
+            ((9, 2, 3), 5658936688388001884),
+        ],
+    )
+    def test_child_seed_golden(self, entropy, expected):
+        assert child_seed(*entropy) == expected
+        assert child_seed(*(np.int64(e) for e in entropy)) == expected
+
+    def test_stream_golden(self):
+        assert stream(5, 3).standard_normal(3).tolist() == [
+            -1.7199310891498314,
+            0.216305643242891,
+            -0.2493740851242899,
+        ]
+        assert stream(11).random(3).tolist() == [0.12857020276919962, 0.49927786244011496, 0.6014983576233575]
+        assert int(stream(2, 0).integers(15, 31)) == 28
+
+    def test_bank_matrix_draws_from_stream(self):
+        key = HashKey(seed=5, m=4, q=3, d=1)
+        assert bank_matrix(key, 3)[0].tolist() == [-1.7199310891498314, 0.216305643242891, -0.2493740851242899]
+
+    def test_only_randomness_seeds(self):
+        # one owner for the seeding rule, so two copies cannot drift apart
+        package = Path(giomhash.__file__).parent
+        seeding = sorted(
+            path.name
+            for path in package.rglob("*.py")
+            if "SeedSequence" in path.read_text() or "default_rng" in path.read_text()
+        )
+        assert seeding == ["randomness.py"]
 
 
 class TestBankDerivation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import reference_lgs_match_detail
+from oracles import reference_lgs_match_detail, reference_sample_preimage, reference_volume_estimate
 
 from giomhash.cases import get_case
 from giomhash.evaluation import encode_dataset, hash_dataset
@@ -11,6 +11,8 @@ from giomhash.matching import LgsParams
 from giomhash.model import HashKey
 from giomhash.randomness import derive_bank
 from giomhash.security import (
+    PREIMAGE_BATCH,
+    VOLUME_BATCH,
     InequalitySystem,
     brute_force_guess_count,
     build_inequalities,
@@ -130,6 +132,51 @@ class TestSamplePreimage:
         system = InequalitySystem(normals=np.zeros((0, 2)), variable_dim=2)
         with pytest.raises(ValueError, match="attempts"):
             sample_preimage(system, attempts=0, seed=0)
+
+
+def _boundary_totals(batch):
+    return [1, batch - 1, batch, batch + 1, 2 * batch + 3]
+
+
+# only uniform candidates, never standard-normal ones in practice, satisfy all
+# 30 constraints x_i > 0 (a normal candidate does with probability 2^-30)
+ORTHANT = InequalitySystem(np.eye(30), 30)
+CONTRADICTION = InequalitySystem(np.array([[1.0, 0.0], [-1.0, 0.0]]), 2)
+
+
+class TestSamplerBatches:
+    def test_batch_sizes(self):
+        assert (PREIMAGE_BATCH, VOLUME_BATCH) == (4096, 65536)
+
+    @pytest.mark.parametrize("attempts", _boundary_totals(4096))
+    @pytest.mark.parametrize("name", ["orthant", "contradiction", "case1"])
+    def test_sample_preimage_equals_frozen_loop(self, name, attempts):
+        system = {
+            "orthant": ORTHANT,
+            "contradiction": CONTRADICTION,
+            "case1": InequalitySystem(CASE1_NORMALS, 3),
+        }[name]
+        got = sample_preimage(system, attempts=attempts, seed=17)
+        want = reference_sample_preimage(system, attempts, 17, batch_size=4096)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("attempts", _boundary_totals(4096))
+    def test_orthant_hit_lands_in_first_uniform_batch(self, attempts):
+        got = sample_preimage(ORTHANT, attempts=attempts, seed=17)
+        if attempts <= 4096:
+            assert got is None
+        else:
+            first_uniform = np.random.default_rng(np.random.SeedSequence([17, 1])).random(30)
+            np.testing.assert_array_equal(got, first_uniform)
+
+    @pytest.mark.parametrize("samples", _boundary_totals(4096) + _boundary_totals(65536))
+    def test_volume_equals_frozen_loop(self, samples):
+        system = InequalitySystem(CASE1_NORMALS, 3)
+        got = preimage_volume_estimate(system, samples=samples, seed=3)
+        assert got == reference_volume_estimate(system, samples, 3, batch_size=65536)
 
 
 class TestVolumeEstimate:
