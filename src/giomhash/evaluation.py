@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .hashing import hash_rows
-from .matching import LgsParams, lgs_scores
+from .matching import LgsParams, pack_templates, packed_scores
 from .mcc import MccParams, encode_cylinders
 from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate
 from .randomness import child_seed, derive_bank
@@ -177,13 +177,20 @@ def score_pairs(
     allow_cross_key: bool = False,
     hashed_b: dict[TemplateKey, HashedTemplate] | None = None,
 ) -> list[float]:
-    """Match scores in pair order, through the batched scorer lgs_scores.
+    """Match scores in pair order, each equal to lgs_match(...).value.
 
     hashed_b, when given, supplies the second template of each pair (used by
-    the cross-key experiments); otherwise both come from `hashed`.
+    the cross-key experiments); otherwise both come from `hashed`. The
+    templates are packed once, so a template in many pairs is converted and
+    copied once, and the pairs are scored by index into the pack.
     """
-    second = hashed if hashed_b is None else hashed_b
-    return lgs_scores(((hashed[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
+    first = {k: i for i, k in enumerate(hashed)}
+    second = first
+    templates = list(hashed.values())
+    if hashed_b is not None and hashed_b is not hashed:
+        second = {k: i + len(templates) for i, k in enumerate(hashed_b)}
+        templates += hashed_b.values()
+    return packed_scores(pack_templates(templates), ((first[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
 
 
 def evaluation_config(key: HashKey, mcc: MccParams, lgs: LgsParams) -> dict:

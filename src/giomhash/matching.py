@@ -5,16 +5,20 @@ so small templates are compared on few pairs and large ones on up to max_np.
 Greedy-unique selection repeatedly takes the best remaining pair and retires
 its row and column; flat selection just takes the top n_p matrix entries.
 
-One kernel scores every comparison: lgs_scores takes pairs in blocks,
-lgs_match_detail is a block of one and similarity_matrix a single matrix.
-Distances come from gram matrices of the integer codes, which is exact, so
-scores are bit-identical to a direct per-pair distance computation.
+One kernel scores every comparison. pack_templates converts a set of
+templates to float64 once, with row norms; packed_scores then scores pairs
+of template indices in blocks, each gathered from the packed array by index.
+lgs_scores packs the distinct templates of each stretch of its pairs,
+lgs_match_detail a pair's two templates, and similarity_matrix is a single
+matrix. Distances come from gram matrices of the integer codes, which is
+exact, so scores are bit-identical to a direct per-pair distance computation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -97,7 +101,8 @@ def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
     codes_b = np.asarray(codes_b)
     if codes_a.shape[1] != codes_b.shape[1]:
         raise ValueError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
-    return _similarities(codes_a[None].astype(float), codes_b[None].astype(float), q)[0]
+    a, b = codes_a[None].astype(float), codes_b[None].astype(float)
+    return _similarities(a, b, np.einsum("pam,pam->pa", a, a), np.einsum("pbm,pbm->pb", b, b), q)[0]
 
 
 # Pairs are scored in blocks whose padded float64 code stacks hold at most
@@ -106,14 +111,15 @@ def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
 _BLOCK_FLOATS = 1 << 18
 
 
-def _similarities(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def _similarities(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray, q: int) -> np.ndarray:
     """Point similarities of float64 code stacks a (P, A, m) and b (P, B, m), shape (P, A, B).
 
-    Squared distances come from ||a||^2 + ||b||^2 - 2 a.b with batched
-    matmuls. For integer codes in [1, q] every partial sum is an integer
-    below 4*m*q^2, so while that bound is under 2^53 the result is the exact
-    sum of squared differences, and the similarities are bit-identical to
-    those of a direct distance computation.
+    norms_a (P, A) and norms_b (P, B) are the rows' squared norms. Squared
+    distances come from ||a||^2 + ||b||^2 - 2 a.b with batched matmuls. For
+    integer codes in [1, q] every partial sum is an integer below 4*m*q^2,
+    so while that bound is under 2^53 the result is the exact sum of squared
+    differences, and the similarities are bit-identical to those of a direct
+    distance computation.
     """
     m, q = int(a.shape[-1]), int(q)
     # float64 holds every integer below 2^53 exactly
@@ -123,8 +129,8 @@ def _similarities(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         )
     sq = np.matmul(a, b.transpose(0, 2, 1))
     sq *= -2.0
-    sq += np.einsum("pam,pam->pa", a, a)[:, :, None]
-    sq += np.einsum("pbm,pbm->pb", b, b)[:, None, :]
+    sq += norms_a[:, :, None]
+    sq += norms_b[:, None, :]
     # only non-integer input can round below zero
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
@@ -159,13 +165,8 @@ def _flat_picks(sim: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(order, b)
 
 
-def _prepare(
-    a: HashedTemplate, b: HashedTemplate, params: LgsParams, allow_cross_key: bool
-) -> tuple[HashedTemplate, HashedTemplate, int, bool]:
-    """Check a pair and put it in the canonical (n_points, code bytes) order: (first, second, n_p, swapped).
-
-    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
-    """
+def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> None:
+    """Raise lgs_match's ValueError if a and b are not comparable."""
     if a.m != b.m:
         raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
     if a.q != b.q:
@@ -175,76 +176,214 @@ def _prepare(
             f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
             "templates hashed under different keys are not comparable"
         )
-    if a.n_points != b.n_points:
-        swapped = b.n_points < a.n_points
-    else:
-        swapped = b.codes.tobytes() < a.codes.tobytes()
-    first, second = (b, a) if swapped else (a, b)
-    return first, second, np_select(a.n_points, b.n_points, params), swapped
 
 
-def _match_block(block, greedy: bool):
-    """Score a block of (first, second, n_p) triples sharing m and q.
+@dataclass(frozen=True, eq=False)
+class PackedTemplates:
+    """Templates laid out for scoring, each code row converted to float64 once.
+
+    `codes` holds every template's rows back to back, then one zero row that
+    pads short templates in a block; codes narrower than the widest are
+    zero-padded, which changes no distance. `norms` are the rows' squared
+    norms. Per template: `offsets` and `sizes` locate its rows, `ms` and
+    `qs` are its code length and index range, `fingerprints` numbers its
+    key fingerprint, and `ranks` is its place in the canonical
+    (n_points, code bytes) order, equal keys sharing a rank.
+    """
+
+    templates: tuple[HashedTemplate, ...]
+    codes: np.ndarray
+    norms: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    ms: np.ndarray
+    qs: np.ndarray
+    fingerprints: np.ndarray
+    ranks: np.ndarray
+
+
+def _canonical_ranks(templates, sizes: np.ndarray) -> np.ndarray:
+    """Dense ranks of the templates by (n_points, code bytes).
+
+    Templates are ranked one size at a time, so at most one size's code
+    bytes are held at once.
+    """
+    ranks = np.empty(len(templates), dtype=np.intp)
+    rank = -1
+    for size in np.unique(sizes).tolist():
+        previous = None
+        for key, i in sorted((templates[i].codes.tobytes(), i) for i in np.flatnonzero(sizes == size).tolist()):
+            if key != previous:
+                rank, previous = rank + 1, key
+            ranks[i] = rank
+    return ranks
+
+
+def pack_templates(templates) -> PackedTemplates:
+    """Pack templates for packed_scores; pairs then name them by position."""
+    templates = tuple(templates)
+    sizes = np.array([t.n_points for t in templates], dtype=np.intp)
+    ms = np.array([t.m for t in templates], dtype=np.intp)
+    width = int(ms.max(initial=1))
+    codes = np.zeros((int(sizes.sum()) + 1, width))
+    offsets = np.zeros(len(templates), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=offsets[1:])
+    for template, offset in zip(templates, offsets.tolist()):
+        codes[offset : offset + template.n_points, : template.m] = template.codes
+    _, fingerprints = np.unique([t.key_fingerprint for t in templates], return_inverse=True)
+    return PackedTemplates(
+        templates=templates,
+        codes=codes,
+        norms=np.einsum("rm,rm->r", codes, codes),
+        offsets=offsets,
+        sizes=sizes,
+        ms=ms,
+        qs=np.array([t.q for t in templates], dtype=np.int64),
+        fingerprints=fingerprints,
+        ranks=_canonical_ranks(templates, sizes),
+    )
+
+
+def _prepare(
+    packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray, params: LgsParams, allow_cross_key: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check index pairs and put each in canonical order: (first, second, n_p, swapped) arrays.
+
+    The first failing pair raises _check_pair's error. Canonical orientation
+    makes greedy tie-breaking symmetric in (a, b); since ranks order by size
+    first, `first` is never the larger template, and n_p, which depends only
+    on the smaller size, is looked up once per distinct size.
+    """
+    bad = (packed.ms[ia] != packed.ms[ib]) | (packed.qs[ia] != packed.qs[ib])
+    if not allow_cross_key:
+        bad |= packed.fingerprints[ia] != packed.fingerprints[ib]
+    if bad.any():
+        i = int(bad.argmax())
+        _check_pair(packed.templates[ia[i]], packed.templates[ib[i]], allow_cross_key)
+    swapped = packed.ranks[ib] < packed.ranks[ia]
+    first, second = np.where(swapped, ib, ia), np.where(swapped, ia, ib)
+    smaller, position = np.unique(packed.sizes[first], return_inverse=True)
+    budgets = np.array([np_select(v, v, params) for v in smaller.tolist()], dtype=np.intp)
+    return first, second, budgets[position], swapped
+
+
+def _block_length(packed: PackedTemplates, first: np.ndarray, second: np.ndarray) -> int:
+    """How many leading pairs form the next block: one (m, q), padded stacks within _BLOCK_FLOATS."""
+    m = int(packed.ms[first[0]])
+    # a block of 1-point templates holds the most pairs
+    most = max(1, _BLOCK_FLOATS // (2 * m))
+    first, second = first[:most], second[:most]
+    rows = np.maximum.accumulate(packed.sizes[first]) + np.maximum.accumulate(packed.sizes[second])
+    fits = np.arange(1, len(first) + 1) * rows * m <= _BLOCK_FLOATS
+    fits &= np.logical_and.accumulate((packed.ms[first] == m) & (packed.qs[first] == packed.qs[first[0]]))
+    return max(1, int(fits.sum()))
+
+
+def _gather(packed: PackedTemplates, templates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of each template, zero-row padded to the largest: (P, N) indices and pad mask."""
+    sizes = packed.sizes[templates]
+    slot = np.arange(sizes.max())
+    pad = slot >= sizes[:, None]
+    return np.where(pad, len(packed.codes) - 1, packed.offsets[templates][:, None] + slot), pad
+
+
+def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_ps: np.ndarray, greedy: bool):
+    """Score a block of canonical (first, second) template index pairs sharing m and q.
 
     Returns (rows, cols, values, scores): the picked rows of `first`, columns
     of `second` and their similarities, each (P, max n_p) in pick order (a
     pair's entries past its own n_p are filler), and the (P,) mean scores.
-    The codes are stacked into zero-padded (P, A, m) and (P, B, m) float64
-    arrays; pad cells of the similarity stack hold -2, below every real or
-    retired entry, and the padded layout keeps each matrix's row-major order,
-    so every pair's picks and ties are those of its own matrix.
+    Each side's codes and norms are gathered from the packed array into a
+    zero-padded (P, N, m) stack; pad cells of the similarity stack hold -2,
+    below every real or retired entry, and the padded layout keeps each
+    matrix's row-major order, so every pair's picks and ties are those of
+    its own matrix.
     """
-    firsts, seconds, n_ps = zip(*block)
-    n_a = np.array([t.n_points for t in firsts])
-    n_b = np.array([t.n_points for t in seconds])
-    stack_a = np.zeros((len(block), n_a.max(), firsts[0].m))
-    stack_b = np.zeros((len(block), n_b.max(), firsts[0].m))
-    for i, (first, second) in enumerate(zip(firsts, seconds)):
-        stack_a[i, : n_a[i]] = first.codes
-        stack_b[i, : n_b[i]] = second.codes
-    sim = _similarities(stack_a, stack_b, firsts[0].q)
-    pad_rows = np.arange(sim.shape[1]) >= n_a[:, None]
-    pad_cols = np.arange(sim.shape[2]) >= n_b[:, None]
-    sim[pad_rows[:, :, None] | pad_cols[:, None, :]] = -2.0
-    n_ps = np.array(n_ps)
+    m, q = int(packed.ms[first[0]]), int(packed.qs[first[0]])
+    rows_a, pad_a = _gather(packed, first)
+    rows_b, pad_b = _gather(packed, second)
+    codes = packed.codes[:, :m]
+    sim = _similarities(codes[rows_a], codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], q)
+    sim[pad_a[:, :, None] | pad_b[:, None, :]] = -2.0
     steps = int(n_ps.max())
     if greedy:
         rows, cols = _greedy_picks(sim.copy(), steps)
     else:
         rows, cols = _flat_picks(sim, steps)
-    values = sim[np.arange(len(block))[:, None], rows, cols]
-    scores = np.empty(len(block))
+    values = sim[np.arange(len(first))[:, None], rows, cols]
+    scores = np.empty(len(first))
     for n_p in set(n_ps.tolist()):
         chosen = n_ps == n_p
         scores[chosen] = values[chosen, :n_p].mean(axis=1)
     return rows, cols, values, scores
 
 
+def packed_scores(
+    packed: PackedTemplates, pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False
+) -> list[float]:
+    """lgs_scores of (packed.templates[i], packed.templates[j]) for every (i, j) in `pairs`, in order.
+
+    `pairs` may be any iterable of index pairs; it is read a block's worth
+    at a time, so beyond `packed` and the returned list the working memory
+    does not grow with the number of pairs.
+    """
+    scores: list[float] = []
+    pairs = iter(pairs)
+    # the most pairs one block can hold
+    chunk = max(1, _BLOCK_FLOATS // (2 * int(packed.ms.min(initial=1))))
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(pairs, chunk)), dtype=np.intp)
+        if not flat.size:
+            return scores
+        first, second, n_ps, _ = _prepare(packed, flat[0::2], flat[1::2], params, allow_cross_key)
+        start = 0
+        while start < len(first):
+            block = slice(start, start + _block_length(packed, first[start:], second[start:]))
+            _, _, _, block_scores = _match_block(packed, first[block], second[block], n_ps[block], params.greedy_unique)
+            scores.extend(block_scores.tolist())
+            start = block.stop
+
+
+def _stretches(pairs):
+    """Split template pairs into (distinct templates, index pairs) stretches.
+
+    A stretch's distinct templates pack into at most _BLOCK_FLOATS floats
+    (one pair at least); pairs are read lazily, one stretch at a time.
+    """
+    templates: list[HashedTemplate] = []
+    position: dict[int, int] = {}
+    index_pairs: list[tuple[int, int]] = []
+    rows = width = 0
+    for a, b in pairs:
+        pair = {id(a): a, id(b): b}
+        fresh = [t for key, t in pair.items() if key not in position]
+        if index_pairs and (rows + sum(t.n_points for t in fresh)) * max(width, a.m, b.m) > _BLOCK_FLOATS:
+            yield templates, index_pairs
+            templates, position, index_pairs, rows, width = [], {}, [], 0, 0
+            fresh = list(pair.values())
+        for t in fresh:
+            position[id(t)] = len(templates)
+            templates.append(t)
+            rows += t.n_points
+        width = max(width, a.m, b.m)
+        index_pairs.append((position[id(a)], position[id(b)]))
+    if index_pairs:
+        yield templates, index_pairs
+
+
 def lgs_scores(pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False) -> list[float]:
     """lgs_match(a, b, params, allow_cross_key).value for every (a, b) in `pairs`, in order.
 
     `pairs` may be any iterable of template pairs, a generator included.
-    Pairs go through in blocks whose padded code stacks hold at most about
-    2 MiB of float64 (one pair at least), so beyond the returned list the
-    working memory does not grow with the number of pairs. A pair that fails
-    lgs_match's checks raises the same error.
+    Pairs go through in stretches whose distinct templates pack into at
+    most about 2 MiB of float64 (one pair at least), scored by packed_scores,
+    so beyond the returned list the working memory does not grow with the
+    number of pairs. A pair that fails lgs_match's checks raises the same
+    error.
     """
     scores: list[float] = []
-    block: list[tuple[HashedTemplate, HashedTemplate, int]] = []
-    rows_a = rows_b = 0
-    for a, b in pairs:
-        first, second, n_p, _ = _prepare(a, b, params, allow_cross_key)
-        rows_a, rows_b = max(rows_a, first.n_points), max(rows_b, second.n_points)
-        if block and (
-            (a.m, a.q) != (block[0][0].m, block[0][0].q)
-            or (len(block) + 1) * (rows_a + rows_b) * a.m > _BLOCK_FLOATS
-        ):
-            scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
-            block = []
-            rows_a, rows_b = first.n_points, second.n_points
-        block.append((first, second, n_p))
-    if block:
-        scores.extend(_match_block(block, params.greedy_unique)[3].tolist())
+    for templates, index_pairs in _stretches(pairs):
+        scores.extend(packed_scores(pack_templates(templates), index_pairs, params, allow_cross_key))
     return scores
 
 
@@ -271,11 +410,12 @@ def lgs_match_detail(
     allow_cross_key: bool = False,
 ) -> tuple[MatchScore, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
-    first, second, n_p, swapped = _prepare(a, b, params, allow_cross_key)
-    rows, cols, values, scores = _match_block([(first, second, n_p)], params.greedy_unique)
+    packed = pack_templates((a, b))
+    first, second, n_ps, swapped = _prepare(packed, np.array([0]), np.array([1]), params, allow_cross_key)
+    rows, cols, values, scores = _match_block(packed, first, second, n_ps, params.greedy_unique)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
-    selected = [(c, r, s) if swapped else (r, c, s) for r, c, s in picks]
-    return MatchScore(float(scores[0])), selected, n_p
+    selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
+    return MatchScore(float(scores[0])), selected, int(n_ps[0])
 
 
 def hamming_similarity(a: BioHashCode, b: BioHashCode) -> float:

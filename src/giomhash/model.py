@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -147,7 +148,11 @@ class HashKey:
 
     def __post_init__(self) -> None:
         for name in ("seed", "m", "q", "d"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            # int() would truncate 1.5 to another key's seed; NumPy integers are Integral
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.m < 1:

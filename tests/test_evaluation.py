@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import oracle_eer, oracle_genuine_count, oracle_impostor_count, reference_score_pairs
+from oracles import (
+    oracle_eer,
+    oracle_genuine_count,
+    oracle_impostor_count,
+    reference_lgs_match_detail,
+    reference_score_pairs,
+)
 
 from giomhash.evaluation import (
     EvalReport,
@@ -20,7 +26,7 @@ from giomhash.evaluation import (
     sweep,
     write_sweep_csv,
 )
-from giomhash.matching import LgsParams
+from giomhash.matching import _BLOCK_FLOATS, LgsParams, pack_templates
 from giomhash.mcc import MccParams, SynthParams, synth_dataset
 from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate
 
@@ -262,6 +268,80 @@ class TestRunEvaluation:
         output_growth = usage[8000][0] - usage[2000][0]
         assert output_growth > 0
         assert usage[8000][1] - usage[2000][1] <= output_growth + (1 << 20)
+
+
+def tie_heavy_gallery(m=64):
+    """q=2 templates, each built on its own array, with heavy ties.
+
+    Sizes 1, 1, 3, 3, 3 and 6 repeat, so equal sizes are left to the code
+    bytes and single-row templates occur; ("dup", 0) and ("dup", 1) hold
+    the same codes under two keys, as do ("dup", 2) and ("dup", 3).
+    """
+    rng = np.random.default_rng(31)
+    sizes = (1, 1, 3, 3, 3, 6)
+    hashed = {("f", i): HashedTemplate(rng.integers(1, 3, size=(sizes[i % 6], m)), 2, "k") for i in range(24)}
+    for dup, source in ((0, 2), (2, 5)):
+        codes = hashed[("f", source)].codes
+        hashed[("dup", dup)] = HashedTemplate(codes.copy(), 2, "k")
+        hashed[("dup", dup + 1)] = HashedTemplate(codes.copy(), 2, "k")
+    return hashed
+
+
+class TestPackedScoring:
+    """score_pairs, which packs its templates once, against the frozen per-pair scorer."""
+
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_tie_heavy_gallery_matches_reference(self, greedy):
+        hashed = tie_heavy_gallery()
+        lgs = LgsParams(min_np=1, max_np=6, mu_p=2.0, tau_p=0.7, greedy_unique=greedy)
+        # every ordered pair, self pairs and both orientations of the duplicates included
+        pairs = [(a, b) for a in hashed for b in hashed]
+        # more pairs than one block of these templates can hold
+        assert len(pairs) > _BLOCK_FLOATS // (2 * 6 * 64)
+        want = reference_score_pairs(pairs, hashed, lgs)
+        assert score_pairs(pairs, hashed, lgs) == want
+        # the pairs four times over are read in more than one chunk
+        assert score_pairs(iter(pairs * 4), hashed, lgs) == want * 4
+
+    def test_pack_ranks_follow_canonical_order(self):
+        # a wrong orientation moved picks but no score in any case tried, so
+        # the order the ranks give is checked directly
+        templates = list(tie_heavy_gallery().values())
+        ranks = pack_templates(templates).ranks.tolist()
+        keys = [(t.n_points, t.codes.tobytes()) for t in templates]
+        assert [[r < s for s in ranks] for r in ranks] == [[k < j for j in keys] for k in keys]
+        assert [[r == s for s in ranks] for r in ranks] == [[k == j for j in keys] for k in keys]
+
+    def test_duplicate_codes_score_one(self):
+        hashed = tie_heavy_gallery()
+        pairs = [(("dup", 0), ("dup", 1)), (("dup", 1), ("dup", 0)), (("dup", 2), ("f", 5))]
+        assert score_pairs(pairs, hashed, LgsParams()) == [1.0, 1.0, 1.0]
+
+    def test_mixed_code_lengths_score_within_each(self):
+        hashed = tie_heavy_gallery()
+        narrow = tie_heavy_gallery(m=5)
+        hashed.update({("narrow",) + k: t for k, t in narrow.items()})
+        pairs = [(a, b) for a in hashed for b in hashed if hashed[a].m == hashed[b].m][::7]
+        assert score_pairs(pairs, hashed, LgsParams()) == reference_score_pairs(pairs, hashed, LgsParams())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            HashedTemplate([[1, 2, 1]], 2, "k"),
+            HashedTemplate([[1, 2]], 3, "k"),
+            HashedTemplate([[1, 2]], 2, "other"),
+        ],
+        ids=["m", "q", "fingerprint"],
+    )
+    def test_mismatch_raises_lgs_match_message(self, bad):
+        hashed = {"a": HashedTemplate([[1, 2], [2, 2]], 2, "k"), "b": HashedTemplate([[2, 1]], 2, "k"), "bad": bad}
+        with pytest.raises(ValueError) as want:
+            reference_lgs_match_detail(hashed["b"], bad, LgsParams())
+        # the bad pair comes after good ones
+        pairs = [("a", "b"), ("b", "a"), ("a", "a"), ("b", "bad"), ("a", "b")]
+        with pytest.raises(ValueError) as got:
+            score_pairs(pairs, hashed, LgsParams())
+        assert str(got.value) == str(want.value)
 
 
 class TestEvalReport:

@@ -283,6 +283,13 @@ class TestBatchedScorer:
         assert lgs_scores(pairs, params) == reference_scores(pairs, params)
         assert lgs_scores(iter(pairs), params) == reference_scores(pairs, params)
 
+    def test_codes_longer_than_a_block(self):
+        # one row of a side already exceeds half the block budget
+        rng = np.random.default_rng(23)
+        templates = random_templates(rng, 4, m=_BLOCK_FLOATS // 2 + 1, q=2, rows=(1, 3))
+        pairs = list(zip(templates[0::2], templates[1::2]))
+        assert lgs_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
+
     def test_mixed_code_lengths_and_alphabets(self):
         rng = np.random.default_rng(21)
         groups = [random_templates(rng, 4, m=m, q=q) for m, q in ((3, 5), (6, 5), (3, 7))]

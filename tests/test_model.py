@@ -114,6 +114,31 @@ class TestHashKey:
         with pytest.raises(ValueError):
             HashKey(seed=0, m=1, q=2, d=0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"m": 5.9}, "m must be an integer, got 5.9"),
+            ({"seed": 2.0}, "seed must be an integer, got 2.0"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"q": np.bool_(True)}, "q must be an integer, got "),
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"d": None}, "d must be an integer, got None"),
+            ({"d": np.float64(4.0)}, "d must be an integer, got "),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, change, message):
+        fields = {"seed": 1, "m": 5, "q": 3, "d": 4} | change
+        with pytest.raises(ValueError) as info:
+            HashKey(**fields)
+        assert str(info.value).startswith(message)
+
+    def test_numpy_integers_accepted(self):
+        key = HashKey(seed=np.uint64(7), m=np.int32(3), q=np.int64(4), d=np.int8(5))
+        assert key == HashKey(seed=7, m=3, q=4, d=5)
+        assert all(type(v) is int for v in (key.seed, key.m, key.q, key.d))
+        assert key.fingerprint() == HashKey(seed=7, m=3, q=4, d=5).fingerprint()
+
     def test_fingerprint_stable_and_distinct(self):
         k1 = HashKey(seed=7, m=3, q=4, d=5)
         k2 = HashKey(seed=7, m=3, q=4, d=5)
