@@ -54,7 +54,6 @@ from .matching import (
     similarity_matrix,
     lgs_match,
     lgs_match_detail,
-    lgs_scores,
     hamming_similarity,
 )
 from .evaluation import (

@@ -146,7 +146,10 @@ def load_report(path) -> EvalReport:
 
 
 def encode_dataset(dataset, mcc: MccParams) -> dict[TemplateKey, np.ndarray]:
-    """Cylinder row arrays keyed by (finger_id, sample_id)."""
+    """Cylinder row arrays keyed by (finger_id, sample_id); duplicate keys raise ValueError."""
+    dataset = list(dataset)
+    # a second template under one key would silently replace the first
+    _by_finger(dataset)
     return {t.key: encode_cylinders(t, mcc).vectors for t in dataset}
 
 
@@ -220,13 +223,12 @@ def run_evaluation(
         raise ValueError(f"key d={key.d} does not match cylinder dimension {mcc.dim}")
     gen = genuine_pairs(dataset)
     imp = impostor_pairs(dataset)
+    if not imp:
+        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
     if cylinders is None:
         cylinders = encode_dataset(dataset, mcc)
-    hashed = hash_dataset(cylinders, key)
-    genuine_scores = score_pairs(gen, hashed, lgs)
-    impostor_scores = score_pairs(imp, hashed, lgs)
-    if not impostor_scores:
-        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
+    scores = score_pairs(gen + imp, hash_dataset(cylinders, key), lgs)
+    genuine_scores, impostor_scores = scores[: len(gen)], scores[len(gen) :]
     eer, roc = compute_eer(genuine_scores, impostor_scores)
     return EvalReport(
         genuine_scores=tuple(genuine_scores),
@@ -259,8 +261,8 @@ def sweep(
     Trial seeds derive from (base_seed, m, q, trial), so every grid cell is
     reproducible in isolation.
     """
-    m_list = [int(m) for m in m_list]
-    q_list = [int(q) for q in q_list]
+    # HashKey rejects a non-integer m or q, which int() would truncate
+    m_list, q_list = list(m_list), list(q_list)
     if not m_list or not q_list:
         raise ValueError("m_list and q_list must be non-empty")
     if trials < 1:

@@ -8,7 +8,7 @@ its row and column; flat selection just takes the top n_p matrix entries.
 One kernel scores every comparison. pack_templates converts a set of
 templates to float64 once, with row norms; packed_scores then scores pairs
 of template indices in blocks, each gathered from the packed array by index.
-lgs_scores packs the distinct templates of each stretch of its pairs,
+evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
 lgs_match_detail a pair's two templates, and similarity_matrix is a single
 matrix. Distances come from gram matrices of the integer codes, which is
 exact, so scores are bit-identical to a direct per-pair distance computation.
@@ -23,7 +23,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .hashing import BioHashCode
-from .model import HashedTemplate, MatchScore
+from .model import HashedTemplate, MatchScore, _integer
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,13 @@ class LgsParams:
     greedy_unique: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_np", int(self.min_np))
-        object.__setattr__(self, "max_np", int(self.max_np))
+        object.__setattr__(self, "min_np", _integer(self.min_np, "min_np"))
+        object.__setattr__(self, "max_np", _integer(self.max_np, "max_np"))
         object.__setattr__(self, "mu_p", float(self.mu_p))
         object.__setattr__(self, "tau_p", float(self.tau_p))
+        # bool() would read any non-empty string, "no" included, as True
+        if not isinstance(self.greedy_unique, (bool, np.bool_)):
+            raise ValueError(f"greedy_unique must be a bool, got {self.greedy_unique!r}")
         object.__setattr__(self, "greedy_unique", bool(self.greedy_unique))
         if not 1 <= self.min_np <= self.max_np:
             raise ValueError(f"need 1 <= min_np <= max_np, got [{self.min_np}, {self.max_np}]")
@@ -321,7 +324,7 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
 def packed_scores(
     packed: PackedTemplates, pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False
 ) -> list[float]:
-    """lgs_scores of (packed.templates[i], packed.templates[j]) for every (i, j) in `pairs`, in order.
+    """lgs_match(packed.templates[i], packed.templates[j], ...).value for every (i, j) in `pairs`, in order.
 
     `pairs` may be any iterable of index pairs; it is read a block's worth
     at a time, so beyond `packed` and the returned list the working memory
@@ -342,49 +345,6 @@ def packed_scores(
             _, _, _, block_scores = _match_block(packed, first[block], second[block], n_ps[block], params.greedy_unique)
             scores.extend(block_scores.tolist())
             start = block.stop
-
-
-def _stretches(pairs):
-    """Split template pairs into (distinct templates, index pairs) stretches.
-
-    A stretch's distinct templates pack into at most _BLOCK_FLOATS floats
-    (one pair at least); pairs are read lazily, one stretch at a time.
-    """
-    templates: list[HashedTemplate] = []
-    position: dict[int, int] = {}
-    index_pairs: list[tuple[int, int]] = []
-    rows = width = 0
-    for a, b in pairs:
-        pair = {id(a): a, id(b): b}
-        fresh = [t for key, t in pair.items() if key not in position]
-        if index_pairs and (rows + sum(t.n_points for t in fresh)) * max(width, a.m, b.m) > _BLOCK_FLOATS:
-            yield templates, index_pairs
-            templates, position, index_pairs, rows, width = [], {}, [], 0, 0
-            fresh = list(pair.values())
-        for t in fresh:
-            position[id(t)] = len(templates)
-            templates.append(t)
-            rows += t.n_points
-        width = max(width, a.m, b.m)
-        index_pairs.append((position[id(a)], position[id(b)]))
-    if index_pairs:
-        yield templates, index_pairs
-
-
-def lgs_scores(pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False) -> list[float]:
-    """lgs_match(a, b, params, allow_cross_key).value for every (a, b) in `pairs`, in order.
-
-    `pairs` may be any iterable of template pairs, a generator included.
-    Pairs go through in stretches whose distinct templates pack into at
-    most about 2 MiB of float64 (one pair at least), scored by packed_scores,
-    so beyond the returned list the working memory does not grow with the
-    number of pairs. A pair that fails lgs_match's checks raises the same
-    error.
-    """
-    scores: list[float] = []
-    for templates, index_pairs in _stretches(pairs):
-        scores.extend(packed_scores(pack_templates(templates), index_pairs, params, allow_cross_key))
-    return scores
 
 
 def lgs_match(

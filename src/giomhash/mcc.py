@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, save_minutiae
+from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, _integer, save_minutiae
 from .randomness import stream
 
 
@@ -36,8 +36,8 @@ class MccParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "ns", int(self.ns))
-        object.__setattr__(self, "nd", int(self.nd))
+        object.__setattr__(self, "ns", _integer(self.ns, "ns"))
+        object.__setattr__(self, "nd", _integer(self.nd, "nd"))
         if self.sigma_s is None:
             object.__setattr__(self, "sigma_s", self.radius / 7.5)
         else:
@@ -125,7 +125,9 @@ class SynthParams:
     field_size: float = 500.0
 
     def __post_init__(self) -> None:
-        lo, hi = (int(v) for v in self.minutiae_range)
+        object.__setattr__(self, "fingers", _integer(self.fingers, "fingers"))
+        object.__setattr__(self, "samples_per_finger", _integer(self.samples_per_finger, "samples_per_finger"))
+        lo, hi = (_integer(v, "minutiae_range") for v in self.minutiae_range)
         object.__setattr__(self, "minutiae_range", (lo, hi))
         if self.fingers < 1 or self.samples_per_finger < 1:
             raise ValueError("counts must be >= 1")

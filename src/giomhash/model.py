@@ -86,6 +86,17 @@ class MinutiaeTemplate:
         return xy, theta
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a non-integer raises ValueError naming the field.
+
+    int() would truncate 1.5 to 1, silently turning one setting into
+    another; NumPy integers are Integral and are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
@@ -148,11 +159,7 @@ class HashKey:
 
     def __post_init__(self) -> None:
         for name in ("seed", "m", "q", "d"):
-            value = getattr(self, name)
-            # int() would truncate 1.5 to another key's seed; NumPy integers are Integral
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.m < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
-from .matching import LgsParams, lgs_scores
+from .matching import LgsParams
 from .mcc import MccParams
 from .model import GaussianBank, HashKey, _frozen_array
 from .randomness import child_seed, stream
@@ -170,9 +170,8 @@ def unlinkability_experiment(
     non_mated_pairs = impostor_pairs(dataset)
     if not non_mated_pairs:
         warnings.warn("single-finger dataset: non-mated score set is empty", stacklevel=2)
-    mated = score_pairs(mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
-    non_mated = score_pairs(non_mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
-    return mated, non_mated
+    scores = score_pairs(mated_pairs + non_mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
+    return scores[: len(mated_pairs)], scores[len(mated_pairs) :]
 
 
 def revocability_experiment(
@@ -196,28 +195,28 @@ def revocability_experiment(
     if n_keys < 1:
         raise ValueError("n_keys must be >= 1")
     if key_seeds is not None:
-        key_seeds = [int(s) for s in key_seeds]
+        # HashKey rejects a non-integer seed, which int() would truncate
+        key_seeds = list(key_seeds)
         if len(key_seeds) != n_keys:
             raise ValueError(f"key_seeds has {len(key_seeds)} entries, expected n_keys={n_keys}")
     if base_key.d != mcc.dim:
         raise ValueError(f"key d={base_key.d} does not match cylinder dimension {mcc.dim}")
     cylinders = encode_dataset(dataset, mcc)
     under_base = hash_dataset(cylinders, base_key)
-    firsts = first_samples(dataset)
-
-    def mated_pairs():
-        # renewed lazily, so the scorer holds one block of them at a time
-        for finger_index, template_key in enumerate(firsts):
-            for key_index in range(n_keys):
-                if key_seeds is not None:
-                    fresh_seed = key_seeds[key_index]
-                else:
-                    fresh_seed = child_seed(seed, finger_index, key_index)
-                fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
-                renewed = hash_dataset({template_key: cylinders[template_key]}, fresh_key)
-                yield under_base[template_key], renewed[template_key]
-
-    mated = lgs_scores(mated_pairs(), lgs, allow_cross_key=True)
-    genuine = score_pairs(genuine_pairs(dataset), under_base, lgs)
-    impostor = score_pairs(impostor_pairs(dataset), under_base, lgs)
-    return mated, genuine, impostor
+    mated: list[float] = []
+    # one finger's renewals at a time, so memory does not grow with the dataset
+    for finger_index, template_key in enumerate(first_samples(dataset)):
+        renewed = {}
+        for key_index in range(n_keys):
+            if key_seeds is not None:
+                fresh_seed = key_seeds[key_index]
+            else:
+                fresh_seed = child_seed(seed, finger_index, key_index)
+            fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
+            renewed[key_index] = hash_dataset({template_key: cylinders[template_key]}, fresh_key)[template_key]
+        base = {template_key: under_base[template_key]}
+        pairs = [(template_key, key_index) for key_index in renewed]
+        mated += score_pairs(pairs, base, lgs, allow_cross_key=True, hashed_b=renewed)
+    genuine, impostor = genuine_pairs(dataset), impostor_pairs(dataset)
+    scores = score_pairs(genuine + impostor, under_base, lgs)
+    return mated, scores[: len(genuine)], scores[len(genuine) :]

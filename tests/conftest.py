@@ -23,6 +23,23 @@ DENSE_SYNTH = dict(
 )
 
 
+@pytest.fixture
+def pack_calls(monkeypatch):
+    """The template counts of every pack evaluation.score_pairs makes, in call order."""
+    import giomhash.evaluation as evaluation
+
+    calls = []
+    original = evaluation.pack_templates
+
+    def counting(templates):
+        packed = original(templates)
+        calls.append(len(packed.templates))
+        return packed
+
+    monkeypatch.setattr(evaluation, "pack_templates", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def small_mcc():
     return MccParams(radius=100.0, ns=6, nd=4)

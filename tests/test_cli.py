@@ -129,6 +129,19 @@ class TestHash:
         for (finger_id, sample_id), template in want.items():
             assert load_hashed(hashed_dir / f"{finger_id}_{sample_id:02d}.json", expected_key=key) == template
 
+    def test_duplicate_template_header_is_runtime_error(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("f0000_01.txt", "f0000_02.txt", "f0001_01.txt", "f0001_02.txt"):
+            shutil.copy(data_dir / name, data / name)
+        # a second file with the header (f0000, 1)
+        shutil.copy(data_dir / "f0000_01.txt", data / "zz_copy.txt")
+        out = tmp_path / "out"
+        code = main(["hash", "--data", str(data), "--seed", "3", "--out", str(out)] + SMALL_KEY + SMALL_MCC)
+        assert code == 2
+        assert "duplicate sample ids for finger f0000" in capsys.readouterr().err
+        assert not list(out.glob("*.json"))
+
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 

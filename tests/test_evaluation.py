@@ -13,6 +13,7 @@ from oracles import (
     reference_score_pairs,
 )
 
+import giomhash.evaluation as evaluation
 from giomhash.evaluation import (
     EvalReport,
     compute_eer,
@@ -155,6 +156,24 @@ def eval_setup(request):
 
 
 class TestRunEvaluation:
+    def test_packs_templates_once(self, eval_setup, pack_calls):
+        dataset, key, mcc = eval_setup
+        report = run_evaluation(dataset, key, mcc)
+        assert pack_calls == [len(dataset)]
+        assert len(report.genuine_scores) == 12 and len(report.impostor_scores) == 6
+
+    def test_single_finger_fails_before_encoding(self, eval_setup, monkeypatch):
+        dataset, key, mcc = eval_setup
+        one_finger = [t for t in dataset if t.finger_id == dataset[0].finger_id]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a protocol without impostor pairs reached encoding or hashing")
+
+        monkeypatch.setattr(evaluation, "encode_dataset", unreachable)
+        monkeypatch.setattr(evaluation, "hash_dataset", unreachable)
+        with pytest.raises(ValueError, match="protocol needs >= 2 fingers for impostor comparisons"):
+            run_evaluation(one_finger, key, mcc)
+
     def test_report_shape(self, eval_setup):
         dataset, key, mcc = eval_setup
         report = run_evaluation(dataset, key, mcc)
@@ -391,6 +410,13 @@ class TestSweep:
             sweep(dataset, [], [5], trials=1, base_seed=0, mcc=mcc)
         with pytest.raises(ValueError, match="trials"):
             sweep(dataset, [4], [5], trials=0, base_seed=0, mcc=mcc)
+
+    def test_non_integer_grid_rejected(self, eval_setup):
+        dataset, _, mcc = eval_setup
+        with pytest.raises(ValueError, match="m must be an integer, got 5.9"):
+            sweep(dataset, [5.9], [5], trials=1, base_seed=0, mcc=mcc)
+        with pytest.raises(ValueError, match="q must be an integer, got 4.5"):
+            sweep(dataset, [6], [4.5], trials=1, base_seed=0, mcc=mcc)
 
     def test_csv_round_trip(self, eval_setup, tmp_path):
         dataset, _, mcc = eval_setup

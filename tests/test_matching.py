@@ -13,6 +13,7 @@ from oracles import (
     reference_similarity_matrix,
 )
 
+from giomhash.evaluation import score_pairs
 from giomhash.hashing import BioHashCode, giom_hash
 from giomhash.matching import (
     _BLOCK_FLOATS,
@@ -20,7 +21,6 @@ from giomhash.matching import (
     hamming_similarity,
     lgs_match,
     lgs_match_detail,
-    lgs_scores,
     np_select,
     point_similarity,
     similarity_matrix,
@@ -54,6 +54,26 @@ class TestLgsParams:
             LgsParams(min_np=5, max_np=4)
         with pytest.raises(ValueError):
             LgsParams(mu_p=float("nan"))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"min_np": 4.7}, "min_np must be an integer, got 4.7"),
+            ({"max_np": 12.0}, "max_np must be an integer, got 12.0"),
+            ({"min_np": True}, "min_np must be an integer, got True"),
+            ({"greedy_unique": "no"}, "greedy_unique must be a bool, got 'no'"),
+            ({"greedy_unique": 0}, "greedy_unique must be a bool, got 0"),
+        ],
+    )
+    def test_non_integer_counts_and_non_bool_selection_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            LgsParams(**change)
+        assert str(info.value) == message
+
+    def test_numpy_values_accepted(self):
+        p = LgsParams(min_np=np.int64(3), max_np=np.int32(5), greedy_unique=np.bool_(False))
+        assert p == LgsParams(min_np=3, max_np=5, greedy_unique=False)
+        assert all(type(v) is int for v in (p.min_np, p.max_np)) and p.greedy_unique is False
 
 
 class TestNpSelect:
@@ -222,6 +242,17 @@ def reference_scores(pairs, params, allow_cross_key=False):
     return [reference_lgs_match_detail(a, b, params, allow_cross_key)[0] for a, b in pairs]
 
 
+def keyed(pairs):
+    """score_pairs input for template pairs: the templates keyed by identity, and the key pairs."""
+    templates = {id(t): t for pair in pairs for t in pair}
+    return templates, [(id(a), id(b)) for a, b in pairs]
+
+
+def batch_scores(pairs, params, allow_cross_key=False):
+    templates, keys = keyed(pairs)
+    return score_pairs(keys, templates, params, allow_cross_key)
+
+
 def random_templates(rng, count, m, q, rows=(1, 25), fp="k0"):
     return [
         hashed(rng.integers(1, q + 1, size=(int(rng.integers(*rows)), m)), q=q, fp=fp)
@@ -241,7 +272,7 @@ SELECTIONS = [
 
 
 class TestBatchedScorer:
-    """lgs_scores and lgs_match_detail against the frozen per-pair scorer, bit for bit."""
+    """score_pairs and lgs_match_detail against the frozen per-pair scorer, bit for bit."""
 
     @pytest.mark.parametrize("rows", [(1, 25), (6, 7)], ids=["unequal", "equal"])
     @pytest.mark.parametrize("q", [2, 3])
@@ -252,7 +283,7 @@ class TestBatchedScorer:
         templates = random_templates(rng, 12, m=4, q=q, rows=rows)
         templates.append(templates[0])
         pairs = [(a, b) for a in templates for b in templates]
-        assert lgs_scores(pairs, params) == reference_scores(pairs, params)
+        assert batch_scores(pairs, params) == reference_scores(pairs, params)
 
     @pytest.mark.parametrize("rows", [(1, 14), (5, 6)], ids=["unequal", "equal"])
     @pytest.mark.parametrize("params", SELECTIONS)
@@ -280,31 +311,35 @@ class TestBatchedScorer:
         pairs = list(zip(templates[0::2], templates[1::2]))[: block + offset]
         params = LgsParams(min_np=2, max_np=6, mu_p=6.0, tau_p=1.0)
         assert len(pairs) == block + offset
-        assert lgs_scores(pairs, params) == reference_scores(pairs, params)
-        assert lgs_scores(iter(pairs), params) == reference_scores(pairs, params)
+        templates, keys = keyed(pairs)
+        assert score_pairs(keys, templates, params) == reference_scores(pairs, params)
+        assert score_pairs(iter(keys), templates, params) == reference_scores(pairs, params)
 
     def test_codes_longer_than_a_block(self):
         # one row of a side already exceeds half the block budget
         rng = np.random.default_rng(23)
         templates = random_templates(rng, 4, m=_BLOCK_FLOATS // 2 + 1, q=2, rows=(1, 3))
         pairs = list(zip(templates[0::2], templates[1::2]))
-        assert lgs_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
+        assert batch_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
 
     def test_mixed_code_lengths_and_alphabets(self):
         rng = np.random.default_rng(21)
         groups = [random_templates(rng, 4, m=m, q=q) for m, q in ((3, 5), (6, 5), (3, 7))]
         pairs = [(a, b) for group in groups for a in group for b in group]
         pairs = pairs[::2] + pairs[1::2]
-        assert lgs_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
+        assert batch_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
 
     def test_cross_key_and_empty(self):
         rng = np.random.default_rng(22)
         under_a = random_templates(rng, 5, m=6, q=4, fp="k0")
         under_b = random_templates(rng, 5, m=6, q=4, fp="k1")
         pairs = list(zip(under_a, under_b))
-        got = lgs_scores(pairs, LgsParams(), allow_cross_key=True)
+        keys = [(i, i) for i in range(len(pairs))]
+        got = score_pairs(
+            keys, dict(enumerate(under_a)), LgsParams(), allow_cross_key=True, hashed_b=dict(enumerate(under_b))
+        )
         assert got == reference_scores(pairs, LgsParams(), allow_cross_key=True)
-        assert lgs_scores([], LgsParams()) == []
+        assert score_pairs([], {}, LgsParams()) == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -319,7 +354,7 @@ class TestBatchedScorer:
         # the bad pair comes after good ones
         pairs = [(good, good)] * 3 + [(good, bad)]
         with pytest.raises(ValueError) as got:
-            lgs_scores(pairs, LgsParams())
+            batch_scores(pairs, LgsParams())
         assert str(got.value) == message
         with pytest.raises(ValueError) as got:
             lgs_match_detail(good, bad, LgsParams())
@@ -330,14 +365,14 @@ class TestBatchedScorer:
         q = (1 << 25) - 1
         low, high = hashed([[1, 1], [2, q]], q=q), hashed([[q, q], [q, 1]], q=q)
         params = LgsParams(min_np=2, max_np=2)
-        assert lgs_scores([(low, high)], params) == reference_scores([(low, high)], params)
+        assert batch_scores([(low, high)], params) == reference_scores([(low, high)], params)
         np.testing.assert_array_equal(
             similarity_matrix(low.codes, high.codes, q), reference_similarity_matrix(low.codes, high.codes, q)
         )
         q += 1
         low, high = hashed([[1, 1]], q=q), hashed([[q, q]], q=q)
         with pytest.raises(ValueError, match=r"too large for exact scoring: need 4\*m\*q\^2 < 2\^53"):
-            lgs_scores([(low, high)], params)
+            batch_scores([(low, high)], params)
         with pytest.raises(ValueError, match="too large for exact scoring"):
             lgs_match(low, high)
         with pytest.raises(ValueError, match="too large for exact scoring"):

@@ -41,6 +41,15 @@ class TestMccParams:
         with pytest.raises(ValueError):
             MccParams(sigma_d=0.0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"ns": 6.9}, "ns must be an integer, got 6.9"), ({"nd": True}, "nd must be an integer, got True")],
+    )
+    def test_non_integer_counts_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            MccParams(**change)
+        assert str(info.value) == message
+
 
 class TestWrappedAngle:
     def test_symmetric_values(self):
@@ -139,6 +148,25 @@ class TestSynthParams:
             SynthParams(minutiae_range=(0, 5))
         with pytest.raises(ValueError):
             SynthParams(jitter_pos=-1.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"fingers": 2.5}, "fingers must be an integer, got 2.5"),
+            ({"samples_per_finger": 3.0}, "samples_per_finger must be an integer, got 3.0"),
+            ({"minutiae_range": (4.5, 9)}, "minutiae_range must be an integer, got 4.5"),
+            ({"minutiae_range": (4, "9")}, "minutiae_range must be an integer, got '9'"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            SynthParams(**change)
+        assert str(info.value) == message
+
+    def test_numpy_counts_stored_as_int(self):
+        p = SynthParams(fingers=np.int64(3), samples_per_finger=np.int32(2), minutiae_range=(np.int8(4), 6))
+        assert (p.fingers, p.samples_per_finger, p.minutiae_range) == (3, 2, (4, 6))
+        assert all(type(v) is int for v in (p.fingers, p.samples_per_finger, *p.minutiae_range))
 
 
 class TestSynthDataset:

@@ -279,6 +279,12 @@ class TestUnlinkability:
         assert len(non_mated) == 5 * 4 // 2
         assert all(0.0 <= s <= 1.0 for s in mated + non_mated)
 
+    def test_packs_templates_once(self, small_dataset, small_mcc, pack_calls):
+        a = HashKey(seed=1, m=8, q=6, d=small_mcc.dim)
+        b = HashKey(seed=2, m=8, q=6, d=small_mcc.dim)
+        unlinkability_experiment(small_dataset, a, b, mcc=small_mcc)
+        assert pack_calls == [2 * len(small_dataset)]
+
     def test_single_finger_warns(self, small_dataset, small_mcc):
         finger = small_dataset[0].finger_id
         subset = [t for t in small_dataset if t.finger_id == finger]
@@ -341,6 +347,17 @@ class TestRevocability:
             revocability_experiment(
                 small_dataset, base, n_keys=2, seed=0, mcc=small_mcc, key_seeds=[7]
             )
+
+    def test_packs_one_finger_at_a_time(self, small_dataset, small_mcc, pack_calls):
+        # each finger's base template with its renewals, then the base-key references once
+        base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
+        revocability_experiment(small_dataset, base, n_keys=4, seed=31, mcc=small_mcc)
+        assert pack_calls == [1 + 4] * 5 + [len(small_dataset)]
+
+    def test_non_integer_key_seeds_rejected(self, small_dataset, small_mcc):
+        base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            revocability_experiment(small_dataset, base, n_keys=1, seed=0, mcc=small_mcc, key_seeds=[1.5])
 
     def test_n_keys_validated(self, small_dataset, small_mcc):
         base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
