@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,22 +59,29 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
     return value
 
 
 def _nonneg_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
     return value
 
 
 def _unit_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
     return value
@@ -102,8 +110,8 @@ def _add_lgs_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("matcher")
     group.add_argument("--min-np", type=_positive_int, default=4, help="minimum pair budget")
     group.add_argument("--max-np", type=_positive_int, default=12, help="maximum pair budget")
-    group.add_argument("--mu-p", type=float, default=20.0, help="pair-budget sigmoid midpoint")
-    group.add_argument("--tau-p", type=float, default=0.4, help="pair-budget sigmoid slope")
+    group.add_argument("--mu-p", type=_finite_float, default=20.0, help="pair-budget sigmoid midpoint")
+    group.add_argument("--tau-p", type=_finite_float, default=0.4, help="pair-budget sigmoid slope")
     group.add_argument(
         "--flat-topk",
         action="store_true",

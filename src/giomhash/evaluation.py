@@ -139,9 +139,11 @@ def load_report(path) -> EvalReport:
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path.name}: invalid report ({exc})") from None
-    eer, _ = compute_eer(report.genuine_scores, report.impostor_scores)
+    eer, roc = compute_eer(report.genuine_scores, report.impostor_scores)
     if eer != report.eer:
         raise IntegrityError(f"{path.name}: stored eer {report.eer} inconsistent with scores (expect {eer})")
+    if tuple(roc) != report.roc:
+        raise IntegrityError(f"{path.name}: stored roc table inconsistent with scores")
     return report
 
 
@@ -183,9 +185,10 @@ def score_pairs(
     """Match scores in pair order, each equal to lgs_match(...).value.
 
     hashed_b, when given, supplies the second template of each pair (used by
-    the cross-key experiments); otherwise both come from `hashed`. The
-    templates are packed once, so a template in many pairs is converted and
-    copied once, and the pairs are scored by index into the pack.
+    the cross-key experiments); otherwise both come from `hashed`. All the
+    templates must share one m and q, or pack_templates raises. They are
+    packed once, so a template in many pairs is converted and copied once,
+    and the pairs are read once and scored by index into the pack.
     """
     first = {k: i for i, k in enumerate(hashed)}
     second = first

@@ -6,8 +6,9 @@ Greedy-unique selection repeatedly takes the best remaining pair and retires
 its row and column; flat selection just takes the top n_p matrix entries.
 
 One kernel scores every comparison. pack_templates converts a set of
-templates to float64 once, with row norms; packed_scores then scores pairs
-of template indices in blocks, each gathered from the packed array by index.
+templates that share one code length m and index range q to float64 once,
+with row norms; packed_scores reads its pairs of template indices once and
+scores them in blocks, each gathered from the packed array by index.
 evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
 lgs_match_detail a pair's two templates, and similarity_matrix is a single
 matrix. Distances come from gram matrices of the integer codes, which is
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
 from .hashing import BioHashCode
-from .model import HashedTemplate, MatchScore, _integer
+from .model import HashedTemplate, MatchScore, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,14 @@ class LgsParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_np", _integer(self.min_np, "min_np"))
         object.__setattr__(self, "max_np", _integer(self.max_np, "max_np"))
-        object.__setattr__(self, "mu_p", float(self.mu_p))
-        object.__setattr__(self, "tau_p", float(self.tau_p))
+        object.__setattr__(self, "mu_p", _real(self.mu_p, "mu_p"))
+        object.__setattr__(self, "tau_p", _real(self.tau_p, "tau_p"))
         # bool() would read any non-empty string, "no" included, as True
         if not isinstance(self.greedy_unique, (bool, np.bool_)):
             raise ValueError(f"greedy_unique must be a bool, got {self.greedy_unique!r}")
         object.__setattr__(self, "greedy_unique", bool(self.greedy_unique))
         if not 1 <= self.min_np <= self.max_np:
             raise ValueError(f"need 1 <= min_np <= max_np, got [{self.min_np}, {self.max_np}]")
-        if not (math.isfinite(self.mu_p) and math.isfinite(self.tau_p)):
-            raise ValueError("mu_p and tau_p must be finite")
 
 
 def _sigmoid(t: float) -> float:
@@ -109,8 +107,8 @@ def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
 
 
 # Pairs are scored in blocks whose padded float64 code stacks hold at most
-# 2 MiB (one pair at least), so the scorer's working memory does not grow
-# with the number of pairs.
+# 2 MiB (one pair at least), so the stacks do not grow with the number of
+# pairs.
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -183,24 +181,22 @@ def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> 
 
 @dataclass(frozen=True, eq=False)
 class PackedTemplates:
-    """Templates laid out for scoring, each code row converted to float64 once.
+    """Templates of one code length m and index range q, each code row converted to float64 once.
 
-    `codes` holds every template's rows back to back, then one zero row that
-    pads short templates in a block; codes narrower than the widest are
-    zero-padded, which changes no distance. `norms` are the rows' squared
-    norms. Per template: `offsets` and `sizes` locate its rows, `ms` and
-    `qs` are its code length and index range, `fingerprints` numbers its
-    key fingerprint, and `ranks` is its place in the canonical
+    `codes` (rows, m) holds every template's rows back to back, then one
+    zero row that pads short templates in a block. `norms` are the rows'
+    squared norms and `q` the shared index range. Per template: `offsets`
+    and `sizes` locate its rows, `fingerprints` numbers its key
+    fingerprint, and `ranks` is its place in the canonical
     (n_points, code bytes) order, equal keys sharing a rank.
     """
 
     templates: tuple[HashedTemplate, ...]
     codes: np.ndarray
     norms: np.ndarray
+    q: int
     offsets: np.ndarray
     sizes: np.ndarray
-    ms: np.ndarray
-    qs: np.ndarray
     fingerprints: np.ndarray
     ranks: np.ndarray
 
@@ -223,25 +219,29 @@ def _canonical_ranks(templates, sizes: np.ndarray) -> np.ndarray:
 
 
 def pack_templates(templates) -> PackedTemplates:
-    """Pack templates for packed_scores; pairs then name them by position."""
+    """Pack templates for packed_scores; pairs then name them by position.
+
+    Every template must share the first one's m and q: the first that does
+    not raises lgs_match's ValueError for (first template, it).
+    """
     templates = tuple(templates)
+    for template in templates[1:]:
+        _check_pair(templates[0], template, allow_cross_key=True)
+    width, q = (templates[0].m, templates[0].q) if templates else (1, 2)
     sizes = np.array([t.n_points for t in templates], dtype=np.intp)
-    ms = np.array([t.m for t in templates], dtype=np.intp)
-    width = int(ms.max(initial=1))
     codes = np.zeros((int(sizes.sum()) + 1, width))
     offsets = np.zeros(len(templates), dtype=np.intp)
     np.cumsum(sizes[:-1], out=offsets[1:])
     for template, offset in zip(templates, offsets.tolist()):
-        codes[offset : offset + template.n_points, : template.m] = template.codes
+        codes[offset : offset + template.n_points] = template.codes
     _, fingerprints = np.unique([t.key_fingerprint for t in templates], return_inverse=True)
     return PackedTemplates(
         templates=templates,
         codes=codes,
         norms=np.einsum("rm,rm->r", codes, codes),
+        q=q,
         offsets=offsets,
         sizes=sizes,
-        ms=ms,
-        qs=np.array([t.q for t in templates], dtype=np.int64),
         fingerprints=fingerprints,
         ranks=_canonical_ranks(templates, sizes),
     )
@@ -252,17 +252,18 @@ def _prepare(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check index pairs and put each in canonical order: (first, second, n_p, swapped) arrays.
 
-    The first failing pair raises _check_pair's error. Canonical orientation
-    makes greedy tie-breaking symmetric in (a, b); since ranks order by size
-    first, `first` is never the larger template, and n_p, which depends only
-    on the smaller size, is looked up once per distinct size.
+    The pack shares one m and q, so only key fingerprints are checked: without
+    allow_cross_key the first pair whose fingerprints differ raises
+    _check_pair's error. Canonical orientation makes greedy tie-breaking
+    symmetric in (a, b); since ranks order by size first, `first` is never
+    the larger template, and n_p, which depends only on the smaller size,
+    is looked up once per distinct size.
     """
-    bad = (packed.ms[ia] != packed.ms[ib]) | (packed.qs[ia] != packed.qs[ib])
     if not allow_cross_key:
-        bad |= packed.fingerprints[ia] != packed.fingerprints[ib]
-    if bad.any():
-        i = int(bad.argmax())
-        _check_pair(packed.templates[ia[i]], packed.templates[ib[i]], allow_cross_key)
+        bad = packed.fingerprints[ia] != packed.fingerprints[ib]
+        if bad.any():
+            i = int(bad.argmax())
+            _check_pair(packed.templates[ia[i]], packed.templates[ib[i]], allow_cross_key)
     swapped = packed.ranks[ib] < packed.ranks[ia]
     first, second = np.where(swapped, ib, ia), np.where(swapped, ia, ib)
     smaller, position = np.unique(packed.sizes[first], return_inverse=True)
@@ -271,14 +272,13 @@ def _prepare(
 
 
 def _block_length(packed: PackedTemplates, first: np.ndarray, second: np.ndarray) -> int:
-    """How many leading pairs form the next block: one (m, q), padded stacks within _BLOCK_FLOATS."""
-    m = int(packed.ms[first[0]])
+    """How many leading pairs form the next block: padded stacks within _BLOCK_FLOATS."""
+    m = packed.codes.shape[1]
     # a block of 1-point templates holds the most pairs
     most = max(1, _BLOCK_FLOATS // (2 * m))
     first, second = first[:most], second[:most]
     rows = np.maximum.accumulate(packed.sizes[first]) + np.maximum.accumulate(packed.sizes[second])
     fits = np.arange(1, len(first) + 1) * rows * m <= _BLOCK_FLOATS
-    fits &= np.logical_and.accumulate((packed.ms[first] == m) & (packed.qs[first] == packed.qs[first[0]]))
     return max(1, int(fits.sum()))
 
 
@@ -291,7 +291,7 @@ def _gather(packed: PackedTemplates, templates: np.ndarray) -> tuple[np.ndarray,
 
 
 def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_ps: np.ndarray, greedy: bool):
-    """Score a block of canonical (first, second) template index pairs sharing m and q.
+    """Score a block of canonical (first, second) template index pairs.
 
     Returns (rows, cols, values, scores): the picked rows of `first`, columns
     of `second` and their similarities, each (P, max n_p) in pick order (a
@@ -302,11 +302,9 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
     matrix's row-major order, so every pair's picks and ties are those of
     its own matrix.
     """
-    m, q = int(packed.ms[first[0]]), int(packed.qs[first[0]])
     rows_a, pad_a = _gather(packed, first)
     rows_b, pad_b = _gather(packed, second)
-    codes = packed.codes[:, :m]
-    sim = _similarities(codes[rows_a], codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], q)
+    sim = _similarities(packed.codes[rows_a], packed.codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], packed.q)
     sim[pad_a[:, :, None] | pad_b[:, None, :]] = -2.0
     steps = int(n_ps.max())
     if greedy:
@@ -326,25 +324,20 @@ def packed_scores(
 ) -> list[float]:
     """lgs_match(packed.templates[i], packed.templates[j], ...).value for every (i, j) in `pairs`, in order.
 
-    `pairs` may be any iterable of index pairs; it is read a block's worth
-    at a time, so beyond `packed` and the returned list the working memory
-    does not grow with the number of pairs.
+    `pairs` may be any iterable of index pairs. It is read once into index
+    arrays, a few dozen bytes per pair, and then scored in blocks whose
+    stacks stay within _BLOCK_FLOATS.
     """
+    flat = np.fromiter((i for pair in pairs for i in pair), dtype=np.intp)
+    first, second, n_ps, _ = _prepare(packed, flat[0::2], flat[1::2], params, allow_cross_key)
     scores: list[float] = []
-    pairs = iter(pairs)
-    # the most pairs one block can hold
-    chunk = max(1, _BLOCK_FLOATS // (2 * int(packed.ms.min(initial=1))))
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(pairs, chunk)), dtype=np.intp)
-        if not flat.size:
-            return scores
-        first, second, n_ps, _ = _prepare(packed, flat[0::2], flat[1::2], params, allow_cross_key)
-        start = 0
-        while start < len(first):
-            block = slice(start, start + _block_length(packed, first[start:], second[start:]))
-            _, _, _, block_scores = _match_block(packed, first[block], second[block], n_ps[block], params.greedy_unique)
-            scores.extend(block_scores.tolist())
-            start = block.stop
+    start = 0
+    while start < len(first):
+        block = slice(start, start + _block_length(packed, first[start:], second[start:]))
+        _, _, _, block_scores = _match_block(packed, first[block], second[block], n_ps[block], params.greedy_unique)
+        scores.extend(block_scores.tolist())
+        start = block.stop
+    return scores
 
 
 def lgs_match(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, _integer, save_minutiae
+from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, _integer, _real, save_minutiae
 from .randomness import stream
 
 
@@ -35,14 +35,14 @@ class MccParams:
     sigma_d: float = math.pi / 9.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", _real(self.radius, "radius"))
         object.__setattr__(self, "ns", _integer(self.ns, "ns"))
         object.__setattr__(self, "nd", _integer(self.nd, "nd"))
         if self.sigma_s is None:
             object.__setattr__(self, "sigma_s", self.radius / 7.5)
         else:
-            object.__setattr__(self, "sigma_s", float(self.sigma_s))
-        object.__setattr__(self, "sigma_d", float(self.sigma_d))
+            object.__setattr__(self, "sigma_s", _real(self.sigma_s, "sigma_s"))
+        object.__setattr__(self, "sigma_d", _real(self.sigma_d, "sigma_d"))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.ns < 2:
@@ -129,6 +129,8 @@ class SynthParams:
         object.__setattr__(self, "samples_per_finger", _integer(self.samples_per_finger, "samples_per_finger"))
         lo, hi = (_integer(v, "minutiae_range") for v in self.minutiae_range)
         object.__setattr__(self, "minutiae_range", (lo, hi))
+        for name in ("jitter_pos", "jitter_theta", "drop_rate", "field_size"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.fingers < 1 or self.samples_per_finger < 1:
             raise ValueError("counts must be >= 1")
         if lo < 1:

@@ -68,7 +68,7 @@ class MinutiaeTemplate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "sample_id", int(self.sample_id))
+        object.__setattr__(self, "sample_id", _integer(self.sample_id, "sample_id"))
         if len(self.points) < 1:
             raise ValueError("template must contain >= 1 minutia")
 
@@ -95,6 +95,16 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a finite float; a bool, a non-real or a non-finite value raises ValueError naming the field.
+
+    float() would read "70" and True as numbers and pass nan and inf on.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -287,7 +297,7 @@ class HashedTemplate:
             if not np.array_equal(as_int, codes):
                 raise ValueError("codes must be integers")
             codes = as_int
-        object.__setattr__(self, "q", int(self.q))
+        object.__setattr__(self, "q", _integer(self.q, "q"))
         if self.q < 2:
             raise ValueError("q must be >= 2")
         if codes.min() < 1 or codes.max() > self.q:
@@ -365,6 +375,8 @@ def _parse_minutiae_file(path: Path) -> MinutiaeTemplate:
             x, y, theta = (float(f) for f in fields)
         except ValueError:
             raise ParseError(f"{path.name}:{lineno}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, (x, y, theta))):
+            raise ParseError(f"{path.name}:{lineno}: non-finite value in {line!r}")
         if not (0.0 <= theta < TWO_PI):
             wrapped += 1
         points.append(Minutia(x, y, theta))

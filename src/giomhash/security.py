@@ -16,7 +16,7 @@ import numpy as np
 from .evaluation import encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
 from .matching import LgsParams
 from .mcc import MccParams
-from .model import GaussianBank, HashKey, _frozen_array
+from .model import GaussianBank, HashKey, _frozen_array, _integer
 from .randomness import child_seed, stream
 
 # Candidate batch sizes. They fix which stream each candidate comes from, so
@@ -39,7 +39,7 @@ class InequalitySystem:
         normals = np.asarray(self.normals, dtype=float)
         if normals.ndim != 2:
             raise ValueError(f"normals must be (k, d), got shape {normals.shape}")
-        object.__setattr__(self, "variable_dim", int(self.variable_dim))
+        object.__setattr__(self, "variable_dim", _integer(self.variable_dim, "variable_dim"))
         if normals.shape[1] != self.variable_dim:
             raise ValueError(f"normals have dimension {normals.shape[1]}, expected {self.variable_dim}")
         object.__setattr__(self, "normals", _frozen_array(normals, float))

@@ -97,6 +97,12 @@ class TestGenData:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [["--jitter-pos", "nan"], ["--field-size", "inf"], ["--jitter-theta=-inf"]])
+    def test_non_finite_float_is_usage_error(self, tmp_path, capsys, flag):
+        assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "x")] + flag) == 1
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestHash:
     def test_case_one_prints_code(self, capsys):
@@ -240,6 +246,14 @@ class TestEvaluate:
             ["evaluate", "--data", str(data_dir), "--seed", "1", "--m", "0", "--out", str(tmp_path / "x")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag", [["--radius", "nan"], ["--sigma-d", "inf"], ["--mu-p", "nan"], ["--tau-p=inf"]]
+    )
+    def test_non_finite_float_is_usage_error(self, data_dir, tmp_path, capsys, flag):
+        assert self.run(data_dir, tmp_path / "x", extra=flag) == 1
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_data_is_runtime_error(self, tmp_path):
         code = main(

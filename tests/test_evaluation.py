@@ -1,4 +1,5 @@
 import csv
+import json
 import tracemalloc
 
 import numpy as np
@@ -364,6 +365,14 @@ class TestEvalReport:
         text = report.to_json().replace(f'"eer": {report.eer}', '"eer": 0.123')
         (tmp_path / "bad.json").write_text(text)
         with pytest.raises(IntegrityError, match="inconsistent"):
+            load_report(tmp_path / "bad.json")
+
+    def test_tampered_roc_detected(self, eval_setup, tmp_path):
+        dataset, key, mcc = eval_setup
+        payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
+        payload["roc"] = [[0.5, 0.1, 0.2]]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=r"bad\.json: stored roc table inconsistent"):
             load_report(tmp_path / "bad.json")
 
     def test_roc_csv(self, eval_setup, tmp_path):

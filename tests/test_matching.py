@@ -70,6 +70,19 @@ class TestLgsParams:
             LgsParams(**change)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mu_p": "20"}, "mu_p must be a finite real number, got '20'"),
+            ({"tau_p": True}, "tau_p must be a finite real number, got True"),
+            ({"tau_p": math.inf}, "tau_p must be a finite real number, got inf"),
+        ],
+    )
+    def test_non_real_or_non_finite_sigmoid_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            LgsParams(**change)
+        assert str(info.value) == message
+
     def test_numpy_values_accepted(self):
         p = LgsParams(min_np=np.int64(3), max_np=np.int32(5), greedy_unique=np.bool_(False))
         assert p == LgsParams(min_np=3, max_np=5, greedy_unique=False)
@@ -322,12 +335,21 @@ class TestBatchedScorer:
         pairs = list(zip(templates[0::2], templates[1::2]))
         assert batch_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
 
-    def test_mixed_code_lengths_and_alphabets(self):
+    def test_mixed_code_lengths_and_alphabets_raise_at_pack_time(self):
+        # no pair mixes m or q, but the mapping that is packed does
         rng = np.random.default_rng(21)
-        groups = [random_templates(rng, 4, m=m, q=q) for m, q in ((3, 5), (6, 5), (3, 7))]
-        pairs = [(a, b) for group in groups for a in group for b in group]
-        pairs = pairs[::2] + pairs[1::2]
-        assert batch_scores(pairs, LgsParams()) == reference_scores(pairs, LgsParams())
+        base = random_templates(rng, 4, m=3, q=5)
+        for m, q in ((6, 5), (3, 7)):
+            other = random_templates(rng, 4, m=m, q=q)
+            pairs = [(a, b) for group in (base, other) for a in group for b in group]
+            with pytest.raises(ValueError) as want:
+                lgs_match(base[0], other[0])
+            with pytest.raises(ValueError) as got:
+                batch_scores(pairs, LgsParams())
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as got:
+                score_pairs([(0, 0)], {0: base[0]}, LgsParams(), allow_cross_key=True, hashed_b={0: other[0]})
+            assert str(got.value) == str(want.value)
 
     def test_cross_key_and_empty(self):
         rng = np.random.default_rng(22)

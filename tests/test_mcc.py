@@ -50,6 +50,20 @@ class TestMccParams:
             MccParams(**change)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"radius": "70"}, "radius must be a finite real number, got '70'"),
+            ({"radius": math.inf}, "radius must be a finite real number, got inf"),
+            ({"sigma_s": math.nan}, "sigma_s must be a finite real number, got nan"),
+            ({"sigma_d": True}, "sigma_d must be a finite real number, got True"),
+        ],
+    )
+    def test_non_real_or_non_finite_spreads_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            MccParams(**change)
+        assert str(info.value) == message
+
 
 class TestWrappedAngle:
     def test_symmetric_values(self):
@@ -159,6 +173,20 @@ class TestSynthParams:
         ],
     )
     def test_non_integer_counts_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            SynthParams(**change)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"jitter_pos": math.nan}, "jitter_pos must be a finite real number, got nan"),
+            ({"jitter_theta": "0.1"}, "jitter_theta must be a finite real number, got '0.1'"),
+            ({"drop_rate": True}, "drop_rate must be a finite real number, got True"),
+            ({"field_size": math.inf}, "field_size must be a finite real number, got inf"),
+        ],
+    )
+    def test_non_real_or_non_finite_values_rejected(self, change, message):
         with pytest.raises(ValueError) as info:
             SynthParams(**change)
         assert str(info.value) == message

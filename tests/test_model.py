@@ -58,6 +58,12 @@ class TestMinutiaeTemplate:
         with pytest.raises(ValueError, match="must contain >= 1 minutia"):
             MinutiaeTemplate("f0", 1, ())
 
+    def test_non_integer_sample_id_rejected(self):
+        with pytest.raises(ValueError) as info:
+            MinutiaeTemplate("f0", 1.5, (Minutia(1, 2, 0.5),))
+        assert str(info.value) == "sample_id must be an integer, got 1.5"
+        assert type(MinutiaeTemplate("f0", np.int64(2), (Minutia(1, 2, 0.5),)).sample_id) is int
+
     def test_len_and_key(self):
         t = MinutiaeTemplate("f0", 2, (Minutia(1, 2, 0.5),))
         assert len(t) == 1
@@ -221,6 +227,12 @@ class TestHashedTemplate:
         with pytest.raises(ValueError, match="integers"):
             HashedTemplate(np.array([[1.5]]), q=3, key_fingerprint="ab")
 
+    @pytest.mark.parametrize("q", [5.9, 5.0, True, "5"])
+    def test_non_integer_q_rejected(self, q):
+        with pytest.raises(ValueError) as info:
+            HashedTemplate(np.array([[1, 2]]), q=q, key_fingerprint="k")
+        assert str(info.value) == f"q must be an integer, got {q!r}"
+
     def test_equality_by_value(self):
         a = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="ab")
         b = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="ab")
@@ -309,6 +321,14 @@ class TestMinutiaeIO:
         path.write_text("# finger=f0 sample=1\n1.0 2.0 abc\n")
         with pytest.raises(ParseError, match="non-numeric"):
             load_minutiae(path)
+
+    @pytest.mark.parametrize("line", ["nan nan 3.1", "1.0 inf 3.1", "1.0 2.0 -inf"])
+    def test_non_finite_value_reports_position(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# finger=f0 sample=1\n1.0 2.0 3.0\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            load_minutiae(path)
+        assert str(info.value) == f"bad.txt:3: non-finite value in {line!r}"
 
     def test_empty_template_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

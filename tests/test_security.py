@@ -105,6 +105,11 @@ class TestInequalitySystem:
         with pytest.raises(ValueError, match="dimension 2, expected 3"):
             InequalitySystem(normals=np.ones((1, 2)), variable_dim=3)
 
+    def test_non_integer_dimension_rejected(self):
+        with pytest.raises(ValueError) as info:
+            InequalitySystem(np.zeros((1, 3)), 3.2)
+        assert str(info.value) == "variable_dim must be an integer, got 3.2"
+
 
 class TestSamplePreimage:
     def test_forged_vector_hashes_to_target_code(self):
