@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CylinderSet, GaussianBank, HashedTemplate, _frozen_array
+from .model import CylinderSet, GaussianBank, HashedTemplate, _frozen_array, _real
 from .randomness import OrthoMatrix
 
 
@@ -42,7 +42,7 @@ class BioHashCode:
         if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
             raise ValueError("bits must be a 1-d array of 0/1")
         object.__setattr__(self, "bits", _frozen_array(bits, np.uint8))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _real(self.tau, "tau"))
 
 
 def _check_rows(rows: np.ndarray, bank: GaussianBank) -> np.ndarray:
@@ -126,5 +126,6 @@ def biohash(x, ortho: OrthoMatrix, tau: float = 0.0) -> BioHashCode:
         raise ValueError(f"expected input of shape ({ortho.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
-    bits = (ortho.entries.T @ x - float(tau) > 0.0).astype(np.uint8)
-    return BioHashCode(bits=bits, tau=float(tau))
+    tau = _real(tau, "tau")
+    bits = (ortho.entries.T @ x - tau > 0.0).astype(np.uint8)
+    return BioHashCode(bits=bits, tau=tau)

@@ -7,8 +7,9 @@ its row and column; flat selection just takes the top n_p matrix entries.
 
 One kernel scores every comparison. pack_templates converts a set of
 templates that share one code length m and index range q to float64 once,
-with row norms; packed_scores reads its pairs of template indices once and
-scores them in blocks, each gathered from the packed array by index.
+with row norms; packed_scores reads its pairs of template indices once,
+groups them by the sizes of their two templates and scores each group in
+blocks, each gathered from the packed array by index with no padding.
 evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
 lgs_match_detail a pair's two templates, and similarity_matrix is a single
 matrix. Distances come from gram matrices of the integer codes, which is
@@ -90,25 +91,24 @@ def point_similarity(a, b, q: int) -> float:
     b = np.atleast_2d(np.asarray(b))
     if a.shape != b.shape or a.shape[0] != 1:
         raise ValueError(f"expected two equal-length index vectors, got {a.shape} and {b.shape}")
-    q = int(q)
-    _check_codes(a, q, "a")
-    _check_codes(b, q, "b")
     return float(similarity_matrix(a, b, q)[0, 0])
 
 
 def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
-    """Pairwise point similarities between two code arrays, shape (N_A, N_B)."""
-    codes_a = np.asarray(codes_a)
-    codes_b = np.asarray(codes_b)
+    """Pairwise point similarities between two (N, m) integer code arrays in [1, q], shape (N_A, N_B)."""
+    q = _integer(q, "q")
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
+    codes_a = _check_codes(codes_a, q, "codes_a")
+    codes_b = _check_codes(codes_b, q, "codes_b")
     if codes_a.shape[1] != codes_b.shape[1]:
         raise ValueError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
     a, b = codes_a[None].astype(float), codes_b[None].astype(float)
     return _similarities(a, b, np.einsum("pam,pam->pa", a, a), np.einsum("pbm,pbm->pb", b, b), q)[0]
 
 
-# Pairs are scored in blocks whose padded float64 code stacks hold at most
-# 2 MiB (one pair at least), so the stacks do not grow with the number of
-# pairs.
+# Pairs are scored in blocks whose float64 code stacks hold at most 2 MiB
+# (one pair at least), so the stacks do not grow with the number of pairs.
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -183,10 +183,9 @@ def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> 
 class PackedTemplates:
     """Templates of one code length m and index range q, each code row converted to float64 once.
 
-    `codes` (rows, m) holds every template's rows back to back, then one
-    zero row that pads short templates in a block. `norms` are the rows'
-    squared norms and `q` the shared index range. Per template: `offsets`
-    and `sizes` locate its rows, `fingerprints` numbers its key
+    `codes` (rows, m) holds every template's rows back to back, `norms`
+    their squared norms and `q` the shared index range. Per template:
+    `offsets` and `sizes` locate its rows, `fingerprints` numbers its key
     fingerprint, and `ranks` is its place in the canonical
     (n_points, code bytes) order, equal keys sharing a rank.
     """
@@ -229,7 +228,7 @@ def pack_templates(templates) -> PackedTemplates:
         _check_pair(templates[0], template, allow_cross_key=True)
     width, q = (templates[0].m, templates[0].q) if templates else (1, 2)
     sizes = np.array([t.n_points for t in templates], dtype=np.intp)
-    codes = np.zeros((int(sizes.sum()) + 1, width))
+    codes = np.zeros((int(sizes.sum()), width))
     offsets = np.zeros(len(templates), dtype=np.intp)
     np.cumsum(sizes[:-1], out=offsets[1:])
     for template, offset in zip(templates, offsets.tolist()):
@@ -248,16 +247,14 @@ def pack_templates(templates) -> PackedTemplates:
 
 
 def _prepare(
-    packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray, params: LgsParams, allow_cross_key: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check index pairs and put each in canonical order: (first, second, n_p, swapped) arrays.
+    packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray, allow_cross_key: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check index pairs and put each in canonical order: (first, second, swapped) arrays.
 
     The pack shares one m and q, so only key fingerprints are checked: without
     allow_cross_key the first pair whose fingerprints differ raises
     _check_pair's error. Canonical orientation makes greedy tie-breaking
-    symmetric in (a, b); since ranks order by size first, `first` is never
-    the larger template, and n_p, which depends only on the smaller size,
-    is looked up once per distinct size.
+    symmetric in (a, b).
     """
     if not allow_cross_key:
         bad = packed.fingerprints[ia] != packed.fingerprints[ib]
@@ -265,58 +262,27 @@ def _prepare(
             i = int(bad.argmax())
             _check_pair(packed.templates[ia[i]], packed.templates[ib[i]], allow_cross_key)
     swapped = packed.ranks[ib] < packed.ranks[ia]
-    first, second = np.where(swapped, ib, ia), np.where(swapped, ia, ib)
-    smaller, position = np.unique(packed.sizes[first], return_inverse=True)
-    budgets = np.array([np_select(v, v, params) for v in smaller.tolist()], dtype=np.intp)
-    return first, second, budgets[position], swapped
+    return np.where(swapped, ib, ia), np.where(swapped, ia, ib), swapped
 
 
-def _block_length(packed: PackedTemplates, first: np.ndarray, second: np.ndarray) -> int:
-    """How many leading pairs form the next block: padded stacks within _BLOCK_FLOATS."""
-    m = packed.codes.shape[1]
-    # a block of 1-point templates holds the most pairs
-    most = max(1, _BLOCK_FLOATS // (2 * m))
-    first, second = first[:most], second[:most]
-    rows = np.maximum.accumulate(packed.sizes[first]) + np.maximum.accumulate(packed.sizes[second])
-    fits = np.arange(1, len(first) + 1) * rows * m <= _BLOCK_FLOATS
-    return max(1, int(fits.sum()))
+def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_p: int, greedy: bool):
+    """Score a block of canonical (first, second) template index pairs of one shape.
 
-
-def _gather(packed: PackedTemplates, templates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of each template, zero-row padded to the largest: (P, N) indices and pad mask."""
-    sizes = packed.sizes[templates]
-    slot = np.arange(sizes.max())
-    pad = slot >= sizes[:, None]
-    return np.where(pad, len(packed.codes) - 1, packed.offsets[templates][:, None] + slot), pad
-
-
-def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_ps: np.ndarray, greedy: bool):
-    """Score a block of canonical (first, second) template index pairs.
-
-    Returns (rows, cols, values, scores): the picked rows of `first`, columns
-    of `second` and their similarities, each (P, max n_p) in pick order (a
-    pair's entries past its own n_p are filler), and the (P,) mean scores.
-    Each side's codes and norms are gathered from the packed array into a
-    zero-padded (P, N, m) stack; pad cells of the similarity stack hold -2,
-    below every real or retired entry, and the padded layout keeps each
-    matrix's row-major order, so every pair's picks and ties are those of
-    its own matrix.
+    Every `first` template has one size A and every `second` one size B, so
+    each side's codes and norms are gathered from the packed array into a
+    (P, A, m) or (P, B, m) stack. Returns (rows, cols, values, scores): the
+    picked rows of `first`, columns of `second` and their similarities, each
+    (P, n_p) in pick order, and the (P,) mean scores.
     """
-    rows_a, pad_a = _gather(packed, first)
-    rows_b, pad_b = _gather(packed, second)
+    rows_a = packed.offsets[first][:, None] + np.arange(packed.sizes[first[0]])
+    rows_b = packed.offsets[second][:, None] + np.arange(packed.sizes[second[0]])
     sim = _similarities(packed.codes[rows_a], packed.codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], packed.q)
-    sim[pad_a[:, :, None] | pad_b[:, None, :]] = -2.0
-    steps = int(n_ps.max())
     if greedy:
-        rows, cols = _greedy_picks(sim.copy(), steps)
+        rows, cols = _greedy_picks(sim.copy(), n_p)
     else:
-        rows, cols = _flat_picks(sim, steps)
+        rows, cols = _flat_picks(sim, n_p)
     values = sim[np.arange(len(first))[:, None], rows, cols]
-    scores = np.empty(len(first))
-    for n_p in set(n_ps.tolist()):
-        chosen = n_ps == n_p
-        scores[chosen] = values[chosen, :n_p].mean(axis=1)
-    return rows, cols, values, scores
+    return rows, cols, values, values.mean(axis=1)
 
 
 def packed_scores(
@@ -325,19 +291,24 @@ def packed_scores(
     """lgs_match(packed.templates[i], packed.templates[j], ...).value for every (i, j) in `pairs`, in order.
 
     `pairs` may be any iterable of index pairs. It is read once into index
-    arrays, a few dozen bytes per pair, and then scored in blocks whose
-    stacks stay within _BLOCK_FLOATS.
+    arrays, a few dozen bytes per pair. Pairs are then grouped by shape, the
+    sizes of their canonical first and second templates, and each shape is
+    scored with its one n_p in blocks whose stacks stay within _BLOCK_FLOATS.
     """
     flat = np.fromiter((i for pair in pairs for i in pair), dtype=np.intp)
-    first, second, n_ps, _ = _prepare(packed, flat[0::2], flat[1::2], params, allow_cross_key)
-    scores: list[float] = []
-    start = 0
-    while start < len(first):
-        block = slice(start, start + _block_length(packed, first[start:], second[start:]))
-        _, _, _, block_scores = _match_block(packed, first[block], second[block], n_ps[block], params.greedy_unique)
-        scores.extend(block_scores.tolist())
-        start = block.stop
-    return scores
+    first, second, _ = _prepare(packed, flat[0::2], flat[1::2], allow_cross_key)
+    sizes_a, sizes_b = packed.sizes[first], packed.sizes[second]
+    shapes = sizes_a * (int(packed.sizes.max(initial=0)) + 1) + sizes_b
+    order = np.argsort(shapes, kind="stable")
+    scores = np.empty(len(order))
+    for group in np.split(order, np.flatnonzero(np.diff(shapes[order])) + 1) if len(order) else ():
+        n_a, n_b = int(sizes_a[group[0]]), int(sizes_b[group[0]])
+        n_p = np_select(n_a, n_b, params)
+        step = max(1, _BLOCK_FLOATS // ((n_a + n_b) * packed.codes.shape[1]))
+        for start in range(0, len(group), step):
+            block = group[start : start + step]
+            scores[block] = _match_block(packed, first[block], second[block], n_p, params.greedy_unique)[3]
+    return scores.tolist()
 
 
 def lgs_match(
@@ -364,11 +335,12 @@ def lgs_match_detail(
 ) -> tuple[MatchScore, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
     packed = pack_templates((a, b))
-    first, second, n_ps, swapped = _prepare(packed, np.array([0]), np.array([1]), params, allow_cross_key)
-    rows, cols, values, scores = _match_block(packed, first, second, n_ps, params.greedy_unique)
+    first, second, swapped = _prepare(packed, np.array([0]), np.array([1]), allow_cross_key)
+    n_p = np_select(a.n_points, b.n_points, params)
+    rows, cols, values, scores = _match_block(packed, first, second, n_p, params.greedy_unique)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
-    return MatchScore(float(scores[0])), selected, int(n_ps[0])
+    return MatchScore(float(scores[0])), selected, n_p
 
 
 def hamming_similarity(a: BioHashCode, b: BioHashCode) -> float:

@@ -53,9 +53,9 @@ class Minutia:
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", _wrap_angle(self.theta))
+        object.__setattr__(self, "x", _real(self.x, "x"))
+        object.__setattr__(self, "y", _real(self.y, "y"))
+        object.__setattr__(self, "theta", _wrap_angle(_real(self.theta, "theta")))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from oracles import (
 )
 
 import giomhash.evaluation as evaluation
+import giomhash.matching as matching
 from giomhash.evaluation import (
     EvalReport,
     compute_eer,
@@ -322,6 +323,24 @@ class TestPackedScoring:
         assert score_pairs(pairs, hashed, lgs) == want
         # the pairs four times over are read in more than one chunk
         assert score_pairs(iter(pairs * 4), hashed, lgs) == want * 4
+
+    def test_blocks_are_not_padded(self, monkeypatch):
+        # each matrix in a stack must be one template's own rows, so a stack
+        # of mixed sizes padded to its largest would show here
+        hashed = tie_heavy_gallery()
+        sizes = {t.codes.astype(float).tobytes(): t.n_points for t in hashed.values()}
+        stacks = []
+        original = matching._similarities
+
+        def recording(a, b, norms_a, norms_b, q):
+            stacks.extend((a, b))
+            return original(a, b, norms_a, norms_b, q)
+
+        monkeypatch.setattr(matching, "_similarities", recording)
+        score_pairs([(a, b) for a in hashed for b in hashed], hashed, LgsParams())
+        assert stacks
+        for stack in stacks:
+            assert [sizes.get(matrix.tobytes()) for matrix in stack] == [stack.shape[1]] * len(stack)
 
     def test_pack_ranks_follow_canonical_order(self):
         # a wrong orientation moved picks but no score in any case tried, so

@@ -230,6 +230,13 @@ class TestBioHash:
         with pytest.raises(ValueError, match="0/1"):
             BioHashCode(bits=np.array([0, 2]), tau=0.0)
 
+    @pytest.mark.parametrize("tau", ["0.5", True, float("nan")], ids=["string", "bool", "nan"])
+    def test_threshold_must_be_finite_real(self, tau):
+        with pytest.raises(ValueError, match="tau must be a finite real number"):
+            BioHashCode(bits=np.array([0, 1]), tau=tau)
+        with pytest.raises(ValueError, match="tau must be a finite real number"):
+            biohash(np.ones(4), random_ortho(4, 2, seed=3), tau=tau)
+
     def test_code_owns_a_frozen_copy(self):
         base = np.array([1, 0, 1, 1], dtype=np.uint8)
         code = BioHashCode(base[:3], tau=0.0)

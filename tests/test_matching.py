@@ -145,6 +145,22 @@ class TestPointSimilarity:
         with pytest.raises(ValueError, match=r"\[1, 4\]"):
             point_similarity([0, 2], [1, 2], q=4)
 
+    @pytest.mark.parametrize(
+        "codes, q, message",
+        [
+            ([[0, 9]], 3, r"code indices must lie in \[1, 3\]"),
+            ([[1.5, 2]], 3, "codes must be integers"),
+            ([[1, 1]], 1, "q must be >= 2"),
+            ([1, 2], 3, r"expected an \(N, m\) code array"),
+        ],
+        ids=["out-of-range", "non-integer", "q=1", "1-d"],
+    )
+    def test_matrix_rejects_bad_input(self, codes, q, message):
+        with pytest.raises(ValueError, match=message):
+            similarity_matrix(codes, [[1, 1]], q)
+        with pytest.raises(ValueError, match=message):
+            similarity_matrix([[1, 1]], codes, q)
+
     @given(codes_strategy(max_rows=4), codes_strategy(max_rows=4))
     def test_matrix_matches_oracle(self, rows_a, rows_b):
         a = np.array(rows_a)

@@ -52,6 +52,20 @@ class TestMinutia:
         p = Minutia(1, 2, 0)
         assert isinstance(p.x, float) and isinstance(p.y, float)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((math.nan, 3, 1), "x must be a finite real number, got nan"),
+            ((0, "3", 1), "y must be a finite real number, got '3'"),
+            ((0, 3, True), "theta must be a finite real number, got True"),
+            ((0, 3, math.inf), "theta must be a finite real number, got inf"),
+        ],
+    )
+    def test_non_real_or_non_finite_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError) as got:
+            Minutia(*fields)
+        assert str(got.value) == message
+
 
 class TestMinutiaeTemplate:
     def test_empty_rejected(self):
