@@ -3,9 +3,9 @@
 The pipeline: minutiae -> per-point cylinder descriptors -> per-point
 winner-index codes under a seeded Gaussian bank -> greedy local similarity
 scoring -> FVC-style accuracy evaluation, plus the security experiments
-(inversion, unlinkability, revocability) and the classic baselines
-(fixed-vector index hashing, random maxout features, sign-threshold codes,
-orthonormal random projection).
+(inversion, unlinkability, revocability), fixed-vector index-of-max hashing
+(iom_hash) and the orthonormal random projection with its embedding-dimension
+bound.
 """
 
 from .model import (
@@ -21,8 +21,6 @@ from .model import (
     KeyMismatchWarning,
     load_minutiae,
     save_minutiae,
-    load_cylinders,
-    save_cylinders,
     load_key,
     save_key,
     load_hashed,
@@ -38,12 +36,8 @@ from .randomness import (
     jl_dimension,
 )
 from .hashing import (
-    BioHashCode,
-    RmfVector,
     giom_hash,
     iom_hash,
-    rmf_features,
-    biohash,
     hash_rows,
 )
 from .mcc import MccParams, SynthParams, encode_cylinders, synth_dataset, write_dataset
@@ -54,7 +48,6 @@ from .matching import (
     similarity_matrix,
     lgs_match,
     lgs_match_detail,
-    hamming_similarity,
 )
 from .evaluation import (
     EvalReport,

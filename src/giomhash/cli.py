@@ -94,6 +94,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected a non-empty integer list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers, got {min(values)}")
     return values
 
 

@@ -2,47 +2,15 @@
 
 giom_hash maps every row of a cylinder set through m Gaussian matrices and
 keeps only the 1-based argmax column per matrix, giving an N x m index code.
-iom_hash is the single fixed-vector case. Both, and evaluation.hash_dataset,
-go through the one blocked kernel hash_rows. rmf_features keeps the max value
-instead of its index, and biohash is the classic sign-threshold baseline.
+iom_hash is the single fixed-vector case (Jin et al.'s IoM hashing). Both,
+and evaluation.hash_dataset, go through the one blocked kernel hash_rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import CylinderSet, GaussianBank, HashedTemplate, _frozen_array, _real
-from .randomness import OrthoMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class RmfVector:
-    """Max-of-projections features, scaled by 1/sqrt(m)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or not np.isfinite(vals).all():
-            raise ValueError("values must be a finite 1-d array")
-        object.__setattr__(self, "values", _frozen_array(vals, float))
-
-
-@dataclass(frozen=True, eq=False)
-class BioHashCode:
-    """Binary code from thresholded orthonormal projections."""
-
-    bits: np.ndarray
-    tau: float
-
-    def __post_init__(self) -> None:
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1 or not np.isin(bits, (0, 1)).all():
-            raise ValueError("bits must be a 1-d array of 0/1")
-        object.__setattr__(self, "bits", _frozen_array(bits, np.uint8))
-        object.__setattr__(self, "tau", _real(self.tau, "tau"))
+from .model import CylinderSet, GaussianBank, HashedTemplate
 
 
 def _check_rows(rows: np.ndarray, bank: GaussianBank) -> np.ndarray:
@@ -105,27 +73,3 @@ def iom_hash(x, bank: GaussianBank) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
     return hash_rows(x[None, :], bank)[0]
-
-
-def rmf_features(x, bank: GaussianBank) -> RmfVector:
-    """Length-m vector of per-matrix maxima, scaled by 1/sqrt(m)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    proj = (_check_rows(x[None, :], bank) @ bank.flat()).reshape(bank.m, bank.q)
-    return RmfVector(proj.max(axis=1) / np.sqrt(bank.m))
-
-
-def biohash(x, ortho: OrthoMatrix, tau: float = 0.0) -> BioHashCode:
-    """Threshold the k orthonormal projections of x at tau.
-
-    A projection exactly equal to tau yields bit 0 (strict inequality).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ortho.n,):
-        raise ValueError(f"expected input of shape ({ortho.n},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
-    tau = _real(tau, "tau")
-    bits = (ortho.entries.T @ x - tau > 0.0).astype(np.uint8)
-    return BioHashCode(bits=bits, tau=tau)

@@ -1,4 +1,4 @@
-"""Local greedy similarity over hashed point codes, plus the Hamming baseline.
+"""Local greedy similarity over hashed point codes.
 
 The pair budget n_p follows a sigmoid of the smaller template's point count,
 so small templates are compared on few pairs and large ones on up to max_np.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import BioHashCode
 from .model import HashedTemplate, MatchScore, _integer, _real
 
 
@@ -107,8 +106,9 @@ def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
     return _similarities(a, b, np.einsum("pam,pam->pa", a, a), np.einsum("pbm,pbm->pb", b, b), q)[0]
 
 
-# Pairs are scored in blocks whose float64 code stacks hold at most 2 MiB
-# (one pair at least), so the stacks do not grow with the number of pairs.
+# Pairs are scored in blocks whose float64 code stacks, similarity stack and
+# its greedy copy hold at most 2 MiB together (one pair at least), so a
+# block does not grow with the number of pairs.
 _BLOCK_FLOATS = 1 << 18
 
 
@@ -304,7 +304,7 @@ def packed_scores(
     for group in np.split(order, np.flatnonzero(np.diff(shapes[order])) + 1) if len(order) else ():
         n_a, n_b = int(sizes_a[group[0]]), int(sizes_b[group[0]])
         n_p = np_select(n_a, n_b, params)
-        step = max(1, _BLOCK_FLOATS // ((n_a + n_b) * packed.codes.shape[1]))
+        step = max(1, _BLOCK_FLOATS // ((n_a + n_b) * packed.codes.shape[1] + 2 * n_a * n_b))
         for start in range(0, len(group), step):
             block = group[start : start + step]
             scores[block] = _match_block(packed, first[block], second[block], n_p, params.greedy_unique)[3]
@@ -341,10 +341,3 @@ def lgs_match_detail(
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
     return MatchScore(float(scores[0])), selected, n_p
-
-
-def hamming_similarity(a: BioHashCode, b: BioHashCode) -> float:
-    """1 - normalized Hamming distance between two bit codes."""
-    if a.bits.shape != b.bits.shape:
-        raise ValueError(f"code length mismatch: {a.bits.shape} vs {b.bits.shape}")
-    return float(1.0 - np.mean(a.bits != b.bits))

@@ -1,8 +1,8 @@
 """Domain types for cancellable point-set hashing, plus their on-disk formats.
 
-Five artifacts persist: minutiae templates (text), cylinder sets (.npy),
-hash keys (JSON), hashed templates (JSON), and evaluation reports (JSON,
-handled in evaluation.py next to the report type).
+Four artifacts persist: minutiae templates (text), hash keys (JSON), hashed
+templates (JSON), and evaluation reports (JSON, handled in evaluation.py next
+to the report type).
 """
 
 from __future__ import annotations
@@ -405,18 +405,6 @@ def load_minutiae(path) -> list[MinutiaeTemplate]:
             raise ParseError(f"no .txt templates under {path}")
         return [_parse_minutiae_file(f) for f in files]
     return [_parse_minutiae_file(path)]
-
-
-def save_cylinders(cylinders: CylinderSet, path) -> None:
-    np.save(Path(path), cylinders.vectors)
-
-
-def load_cylinders(path) -> CylinderSet:
-    arr = np.load(Path(path))
-    try:
-        return CylinderSet(arr)
-    except ValueError as exc:
-        raise IntegrityError(f"{Path(path).name}: {exc}") from None
 
 
 def save_key(key: HashKey, path) -> None:

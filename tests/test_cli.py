@@ -300,6 +300,15 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag", [["--m", "0"], ["--m", "-3"], ["--m", "4,0"], ["--q", "0"]])
+    def test_non_positive_grid_value_is_usage_error(self, tmp_path, capsys, flag):
+        # the grid is checked at parse time, before any template is read
+        code = main(["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(tmp_path / "x")] + flag)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag[0]}: expected positive integers" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestAnalyze:
     def test_invert(self, tmp_path):

@@ -290,6 +290,20 @@ class TestRunEvaluation:
         assert output_growth > 0
         assert usage[8000][1] - usage[2000][1] <= output_growth + (1 << 20)
 
+    def test_score_pairs_memory_bounded_when_templates_outgrow_codes(self):
+        # at m=1 a pair's 60 x 60 similarity matrix and its greedy copy are
+        # 60 times its two code stacks, so the block length must count them
+        rng = np.random.default_rng(6)
+        hashed = {i: HashedTemplate(rng.integers(1, 9, size=(60, 1)), 8, "k") for i in range(100)}
+        pairs = [(i % 100, (i * 7 + 3) % 100) for i in range(3000)]
+        tracemalloc.start()
+        try:
+            score_pairs(pairs, hashed, LgsParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
+
 
 def tie_heavy_gallery():
     """q=2, m=64 templates, each built on its own array, with heavy ties.

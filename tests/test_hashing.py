@@ -7,18 +7,9 @@ from hypothesis import given, strategies as st
 from oracles import oracle_hash
 
 from giomhash.cases import get_case, square_case_region
-from giomhash.hashing import (
-    _ROW_CHUNK,
-    BioHashCode,
-    _block_matrices,
-    biohash,
-    giom_hash,
-    hash_rows,
-    iom_hash,
-    rmf_features,
-)
+from giomhash.hashing import _ROW_CHUNK, _block_matrices, giom_hash, hash_rows, iom_hash
 from giomhash.model import CylinderSet, GaussianBank, HashKey
-from giomhash.randomness import OrthoMatrix, derive_bank, random_ortho
+from giomhash.randomness import derive_bank
 
 
 @pytest.fixture(scope="module")
@@ -169,77 +160,3 @@ class TestBlockedKernel:
                 tracemalloc.stop()
         output_growth = (4096 - 512) * bank.m * 8
         assert peaks[4096] - peaks[512] <= output_growth + (1 << 20)
-
-
-class TestRmf:
-    def test_square_case_values(self, square_case):
-        rmf = rmf_features(square_case.vector, square_case.bank)
-        np.testing.assert_allclose(
-            rmf.values, np.array([0.38, 0.88, 0.59]) / np.sqrt(3.0), atol=1e-12
-        )
-
-    def test_zero_vector(self, square_case):
-        rmf = rmf_features(np.zeros(3), square_case.bank)
-        np.testing.assert_array_equal(rmf.values, np.zeros(3))
-
-    def test_argmax_consistent_with_iom(self):
-        rng = np.random.default_rng(5)
-        bank = derive_bank(HashKey(seed=7, m=8, q=5, d=6))
-        x = rng.standard_normal(6)
-        proj = x @ bank.matrices
-        scaled_max = rmf_features(x, bank).values
-        code = iom_hash(x, bank)
-        for i in range(bank.m):
-            assert proj[i, code[i] - 1] == pytest.approx(scaled_max[i] * np.sqrt(bank.m))
-
-    def test_dimension_mismatch(self, square_case):
-        with pytest.raises(ValueError, match="does not match bank"):
-            rmf_features(np.ones(7), square_case.bank)
-
-
-class TestBioHash:
-    def test_aligned_unit_vector(self):
-        basis = random_ortho(5, 1, seed=2)
-        x = basis.entries[:, 0]
-        np.testing.assert_array_equal(biohash(x, basis).bits, [1])
-
-    def test_orthogonal_input_all_zero_bits(self):
-        # exact orthogonality: axis-aligned basis, input on an unused axis
-        basis = OrthoMatrix(np.eye(6)[:, :3])
-        x = np.eye(6)[:, 5]
-        bits = biohash(x, basis, tau=0.0).bits
-        np.testing.assert_array_equal(bits, np.zeros(3, dtype=np.uint8))
-
-    def test_boundary_maps_to_zero(self):
-        basis = random_ortho(4, 2, seed=9)
-        bits = biohash(np.zeros(4), basis, tau=0.0).bits
-        np.testing.assert_array_equal(bits, [0, 0])
-
-    def test_huge_negative_threshold_all_ones(self):
-        basis = random_ortho(5, 3, seed=1)
-        rng = np.random.default_rng(0)
-        bits = biohash(rng.standard_normal(5), basis, tau=-1e9).bits
-        np.testing.assert_array_equal(bits, [1, 1, 1])
-
-    def test_dimension_mismatch(self):
-        basis = random_ortho(5, 2, seed=3)
-        with pytest.raises(ValueError, match="shape"):
-            biohash(np.ones(4), basis)
-
-    def test_code_type_validation(self):
-        with pytest.raises(ValueError, match="0/1"):
-            BioHashCode(bits=np.array([0, 2]), tau=0.0)
-
-    @pytest.mark.parametrize("tau", ["0.5", True, float("nan")], ids=["string", "bool", "nan"])
-    def test_threshold_must_be_finite_real(self, tau):
-        with pytest.raises(ValueError, match="tau must be a finite real number"):
-            BioHashCode(bits=np.array([0, 1]), tau=tau)
-        with pytest.raises(ValueError, match="tau must be a finite real number"):
-            biohash(np.ones(4), random_ortho(4, 2, seed=3), tau=tau)
-
-    def test_code_owns_a_frozen_copy(self):
-        base = np.array([1, 0, 1, 1], dtype=np.uint8)
-        code = BioHashCode(base[:3], tau=0.0)
-        assert base.flags.writeable and not code.bits.flags.writeable
-        base[:] = 0
-        np.testing.assert_array_equal(code.bits, [1, 0, 1])

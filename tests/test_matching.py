@@ -7,18 +7,16 @@ from hypothesis import given, strategies as st
 from oracles import (
     oracle_flat_topk_score,
     oracle_greedy_score_set,
-    oracle_point_similarity,
     oracle_similarity_matrix,
     reference_lgs_match_detail,
     reference_similarity_matrix,
 )
 
 from giomhash.evaluation import score_pairs
-from giomhash.hashing import BioHashCode, giom_hash
+from giomhash.hashing import giom_hash
 from giomhash.matching import (
     _BLOCK_FLOATS,
     LgsParams,
-    hamming_similarity,
     lgs_match,
     lgs_match_detail,
     np_select,
@@ -334,7 +332,7 @@ class TestBatchedScorer:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_edges(self, offset):
         rows, m, q = 8, 512, 100
-        block = _BLOCK_FLOATS // (2 * rows * m)
+        block = _BLOCK_FLOATS // (2 * rows * m + 2 * rows * rows)
         rng = np.random.default_rng(20 + offset)
         templates = random_templates(rng, 2 * block + 2, m=m, q=q, rows=(rows, rows + 1))
         pairs = list(zip(templates[0::2], templates[1::2]))[: block + offset]
@@ -415,25 +413,3 @@ class TestBatchedScorer:
             lgs_match(low, high)
         with pytest.raises(ValueError, match="too large for exact scoring"):
             similarity_matrix(low.codes, high.codes, q)
-
-
-class TestHammingSimilarity:
-    def test_identical(self):
-        a = BioHashCode(bits=np.array([0, 1, 1, 0]), tau=0.0)
-        assert hamming_similarity(a, a) == 1.0
-
-    def test_complementary(self):
-        a = BioHashCode(bits=np.array([0, 1, 1, 0]), tau=0.0)
-        b = BioHashCode(bits=np.array([1, 0, 0, 1]), tau=0.0)
-        assert hamming_similarity(a, b) == 0.0
-
-    def test_one_differing_bit(self):
-        a = BioHashCode(bits=np.array([0, 1, 1, 0]), tau=0.0)
-        b = BioHashCode(bits=np.array([0, 1, 1, 1]), tau=0.0)
-        assert hamming_similarity(a, b) == 0.75
-
-    def test_length_mismatch(self):
-        a = BioHashCode(bits=np.array([0, 1]), tau=0.0)
-        b = BioHashCode(bits=np.array([0, 1, 1]), tau=0.0)
-        with pytest.raises(ValueError):
-            hamming_similarity(a, b)

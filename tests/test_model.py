@@ -17,11 +17,9 @@ from giomhash.model import (
     Minutia,
     MinutiaeTemplate,
     ParseError,
-    load_cylinders,
     load_hashed,
     load_key,
     load_minutiae,
-    save_cylinders,
     save_hashed,
     save_key,
     save_minutiae,
@@ -497,15 +495,3 @@ class TestHashedIO:
         save_hashed(t, tmp_path / "h.json")
         load_hashed(tmp_path / "h.json", expected_key=key)
         assert not recwarn.list
-
-
-class TestCylinderIO:
-    def test_round_trip(self, tmp_path):
-        c = CylinderSet(np.array([[0.0, 0.25], [0.5, 1.0]]))
-        save_cylinders(c, tmp_path / "c.npy")
-        assert load_cylinders(tmp_path / "c.npy") == c
-
-    def test_corrupt_values_rejected(self, tmp_path):
-        np.save(tmp_path / "c.npy", np.array([[0.5, 2.0]]))
-        with pytest.raises(IntegrityError, match=r"\[0, 1\]"):
-            load_cylinders(tmp_path / "c.npy")
