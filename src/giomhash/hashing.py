@@ -39,23 +39,28 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     """1-based winner indices for each row and matrix, shape (N, m).
 
     Ties resolve to the smallest column index (numpy argmax convention).
-    Rows go through in chunks of 128 against blocks of whole matrices, so
-    beyond the (N, m) int64 result the working memory is one block's
-    projection, about 2 MiB, independent of N and m. A block never splits a
-    matrix, which keeps the first-wins tie rule.
+    The bank goes through in blocks of k whole matrices, written side by
+    side into one reused (d, k*q) buffer that every 128-row chunk is
+    projected against. Beyond the (N, m) int64 result the working memory is
+    that buffer and one chunk's projection (about 2 MiB), independent of N
+    and m. A block never splits a matrix, which keeps the first-wins tie
+    rule. A derived bank draws every matrix anew on each call, so hash a
+    whole row stack in one call rather than a call per template.
     """
     rows = _check_rows(rows, bank)
     n, m, q = rows.shape[0], bank.m, bank.q
-    flat = bank.flat()
-    step = _block_matrices(q)
+    step = min(_block_matrices(q), m)
+    buf = np.empty((bank.d, step * q))
     codes = np.empty((n, m), dtype=np.int64)
-    for lo in range(0, n, _ROW_CHUNK):
-        chunk = rows[lo : lo + _ROW_CHUNK]
-        c = chunk.shape[0]
-        for j in range(0, m, step):
-            k = min(step, m - j)
-            proj = chunk @ flat[:, j * q : (j + k) * q]
-            np.argmax(proj.reshape(c, k, q), axis=2, out=codes[lo : lo + c, j : j + k])
+    for j in range(0, m, step):
+        k = min(step, m - j)
+        for i in range(k):
+            buf[:, i * q : (i + 1) * q] = bank.matrix(j + i)
+        block = buf[:, : k * q]
+        for lo in range(0, n, _ROW_CHUNK):
+            chunk = rows[lo : lo + _ROW_CHUNK]
+            c = chunk.shape[0]
+            np.argmax((chunk @ block).reshape(c, k, q), axis=2, out=codes[lo : lo + c, j : j + k])
     codes += 1
     return codes
 

@@ -7,12 +7,14 @@ to the report type).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import numbers
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,87 +189,76 @@ class HashKey:
 
 @dataclass(frozen=True, eq=False, init=False)
 class GaussianBank:
-    """m d x q matrices of standard-normal entries, the projection key.
+    """m d x q matrices of standard-normal entries, the projection key; `matrix(i)` reads one.
 
-    The bank is held once, in a C-contiguous (d, m*q) buffer: matrix i fills
-    columns [i*q, (i+1)*q). `flat()` returns that buffer and `matrices` a
-    read-only (m, d, q) view of it. A bank built from an (m, d, q) array is
-    copied into that layout. When built from a HashKey the key travels with
-    the bank so hashed output can record its fingerprint.
+    A bank built from an (m, d, q) array keeps a read-only copy of it. A bank
+    built by `drawn` (as randomness.derive_bank builds it) holds only its key
+    and the draw that makes matrix i, so it draws each matrix afresh on every
+    read and is never held whole. When built from a HashKey the key travels
+    with the bank so hashed output can record its fingerprint.
     """
 
-    _buffer: np.ndarray
-    _q: int
     key: HashKey | None
+    _shape: tuple[int, int, int]
+    _stack: np.ndarray | None
+    _matrix: Callable[[int], np.ndarray]
 
     def __init__(self, matrices, key: HashKey | None = None) -> None:
         mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3:
             raise ValueError(f"bank must have shape (m, d, q), got {mats.shape}")
+        if not np.isfinite(mats).all():
+            raise ValueError("bank entries must be finite")
         m, d, q = mats.shape
-        buf = np.empty((d, m * q))
-        buf.reshape(d, m, q)[...] = mats.transpose(1, 0, 2)
-        self._adopt(buf, mats.shape, key)
+        if m < 1 or d < 1 or q < 2:
+            raise ValueError(f"degenerate bank shape {mats.shape}")
+        if key is not None and mats.shape != (key.m, key.d, key.q):
+            raise ValueError(
+                f"bank shape {mats.shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
+            )
+        stack = _frozen_array(mats, float)
+        self._hold(key, mats.shape, stack, stack.__getitem__)
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, key: HashKey) -> GaussianBank:
-        """Adopt a (d, m*q) float64 buffer laid out as `flat()` describes, without a copy.
-
-        The buffer is made read-only; the caller must hold no other writable
-        reference to it.
-        """
-        if flat.dtype != np.float64 or not flat.flags.c_contiguous:
-            raise ValueError("bank buffer must be a C-contiguous float64 array")
-        if flat.shape != (key.d, key.m * key.q):
-            raise ValueError(
-                f"bank buffer shape {flat.shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
-            )
+    def drawn(cls, key: HashKey, draw: Callable[[HashKey, int], np.ndarray]) -> GaussianBank:
+        """The bank of key whose matrix i is draw(key, i), drawn on every read and never stored."""
         bank = cls.__new__(cls)
-        bank._adopt(flat, (key.m, key.d, key.q), key)
+        bank._hold(key, (key.m, key.d, key.q), None, functools.partial(draw, key))
         return bank
 
-    def _adopt(self, buf: np.ndarray, shape: tuple[int, int, int], key: HashKey | None) -> None:
-        # min and max propagate NaN and reach +-inf, so both are finite exactly
-        # when every entry is; unlike isfinite(buf) this allocates nothing
-        if buf.size and not (np.isfinite(buf.min()) and np.isfinite(buf.max())):
-            raise ValueError("bank entries must be finite")
-        m, d, q = shape
-        if m < 1 or d < 1 or q < 2:
-            raise ValueError(f"degenerate bank shape {shape}")
-        if key is not None and shape != (key.m, key.d, key.q):
-            raise ValueError(
-                f"bank shape {shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
-            )
-        buf.flags.writeable = False
-        object.__setattr__(self, "_buffer", buf)
-        object.__setattr__(self, "_q", q)
+    def _hold(self, key, shape, stack, matrix) -> None:
         object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def m(self) -> int:
-        return self._buffer.shape[1] // self._q
+        return self._shape[0]
 
     @property
     def d(self) -> int:
-        return self._buffer.shape[0]
+        return self._shape[1]
 
     @property
     def q(self) -> int:
-        return self._q
+        return self._shape[2]
+
+    def matrix(self, i: int) -> np.ndarray:
+        """The i-th d x q matrix, 0 <= i < m; a drawn bank draws it afresh on each call."""
+        return self._matrix(i)
 
     @property
     def matrices(self) -> np.ndarray:
-        """The read-only (m, d, q) view of the bank buffer."""
-        return self._buffer.reshape(self.d, self.m, self.q).transpose(1, 0, 2)
+        """The read-only (m, d, q) stack; a drawn bank draws every matrix for it on each read."""
+        if self._stack is None:
+            return _frozen_array([self._matrix(i) for i in range(self.m)], float)
+        return self._stack
 
     def fingerprint(self) -> str:
         if self.key is not None:
             return self.key.fingerprint()
         return hashlib.sha256(self.matrices.tobytes()).hexdigest()[:16]
-
-    def flat(self) -> np.ndarray:
-        """The read-only (d, m*q) bank buffer itself, for projecting row stacks."""
-        return self._buffer
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianBank):

@@ -2,7 +2,8 @@
 
 Every seeded draw comes from `stream` and every derived seed from `child_seed`.
 Bank matrices come from per-index streams, so matrix i is the same no matter
-how many matrices the bank holds. Orthonormal bases for the projection
+how many matrices the bank holds, and a derived bank can draw any one of them
+on its own when it is read. Orthonormal bases for the projection
 baselines come from modified Gram-Schmidt; LAPACK QR is avoided because its
 sign conventions differ from plain Gram-Schmidt.
 """
@@ -42,16 +43,14 @@ def bank_matrix(key: HashKey, index: int) -> np.ndarray:
 
 
 def derive_bank(key: HashKey) -> GaussianBank:
-    """Materialize all m matrices of the bank for key.
+    """The bank for key: matrix i is bank_matrix(key, i).
 
-    The one (d, m*q) buffer is allocated before any matrix is drawn, so a
-    bank too large for memory fails at once with MemoryError; matrix i is
-    then written into columns [i*q, (i+1)*q).
+    The bank holds only the key and draws each matrix afresh whenever it is
+    read, so deriving costs nothing and the whole bank is never in memory.
+    Every hash_rows call redraws the matrices it projects against, so hash a
+    whole row stack in one call to draw each matrix once per key.
     """
-    flat = np.empty((key.d, key.m * key.q))
-    for i in range(key.m):
-        flat[:, i * key.q : (i + 1) * key.q] = bank_matrix(key, i)
-    return GaussianBank.from_flat(flat, key)
+    return GaussianBank.drawn(key, bank_matrix)
 
 
 @dataclass(frozen=True, eq=False)

@@ -71,7 +71,7 @@ def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:
         raise ValueError(f"code indices must lie in [1, {bank.q}]")
     rows = []
     for i, winner in enumerate(code):
-        mat = bank.matrices[i]
+        mat = bank.matrix(i)
         win_col = mat[:, winner - 1]
         for j in range(bank.q):
             if j != winner - 1:

@@ -105,7 +105,7 @@ class TestGiomHash:
 
 def _per_matrix_codes(rows, bank):
     return np.stack(
-        [np.argmax(rows @ bank.matrices[i], axis=1) + 1 for i in range(bank.m)], axis=1
+        [np.argmax(rows @ bank.matrix(i), axis=1) + 1 for i in range(bank.m)], axis=1
     )
 
 
@@ -160,3 +160,30 @@ class TestBlockedKernel:
                 tracemalloc.stop()
         output_growth = (4096 - 512) * bank.m * 8
         assert peaks[4096] - peaks[512] <= output_growth + (1 << 20)
+
+    def test_derived_bank_codes_equal_stored_bank_codes(self):
+        # more than one row chunk and a partial last block of matrices
+        q = 100
+        key = HashKey(seed=6, m=2 * _block_matrices(q) + 5, q=q, d=12)
+        derived = derive_bank(key)
+        stored = GaussianBank(derived.matrices, key)
+        rows = np.random.default_rng(4).random((2 * _ROW_CHUNK + 44, key.d))
+        codes = hash_rows(rows, derived)
+        np.testing.assert_array_equal(codes, hash_rows(rows, stored))
+        np.testing.assert_array_equal(codes, _per_matrix_codes(rows, stored))
+
+    def test_peak_memory_independent_of_bank_size(self):
+        # the bank (32 and 64 MiB) dwarfs the rows and codes; only one block
+        # of matrices and one chunk's projection may be held besides the codes
+        d, q = 256, 64
+        k = _block_matrices(q)
+        rows = np.random.default_rng(5).random((300, d))
+        for m in (256, 512):
+            tracemalloc.start()
+            try:
+                codes = hash_rows(rows, derive_bank(HashKey(seed=9, m=m, q=q, d=d)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block, projection = d * k * q * 8, _ROW_CHUNK * k * q * 8
+            assert peak - codes.nbytes <= block + projection + (1 << 20), m

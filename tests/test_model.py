@@ -188,22 +188,15 @@ class TestGaussianBank:
         b = GaussianBank(np.ones((1, 2, 2)))
         assert a.fingerprint() != b.fingerprint()
 
-    def test_flat_layout(self):
+    def test_copies_its_input(self):
         mats = np.arange(12, dtype=float).reshape(2, 3, 2)
         bank = GaussianBank(mats)
-        flat = bank.flat()
-        assert flat.shape == (3, 4)
-        np.testing.assert_array_equal(flat[:, 0:2], mats[0])
-        np.testing.assert_array_equal(flat[:, 2:4], mats[1])
-        assert np.shares_memory(bank.matrices, flat)
-        np.testing.assert_array_equal(bank.matrices, mats)
-
-    def test_copies_its_input(self):
-        mats = np.zeros((2, 3, 2))
-        bank = GaussianBank(mats)
-        mats[0, 0, 0] = 1.0
-        assert bank.matrices[0, 0, 0] == 0.0
-        assert not bank.flat().flags.writeable and not bank.matrices.flags.writeable
+        expected = mats.copy()
+        mats[0, 0, 0] = -1.0
+        for i in range(2):
+            np.testing.assert_array_equal(bank.matrix(i), expected[i])
+        np.testing.assert_array_equal(bank.matrices, expected)
+        assert not bank.matrix(0).flags.writeable and not bank.matrices.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -211,17 +204,6 @@ class TestGaussianBank:
         mats[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             GaussianBank(mats)
-
-    def test_from_flat_adopts_buffer(self):
-        key = HashKey(seed=1, m=2, q=2, d=3)
-        flat = np.arange(12, dtype=float).reshape(3, 4)
-        bank = GaussianBank.from_flat(flat, key)
-        assert bank.flat() is flat and not flat.flags.writeable
-        assert bank == GaussianBank(flat.reshape(3, 2, 2).transpose(1, 0, 2), key=key)
-        with pytest.raises(ValueError, match="does not match key"):
-            GaussianBank.from_flat(np.zeros((3, 6)), key)
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            GaussianBank.from_flat(np.zeros((4, 3)).T, key)
 
 
 class TestHashedTemplate:
