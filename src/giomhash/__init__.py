@@ -1,11 +1,11 @@
 """Cancellable template hashing for variable-size point-set features.
 
-The pipeline: minutiae -> per-point cylinder descriptors -> per-point
-winner-index codes under a seeded Gaussian bank -> greedy local similarity
-scoring -> FVC-style accuracy evaluation, plus the security experiments
-(inversion, unlinkability, revocability), fixed-vector index-of-max hashing
-(iom_hash) and the orthonormal random projection with its embedding-dimension
-bound.
+The pipeline: minutiae -> one (N, d) array of per-point cylinder rows
+(encode_dataset) -> per-point winner-index codes under a seeded Gaussian bank
+(hash_dataset) -> greedy local similarity scoring -> FVC-style accuracy
+evaluation, plus the security experiments (inversion, unlinkability,
+revocability), fixed-vector index-of-max hashing (iom_hash) and the
+orthonormal random projection with its embedding-dimension bound.
 """
 
 from .model import (
@@ -35,11 +35,7 @@ from .randomness import (
     random_projection,
     jl_dimension,
 )
-from .hashing import (
-    giom_hash,
-    iom_hash,
-    hash_rows,
-)
+from .hashing import iom_hash, hash_rows
 from .mcc import MccParams, SynthParams, encode_cylinders, synth_dataset, write_dataset
 from .matching import (
     LgsParams,
@@ -55,6 +51,8 @@ from .evaluation import (
     genuine_pairs,
     impostor_pairs,
     compute_eer,
+    encode_dataset,
+    hash_dataset,
     run_evaluation,
     sweep,
     load_report,

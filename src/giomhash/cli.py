@@ -250,10 +250,10 @@ def _cmd_hash(args, parser: argparse.ArgumentParser) -> int:
         parser.error("hash requires --data, --seed and --out (or --case)")
     mcc = _mcc_from_args(args)
     key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     templates = load_minutiae(args.data)
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for (finger_id, sample_id), template in hashed.items():
         save_hashed(template, out / f"{finger_id}_{sample_id:02d}.json")
     save_key(key, out / "key.json")

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, asdict
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,32 +149,40 @@ def load_report(path) -> EvalReport:
     return report
 
 
-def encode_dataset(dataset, mcc: MccParams) -> dict[TemplateKey, np.ndarray]:
-    """Cylinder row arrays keyed by (finger_id, sample_id); duplicate keys raise ValueError."""
+class EncodedDataset(NamedTuple):
+    """One frozen (N, d) array of cylinder rows in dataset order, and each template key's row range."""
+
+    rows: np.ndarray
+    ranges: dict[TemplateKey, slice]
+
+
+def encode_dataset(dataset, mcc: MccParams) -> EncodedDataset:
+    """Each template's cylinders, one per minutia, written into its range of one row array.
+
+    Duplicate keys raise ValueError.
+    """
     dataset = list(dataset)
     # a second template under one key would silently replace the first
     _by_finger(dataset)
-    return {t.key: encode_cylinders(t, mcc).vectors for t in dataset}
+    starts = list(accumulate(map(len, dataset), initial=0))
+    ranges = {t.key: slice(lo, hi) for t, lo, hi in zip(dataset, starts, starts[1:])}
+    rows = np.empty((starts[-1], mcc.dim))
+    for t in dataset:
+        rows[ranges[t.key]] = encode_cylinders(t, mcc).vectors
+    rows.flags.writeable = False
+    return EncodedDataset(rows, ranges)
 
 
-def hash_dataset(cylinders: dict[TemplateKey, np.ndarray], key: HashKey) -> dict[TemplateKey, HashedTemplate]:
-    """Hash every template under one key, batching all rows through the bank once.
+def hash_dataset(encoded: EncodedDataset, key: HashKey) -> dict[TemplateKey, HashedTemplate]:
+    """Hash every template under one key in one hash_rows call over all rows.
 
-    The templates' codes are read-only views of one frozen (N, m) array.
+    Each template's codes are a read-only view, with its rows' range, of one frozen (N, m) array.
     """
     bank = derive_bank(key)
-    keys = list(cylinders)
-    stacked = np.vstack([cylinders[k] for k in keys])
-    codes = hash_rows(stacked, bank)
+    codes = hash_rows(encoded.rows, bank)
     codes.flags.writeable = False
-    out: dict[TemplateKey, HashedTemplate] = {}
-    offset = 0
     fingerprint = bank.fingerprint()
-    for k in keys:
-        n = cylinders[k].shape[0]
-        out[k] = HashedTemplate(codes[offset : offset + n], key.q, fingerprint)
-        offset += n
-    return out
+    return {k: HashedTemplate(codes[r], key.q, fingerprint) for k, r in encoded.ranges.items()}
 
 
 def score_pairs(
@@ -215,12 +225,12 @@ def run_evaluation(
     key: HashKey,
     mcc: MccParams = MccParams(),
     lgs: LgsParams = LgsParams(),
-    cylinders: dict[TemplateKey, np.ndarray] | None = None,
+    encoded: EncodedDataset | None = None,
 ) -> EvalReport:
     """Full protocol run: encode, hash under key, score all pairs, table the ROC.
 
-    Precomputed cylinders may be passed to avoid re-encoding across repeated
-    runs on the same dataset (the sweep does this).
+    Rows from encode_dataset may be passed to skip re-encoding across runs on
+    one dataset (the sweep does); rows encoded here are freed before scoring.
     """
     if key.d != mcc.dim:
         raise ValueError(f"key d={key.d} does not match cylinder dimension {mcc.dim}")
@@ -228,9 +238,8 @@ def run_evaluation(
     imp = impostor_pairs(dataset)
     if not imp:
         raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
-    if cylinders is None:
-        cylinders = encode_dataset(dataset, mcc)
-    scores = score_pairs(gen + imp, hash_dataset(cylinders, key), lgs)
+    hashed = hash_dataset(encode_dataset(dataset, mcc) if encoded is None else encoded, key)
+    scores = score_pairs(gen + imp, hashed, lgs)
     genuine_scores, impostor_scores = scores[: len(gen)], scores[len(gen) :]
     eer, roc = compute_eer(genuine_scores, impostor_scores)
     return EvalReport(
@@ -270,7 +279,7 @@ def sweep(
         raise ValueError("m_list and q_list must be non-empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cylinders = encode_dataset(dataset, mcc)
+    encoded = encode_dataset(dataset, mcc)
     records = []
     means = []
     for m in m_list:
@@ -279,7 +288,7 @@ def sweep(
             for trial in range(trials):
                 seed = child_seed(base_seed, m, q, trial)
                 key = HashKey(seed=seed, m=m, q=q, d=mcc.dim)
-                report = run_evaluation(dataset, key, mcc, lgs, cylinders=cylinders)
+                report = run_evaluation(dataset, key, mcc, lgs, encoded=encoded)
                 records.append((m, q, trial, seed, report.eer))
                 eers.append(report.eer)
             means.append((m, q, float(np.mean(eers))))

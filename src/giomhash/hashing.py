@@ -1,27 +1,16 @@
 """Winner-index transforms.
 
-giom_hash maps every row of a cylinder set through m Gaussian matrices and
-keeps only the 1-based argmax column per matrix, giving an N x m index code.
-iom_hash is the single fixed-vector case (Jin et al.'s IoM hashing). Both,
-and evaluation.hash_dataset, go through the one blocked kernel hash_rows.
+hash_rows maps every row of an (N, d) array through m Gaussian matrices and
+keeps only the 1-based argmax column per matrix, giving an N x m index code;
+evaluation.hash_dataset hashes a whole dataset's rows with it in one call.
+iom_hash is the single fixed-vector case (Jin et al.'s IoM hashing).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import CylinderSet, GaussianBank, HashedTemplate
-
-
-def _check_rows(rows: np.ndarray, bank: GaussianBank) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"expected (N, d) rows, got shape {rows.shape}")
-    if rows.shape[1] != bank.d:
-        raise ValueError(f"feature dimension {rows.shape[1]} does not match bank d={bank.d}")
-    if not np.isfinite(rows).all():
-        raise ValueError("features must be finite")
-    return rows
+from .model import GaussianBank
 
 
 # Rows are hashed 128 at a time against blocks of whole matrices, so one
@@ -47,7 +36,13 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     rule. A derived bank draws every matrix anew on each call, so hash a
     whole row stack in one call rather than a call per template.
     """
-    rows = _check_rows(rows, bank)
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"expected (N, d) rows, got shape {rows.shape}")
+    if rows.shape[1] != bank.d:
+        raise ValueError(f"feature dimension {rows.shape[1]} does not match bank d={bank.d}")
+    if not np.isfinite(rows).all():
+        raise ValueError("features must be finite")
     n, m, q = rows.shape[0], bank.m, bank.q
     step = min(_block_matrices(q), m)
     buf = np.empty((bank.d, step * q))
@@ -65,15 +60,8 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     return codes
 
 
-def giom_hash(cylinders: CylinderSet, bank: GaussianBank) -> HashedTemplate:
-    """Hash a variable-size cylinder set into an N x m protected index code."""
-    codes = hash_rows(cylinders.vectors, bank)
-    codes.flags.writeable = False
-    return HashedTemplate(codes=codes, q=bank.q, key_fingerprint=bank.fingerprint())
-
-
 def iom_hash(x, bank: GaussianBank) -> np.ndarray:
-    """Hash a single feature vector into a length-m index code."""
+    """Hash one feature vector into a length-m index code; a derived bank draws all m matrices per call."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")

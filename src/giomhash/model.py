@@ -69,6 +69,9 @@ class MinutiaeTemplate:
     points: tuple[Minutia, ...]
 
     def __post_init__(self) -> None:
+        # finger ids name output files, so one must be a single plain file-name component
+        if not isinstance(self.finger_id, str) or not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", self.finger_id):
+            raise ValueError(f"finger id must match [A-Za-z0-9][A-Za-z0-9_.-]*, got {self.finger_id!r}")
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "sample_id", _integer(self.sample_id, "sample_id"))
         if len(self.points) < 1:
@@ -373,14 +376,16 @@ def _parse_minutiae_file(path: Path) -> MinutiaeTemplate:
         points.append(Minutia(x, y, theta))
     if finger_id is None:
         raise ParseError(f"{path.name}: missing header line")
-    if not points:
-        raise ParseError(f"{path.name}: template must contain >= 1 minutia")
+    try:
+        template = MinutiaeTemplate(finger_id, sample_id, tuple(points))
+    except ValueError as exc:
+        raise ParseError(f"{path.name}: {exc}") from None
     if wrapped:
         warnings.warn(
             f"{path.name}: wrapped {wrapped} direction(s) into [0, 2*pi)",
             stacklevel=3,
         )
-    return MinutiaeTemplate(finger_id, sample_id, tuple(points))
+    return template
 
 
 def load_minutiae(path) -> list[MinutiaeTemplate]:

@@ -9,11 +9,11 @@ distribution overlap for the unlinkability and revocability claims.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
+from .evaluation import EncodedDataset, encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
 from .matching import LgsParams
 from .mcc import MccParams
 from .model import GaussianBank, HashKey, _frozen_array, _integer
@@ -163,9 +163,9 @@ def unlinkability_experiment(
         raise ValueError("keys must share (m, q, d) so scores are comparable")
     if key_a.d != mcc.dim:
         raise ValueError(f"key d={key_a.d} does not match cylinder dimension {mcc.dim}")
-    cylinders = encode_dataset(dataset, mcc)
-    under_a = hash_dataset(cylinders, key_a)
-    under_b = hash_dataset(cylinders, key_b)
+    encoded = encode_dataset(dataset, mcc)
+    under_a = hash_dataset(encoded, key_a)
+    under_b = hash_dataset(encoded, key_b)
     mated_pairs = genuine_pairs(dataset)
     non_mated_pairs = impostor_pairs(dataset)
     if not non_mated_pairs:
@@ -201,19 +201,17 @@ def revocability_experiment(
             raise ValueError(f"key_seeds has {len(key_seeds)} entries, expected n_keys={n_keys}")
     if base_key.d != mcc.dim:
         raise ValueError(f"key d={base_key.d} does not match cylinder dimension {mcc.dim}")
-    cylinders = encode_dataset(dataset, mcc)
-    under_base = hash_dataset(cylinders, base_key)
+    encoded = encode_dataset(dataset, mcc)
+    under_base = hash_dataset(encoded, base_key)
     mated: list[float] = []
     # one finger's renewals at a time, so memory does not grow with the dataset
     for finger_index, template_key in enumerate(first_samples(dataset)):
-        renewed = {}
-        for key_index in range(n_keys):
-            if key_seeds is not None:
-                fresh_seed = key_seeds[key_index]
-            else:
-                fresh_seed = child_seed(seed, finger_index, key_index)
-            fresh_key = HashKey(seed=fresh_seed, m=base_key.m, q=base_key.q, d=base_key.d)
-            renewed[key_index] = hash_dataset({template_key: cylinders[template_key]}, fresh_key)[template_key]
+        first = EncodedDataset(encoded.rows[encoded.ranges[template_key]], {template_key: slice(None)})
+        fresh_seeds = key_seeds or [child_seed(seed, finger_index, key_index) for key_index in range(n_keys)]
+        renewed = {
+            key_index: hash_dataset(first, replace(base_key, seed=fresh_seed))[template_key]
+            for key_index, fresh_seed in enumerate(fresh_seeds)
+        }
         base = {template_key: under_base[template_key]}
         pairs = [(template_key, key_index) for key_index in renewed]
         mated += score_pairs(pairs, base, lgs, allow_cross_key=True, hashed_b=renewed)

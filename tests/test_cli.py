@@ -148,6 +148,22 @@ class TestHash:
         assert "duplicate sample ids for finger f0000" in capsys.readouterr().err
         assert not list(out.glob("*.json"))
 
+    @pytest.mark.parametrize("finger", ["../escaped", "a/b", "..", ".x"])
+    def test_finger_id_outside_output_directory_is_runtime_error(self, data_dir, tmp_path, capsys, finger):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("f0000_01.txt", "f0000_02.txt"):
+            shutil.copy(data_dir / name, data / name)
+        bad = data / "f0001_01.txt"
+        bad.write_text((data_dir / "f0001_01.txt").read_text().replace("finger=f0001", f"finger={finger}", 1))
+        out = tmp_path / "out"
+        code = main(["hash", "--data", str(data), "--seed", "3", "--out", str(out)] + SMALL_KEY + SMALL_MCC)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "f0001_01.txt" in err and repr(finger) in err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "f0000_01.txt", "f0000_02.txt", "f0001_01.txt"]
+
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
@@ -455,6 +471,17 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert proc.stdout == "1 2 1\n"
+
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1]
+        example = library.split("```python\n", 1)[1].split("```", 1)[0]
+        proc = subprocess.run(
+            [sys.executable, "-c", example], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        genuine, impostor = (float(v) for v in proc.stdout.split(">"))
+        assert genuine > impostor
 
     def test_no_binary_artifacts(self, data_dir, hashed_dir):
         for directory in (data_dir, hashed_dir):

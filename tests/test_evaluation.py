@@ -17,6 +17,7 @@ from oracles import (
 import giomhash.evaluation as evaluation
 import giomhash.matching as matching
 from giomhash.evaluation import (
+    EncodedDataset,
     EvalReport,
     compute_eer,
     encode_dataset,
@@ -29,9 +30,11 @@ from giomhash.evaluation import (
     sweep,
     write_sweep_csv,
 )
+from giomhash.hashing import hash_rows
 from giomhash.matching import _BLOCK_FLOATS, LgsParams, pack_templates
-from giomhash.mcc import MccParams, SynthParams, synth_dataset
+from giomhash.mcc import MccParams, SynthParams, encode_cylinders, synth_dataset
 from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate
+from giomhash.randomness import derive_bank
 
 
 def flat_dataset(fingers, samples):
@@ -201,20 +204,37 @@ class TestRunEvaluation:
     def test_precomputed_cylinders_equivalent(self, eval_setup):
         dataset, key, mcc = eval_setup
         direct = run_evaluation(dataset, key, mcc)
-        cached = run_evaluation(dataset, key, mcc, cylinders=encode_dataset(dataset, mcc))
+        cached = run_evaluation(dataset, key, mcc, encoded=encode_dataset(dataset, mcc))
         assert direct == cached
+
+    def test_encode_dataset_rows_in_dataset_order(self, eval_setup):
+        dataset, _, mcc = eval_setup
+        encoded = encode_dataset(dataset, mcc)
+        assert not encoded.rows.flags.writeable
+        assert encoded.rows.shape == (sum(len(t) for t in dataset), mcc.dim)
+        assert list(encoded.ranges) == [t.key for t in dataset]
+        lo = 0
+        for template in dataset:
+            rows = encoded.rows[encoded.ranges[template.key]]
+            assert encoded.ranges[template.key] == slice(lo, lo + len(template))
+            np.testing.assert_array_equal(rows, encode_cylinders(template, mcc).vectors, strict=True)
+            lo += len(template)
+
+    def test_encode_dataset_rejects_duplicate_keys(self, eval_setup):
+        dataset, _, mcc = eval_setup
+        with pytest.raises(ValueError, match="duplicate sample ids"):
+            encode_dataset(dataset + dataset[:1], mcc)
 
     def test_hash_dataset_consistent_with_per_template(self, eval_setup):
         dataset, key, mcc = eval_setup
-        from giomhash.hashing import giom_hash
-        from giomhash.mcc import encode_cylinders
-        from giomhash.randomness import derive_bank
-
         batch = hash_dataset(encode_dataset(dataset, mcc), key)
         bank = derive_bank(key)
         assert list(batch) == [t.key for t in dataset]
         for template in dataset:
-            assert batch[template.key] == giom_hash(encode_cylinders(template, mcc), bank)
+            want = hash_rows(encode_cylinders(template, mcc).vectors, bank)
+            np.testing.assert_array_equal(batch[template.key].codes, want, strict=True)
+            assert batch[template.key].q == key.q
+            assert batch[template.key].key_fingerprint == key.fingerprint()
 
     def test_hash_dataset_templates_view_one_frozen_array(self, eval_setup):
         dataset, key, mcc = eval_setup
@@ -227,19 +247,35 @@ class TestRunEvaluation:
 
     def test_hash_dataset_holds_codes_once(self):
         # m=256, q=2, d=4: the codes (4.2 MB) dwarf the bank (16 KiB) and the
-        # stacked rows (66 KB); copying them per template would double them
+        # rows (66 KB); copying them per template would double them
         rng = np.random.default_rng(3)
         key = HashKey(seed=1, m=256, q=2, d=4)
-        cylinders = {("f", i): rng.random((16, 4)) for i in range(128)}
+        rows = rng.random((128 * 16, 4))
+        encoded = EncodedDataset(rows, {("f", i): slice(16 * i, 16 * (i + 1)) for i in range(128)})
         codes_bytes = 128 * 16 * key.m * 8
         tracemalloc.start()
         try:
-            hash_dataset(cylinders, key)
+            hash_dataset(encoded, key)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # one projection block of hash_rows is 2 MiB; allow 1 MiB more
         assert peak <= codes_bytes + (3 << 20)
+
+    def test_hash_dataset_holds_rows_once(self, small_dataset):
+        # default encoder d=1536 with m=1, q=2: the rows (about 4 MB) dwarf
+        # the codes and hash_rows' block, so a copy of the rows would dominate
+        mcc = MccParams()
+        key = HashKey(seed=1, m=1, q=2, d=mcc.dim)
+        encoded = encode_dataset(small_dataset, mcc)
+        codes_bytes = encoded.rows.shape[0] * key.m * 8
+        tracemalloc.start()
+        try:
+            hash_dataset(encoded, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - codes_bytes < encoded.rows.nbytes / 4
 
     @pytest.mark.parametrize("greedy", [True, False])
     def test_score_pairs_matches_reference(self, eval_setup, greedy):

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from oracles import oracle_hash
 
 from giomhash.cases import get_case, square_case_region
-from giomhash.hashing import _ROW_CHUNK, _block_matrices, giom_hash, hash_rows, iom_hash
+from giomhash.evaluation import EncodedDataset, hash_dataset
+from giomhash.hashing import _ROW_CHUNK, _block_matrices, hash_rows, iom_hash
 from giomhash.model import CylinderSet, GaussianBank, HashKey
 from giomhash.randomness import derive_bank
 
@@ -48,19 +49,18 @@ class TestGiomHash:
         np.testing.assert_array_equal(hash_rows(rows, bank), expected)
 
     def test_cylinder_set_entry_point(self):
-        bank = derive_bank(HashKey(seed=3, m=4, q=5, d=6))
+        key = HashKey(seed=3, m=4, q=5, d=6)
         cylinders = CylinderSet(np.full((2, 6), 0.5))
-        hashed = giom_hash(cylinders, bank)
+        (hashed,) = hash_dataset(EncodedDataset(cylinders.vectors, {("f0", 1): slice(0, 2)}), key).values()
         assert hashed.codes.shape == (2, 4)
         assert hashed.q == 5
-        assert hashed.key_fingerprint == bank.fingerprint()
+        assert hashed.key_fingerprint == derive_bank(key).fingerprint()
 
     def test_iom_equals_single_row_giom(self):
         rng = np.random.default_rng(8)
         bank = derive_bank(HashKey(seed=11, m=6, q=4, d=5))
         x = rng.random(5)
-        single = giom_hash(CylinderSet(x[None, :]), bank)
-        np.testing.assert_array_equal(iom_hash(x, bank), single.codes[0])
+        np.testing.assert_array_equal(iom_hash(x, bank), hash_rows(x[None, :], bank)[0])
 
     def test_indices_in_range(self):
         rng = np.random.default_rng(2)

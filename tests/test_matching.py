@@ -12,8 +12,8 @@ from oracles import (
     reference_similarity_matrix,
 )
 
-from giomhash.evaluation import score_pairs
-from giomhash.hashing import giom_hash
+from giomhash.evaluation import encode_dataset, hash_dataset, score_pairs
+from giomhash.hashing import hash_rows
 from giomhash.matching import (
     _BLOCK_FLOATS,
     LgsParams,
@@ -23,7 +23,7 @@ from giomhash.matching import (
     point_similarity,
     similarity_matrix,
 )
-from giomhash.model import CylinderSet, HashKey, HashedTemplate
+from giomhash.model import HashKey, HashedTemplate
 from giomhash.randomness import derive_bank
 
 
@@ -180,12 +180,8 @@ class TestLgsMatch:
         assert far.value == 0.0
 
     def test_score_in_range(self, small_dataset, small_mcc):
-        from giomhash.mcc import encode_cylinders
-
-        bank = derive_bank(HashKey(seed=3, m=16, q=8, d=small_mcc.dim))
-        hashed_templates = [
-            giom_hash(encode_cylinders(t, small_mcc), bank) for t in small_dataset[:4]
-        ]
+        key = HashKey(seed=3, m=16, q=8, d=small_mcc.dim)
+        hashed_templates = list(hash_dataset(encode_dataset(small_dataset[:4], small_mcc), key).values())
         for i in range(len(hashed_templates)):
             for j in range(len(hashed_templates)):
                 value = lgs_match(hashed_templates[i], hashed_templates[j]).value
@@ -254,14 +250,9 @@ class TestLgsMatch:
         bank = derive_bank(HashKey(seed=5, m=12, q=6, d=8))
         rows_a = rng.random((5, 8))
         rows_b = rng.random((4, 8))
-        base = lgs_match(
-            giom_hash(CylinderSet(rows_a), bank), giom_hash(CylinderSet(rows_b), bank)
-        ).value
-        # positive scaling changes cylinder values but not argmax codes;
-        # scale down so values stay in [0, 1]
-        scaled = lgs_match(
-            giom_hash(CylinderSet(rows_a * 0.25), bank), giom_hash(CylinderSet(rows_b), bank)
-        ).value
+        base = lgs_match(hashed(hash_rows(rows_a, bank), q=6), hashed(hash_rows(rows_b, bank), q=6)).value
+        # positive scaling changes cylinder values but not argmax codes
+        scaled = lgs_match(hashed(hash_rows(rows_a * 0.25, bank), q=6), hashed(hash_rows(rows_b, bank), q=6)).value
         assert scaled == base
 
 

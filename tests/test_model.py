@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from giomhash.mcc import SynthParams, synth_dataset
 from giomhash.model import (
     TWO_PI,
     CylinderSet,
@@ -75,6 +76,16 @@ class TestMinutiaeTemplate:
             MinutiaeTemplate("f0", 1.5, (Minutia(1, 2, 0.5),))
         assert str(info.value) == "sample_id must be an integer, got 1.5"
         assert type(MinutiaeTemplate("f0", np.int64(2), (Minutia(1, 2, 0.5),)).sample_id) is int
+
+    @pytest.mark.parametrize("finger", ["../x", "a/b", "..", ".x", "", "-f", "f 0", "a\\b", 7])
+    def test_finger_id_beyond_one_file_name_component_rejected(self, finger):
+        with pytest.raises(ValueError, match="finger id must match"):
+            MinutiaeTemplate(finger, 1, (Minutia(1, 2, 0.5),))
+
+    def test_plain_finger_ids_accepted(self):
+        synth_ids = {t.finger_id for t in synth_dataset(1, SynthParams(fingers=3, samples_per_finger=1))}
+        for finger in ["f0000", "F1", "0", "left_index.2", "a-b", *synth_ids]:
+            assert MinutiaeTemplate(finger, 1, (Minutia(1, 2, 0.5),)).finger_id == finger
 
     def test_len_and_key(self):
         t = MinutiaeTemplate("f0", 2, (Minutia(1, 2, 0.5),))
@@ -323,6 +334,14 @@ class TestMinutiaeIO:
         with pytest.raises(ParseError) as info:
             load_minutiae(path)
         assert str(info.value) == f"bad.txt:3: non-finite value in {line!r}"
+
+    @pytest.mark.parametrize("finger", ["../escaped", "a/b", "..", ".x"])
+    def test_finger_id_beyond_one_file_name_component_rejected(self, tmp_path, finger):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# finger={finger} sample=1\n1.0 2.0 3.0\n")
+        with pytest.raises(ParseError) as info:
+            load_minutiae(path)
+        assert str(info.value).startswith("bad.txt: finger id must match")
 
     def test_empty_template_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

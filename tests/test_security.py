@@ -324,17 +324,16 @@ class TestRevocability:
         mated, _, _ = revocability_experiment(
             small_dataset, base, n_keys=3, seed=0, mcc=small_mcc, key_seeds=key_seeds
         )
-        cylinders = encode_dataset(small_dataset, small_mcc)
-        under_base = hash_dataset(cylinders, base)
-        firsts = sorted(t.key for t in small_dataset if t.sample_id == 1)
+        under_base = hash_dataset(encode_dataset(small_dataset, small_mcc), base)
+        firsts = sorted((t for t in small_dataset if t.sample_id == 1), key=lambda t: t.key)
         want = [
             reference_lgs_match_detail(
-                under_base[k],
-                hash_dataset({k: cylinders[k]}, HashKey(seed=s, m=base.m, q=base.q, d=base.d))[k],
+                under_base[t.key],
+                hash_dataset(encode_dataset([t], small_mcc), HashKey(seed=s, m=base.m, q=base.q, d=base.d))[t.key],
                 LgsParams(),
                 allow_cross_key=True,
             )[0]
-            for k in firsts
+            for t in firsts
             for s in key_seeds
         ]
         assert mated == want
