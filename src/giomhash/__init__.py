@@ -62,7 +62,6 @@ from .security import (
     build_inequalities,
     sample_preimage,
     preimage_volume_estimate,
-    brute_force_guess_count,
     histogram_intersection,
     unlinkability_experiment,
     revocability_experiment,

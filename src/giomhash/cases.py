@@ -44,7 +44,7 @@ def _case_square() -> InversionCase:
     return InversionCase(
         name="square",
         vector=np.array([0.8, 0.1, 0.7]),
-        bank=GaussianBank(matrices=mats),
+        bank=GaussianBank.of(mats),
         expected_code=np.array([1, 2, 1]),
         expected_projections=np.array([[0.38, 0.30], [0.20, 0.88], [0.59, -0.31]]),
     )
@@ -60,7 +60,7 @@ def _case_underdetermined() -> InversionCase:
     return InversionCase(
         name="underdetermined",
         vector=np.array([0.8, 0.1, 0.7, 0.5]),
-        bank=GaussianBank(matrices=mats),
+        bank=GaussianBank.of(mats),
         expected_code=np.array([1, 2]),
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 from .hashing import hash_rows
 from .matching import LgsParams, pack_templates, packed_scores
 from .mcc import MccParams, encode_cylinders
-from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate
+from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer
 from .randomness import child_seed, derive_bank
 
 TemplateKey = tuple[str, int]
@@ -178,10 +178,9 @@ def hash_dataset(encoded: EncodedDataset, key: HashKey) -> dict[TemplateKey, Has
 
     Each template's codes are a read-only view, with its rows' range, of one frozen (N, m) array.
     """
-    bank = derive_bank(key)
-    codes = hash_rows(encoded.rows, bank)
+    codes = hash_rows(encoded.rows, derive_bank(key))
     codes.flags.writeable = False
-    fingerprint = bank.fingerprint()
+    fingerprint = key.fingerprint()
     return {k: HashedTemplate(codes[r], key.q, fingerprint) for k, r in encoded.ranges.items()}
 
 
@@ -273,8 +272,9 @@ def sweep(
     Trial seeds derive from (base_seed, m, q, trial), so every grid cell is
     reproducible in isolation.
     """
-    # HashKey rejects a non-integer m or q, which int() would truncate
-    m_list, q_list = list(m_list), list(q_list)
+    # checked before child_seed sees them, so the error names the grid field
+    m_list = [_integer(m, "m") for m in m_list]
+    q_list = [_integer(q, "q") for q in q_list]
     if not m_list or not q_list:
         raise ValueError("m_list and q_list must be non-empty")
     if trials < 1:

@@ -33,7 +33,7 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     projected against. Beyond the (N, m) int64 result the working memory is
     that buffer and one chunk's projection (about 2 MiB), independent of N
     and m. A block never splits a matrix, which keeps the first-wins tie
-    rule. A derived bank draws every matrix anew on each call, so hash a
+    rule. Every call reads all m matrices (see GaussianBank), so hash a
     whole row stack in one call rather than a call per template.
     """
     rows = np.asarray(rows, dtype=float)
@@ -41,9 +41,10 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
         raise ValueError(f"expected (N, d) rows, got shape {rows.shape}")
     if rows.shape[1] != bank.d:
         raise ValueError(f"feature dimension {rows.shape[1]} does not match bank d={bank.d}")
-    if not np.isfinite(rows).all():
-        raise ValueError("features must be finite")
     n, m, q = rows.shape[0], bank.m, bank.q
+    # one chunk's mask at a time, so the check holds no (N, d) array
+    if not all(np.isfinite(rows[lo : lo + _ROW_CHUNK]).all() for lo in range(0, n, _ROW_CHUNK)):
+        raise ValueError("features must be finite")
     step = min(_block_matrices(q), m)
     buf = np.empty((bank.d, step * q))
     codes = np.empty((n, m), dtype=np.int64)
@@ -61,7 +62,7 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
 
 
 def iom_hash(x, bank: GaussianBank) -> np.ndarray:
-    """Hash one feature vector into a length-m index code; a derived bank draws all m matrices per call."""
+    """Hash one feature vector into a length-m index code; every call reads all m matrices (see GaussianBank)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")

@@ -7,7 +7,6 @@ to the report type).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -190,83 +189,42 @@ class HashKey:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class GaussianBank:
-    """m d x q matrices of standard-normal entries, the projection key; `matrix(i)` reads one.
+    """m d x q matrices of standard-normal entries, the projection key; `matrix(i)` makes matrix i.
 
-    A bank built from an (m, d, q) array keeps a read-only copy of it. A bank
-    built by `drawn` (as randomness.derive_bank builds it) holds only its key
-    and the draw that makes matrix i, so it draws each matrix afresh on every
-    read and is never held whole. When built from a HashKey the key travels
-    with the bank so hashed output can record its fingerprint.
+    The bank holds its shape and `matrix`, which is called on every read. A
+    bank derived from a key (randomness.derive_bank) therefore draws each
+    matrix afresh on every read and is never held whole; a bank built by
+    `of` reads a read-only copy of a fixed stack.
     """
 
-    key: HashKey | None
-    _shape: tuple[int, int, int]
-    _stack: np.ndarray | None
-    _matrix: Callable[[int], np.ndarray]
+    m: int
+    d: int
+    q: int
+    matrix: Callable[[int], np.ndarray]
 
-    def __init__(self, matrices, key: HashKey | None = None) -> None:
+    def __post_init__(self) -> None:
+        for name in ("m", "d", "q"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.m < 1 or self.d < 1 or self.q < 2:
+            raise ValueError(f"degenerate bank shape {(self.m, self.d, self.q)}")
+
+    @classmethod
+    def of(cls, matrices) -> GaussianBank:
+        """The bank of a fixed (m, d, q) stack of finite matrices, which it copies."""
         mats = np.asarray(matrices, dtype=float)
         if mats.ndim != 3:
             raise ValueError(f"bank must have shape (m, d, q), got {mats.shape}")
         if not np.isfinite(mats).all():
             raise ValueError("bank entries must be finite")
-        m, d, q = mats.shape
-        if m < 1 or d < 1 or q < 2:
-            raise ValueError(f"degenerate bank shape {mats.shape}")
-        if key is not None and mats.shape != (key.m, key.d, key.q):
-            raise ValueError(
-                f"bank shape {mats.shape} does not match key (m={key.m}, d={key.d}, q={key.q})"
-            )
         stack = _frozen_array(mats, float)
-        self._hold(key, mats.shape, stack, stack.__getitem__)
-
-    @classmethod
-    def drawn(cls, key: HashKey, draw: Callable[[HashKey, int], np.ndarray]) -> GaussianBank:
-        """The bank of key whose matrix i is draw(key, i), drawn on every read and never stored."""
-        bank = cls.__new__(cls)
-        bank._hold(key, (key.m, key.d, key.q), None, functools.partial(draw, key))
-        return bank
-
-    def _hold(self, key, shape, stack, matrix) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_matrix", matrix)
-
-    @property
-    def m(self) -> int:
-        return self._shape[0]
-
-    @property
-    def d(self) -> int:
-        return self._shape[1]
-
-    @property
-    def q(self) -> int:
-        return self._shape[2]
-
-    def matrix(self, i: int) -> np.ndarray:
-        """The i-th d x q matrix, 0 <= i < m; a drawn bank draws it afresh on each call."""
-        return self._matrix(i)
+        return cls(*stack.shape, stack.__getitem__)
 
     @property
     def matrices(self) -> np.ndarray:
-        """The read-only (m, d, q) stack; a drawn bank draws every matrix for it on each read."""
-        if self._stack is None:
-            return _frozen_array([self._matrix(i) for i in range(self.m)], float)
-        return self._stack
-
-    def fingerprint(self) -> str:
-        if self.key is not None:
-            return self.key.fingerprint()
-        return hashlib.sha256(self.matrices.tobytes()).hexdigest()[:16]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianBank):
-            return NotImplemented
-        return self.key == other.key and np.array_equal(self.matrices, other.matrices)
+        """The read-only (m, d, q) stack; it draws all m matrices on every read."""
+        return _frozen_array([self.matrix(i) for i in range(self.m)], float)
 
 
 @dataclass(frozen=True, eq=False)

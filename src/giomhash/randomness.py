@@ -2,33 +2,38 @@
 
 Every seeded draw comes from `stream` and every derived seed from `child_seed`.
 Bank matrices come from per-index streams, so matrix i is the same no matter
-how many matrices the bank holds, and a derived bank can draw any one of them
-on its own when it is read. Orthonormal bases for the projection
-baselines come from modified Gram-Schmidt; LAPACK QR is avoided because its
-sign conventions differ from plain Gram-Schmidt.
+how many matrices the bank has and can be drawn on its own. Orthonormal
+bases for the projection baselines come from modified Gram-Schmidt; LAPACK
+QR is avoided because its sign conventions differ from plain Gram-Schmidt.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GaussianBank, HashKey, _frozen_array
+from .model import GaussianBank, HashKey, _frozen_array, _integer
 
 GS_PIVOT_TOL = 1e-10
 ORTHO_CHECK_TOL = 1e-8
 
 
+def _seed_sequence(entropy) -> np.random.SeedSequence:
+    # a float or a bool would otherwise be truncated to the stream of another integer
+    return np.random.SeedSequence([_integer(e, "entropy") for e in entropy])
+
+
 def stream(*entropy: int) -> np.random.Generator:
     """The generator seeded by the integers in entropy; equal entropy, equal draws."""
-    return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+    return np.random.default_rng(_seed_sequence(entropy))
 
 
 def child_seed(*entropy: int) -> int:
     """A 64-bit seed derived from the integers in entropy, for keys renewed or swept per index."""
-    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def bank_matrix(key: HashKey, index: int) -> np.ndarray:
@@ -43,14 +48,8 @@ def bank_matrix(key: HashKey, index: int) -> np.ndarray:
 
 
 def derive_bank(key: HashKey) -> GaussianBank:
-    """The bank for key: matrix i is bank_matrix(key, i).
-
-    The bank holds only the key and draws each matrix afresh whenever it is
-    read, so deriving costs nothing and the whole bank is never in memory.
-    Every hash_rows call redraws the matrices it projects against, so hash a
-    whole row stack in one call to draw each matrix once per key.
-    """
-    return GaussianBank.drawn(key, bank_matrix)
+    """The GaussianBank of key's shape whose matrix i is bank_matrix(key, i)."""
+    return GaussianBank(key.m, key.d, key.q, functools.partial(bank_matrix, key))
 
 
 @dataclass(frozen=True, eq=False)

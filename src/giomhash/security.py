@@ -122,13 +122,6 @@ def preimage_volume_estimate(system: InequalitySystem, samples: int, seed: int =
     return hits / samples
 
 
-def brute_force_guess_count(decimal_places: int = 4, dim: int = 1536) -> int:
-    """Size of the naive guessing space: 10^(decimal_places * dim), exactly."""
-    if decimal_places < 1 or dim < 1:
-        raise ValueError("decimal_places and dim must be >= 1")
-    return 10 ** (decimal_places * dim)
-
-
 def score_fractions(scores) -> np.ndarray:
     """Fraction of the scores in each bin of HIST_EDGES; an empty score set gives all zeros."""
     scores = np.asarray(list(scores), dtype=float)
@@ -181,24 +174,17 @@ def revocability_experiment(
     seed: int,
     mcc: MccParams = MccParams(),
     lgs: LgsParams = LgsParams(),
-    key_seeds=None,
 ) -> tuple[list[float], list[float], list[float]]:
     """Renewal experiment: (mated_genuine, genuine, impostor) score sets.
 
     Every finger's first sample is re-hashed under n_keys fresh keys and
     matched against its base-key code, giving F * n_keys mated-genuine
     scores. Genuine and impostor scores under the base key provide the
-    reference distributions. key_seeds overrides the derived fresh seeds
-    (the degenerate n_keys=1 control with key_seeds=[base_key.seed] yields
-    all scores 1.0, which is why n_keys=1 is permitted).
+    reference distributions. The fresh seed for finger f's k-th key is
+    child_seed(seed, f, k).
     """
     if n_keys < 1:
         raise ValueError("n_keys must be >= 1")
-    if key_seeds is not None:
-        # HashKey rejects a non-integer seed, which int() would truncate
-        key_seeds = list(key_seeds)
-        if len(key_seeds) != n_keys:
-            raise ValueError(f"key_seeds has {len(key_seeds)} entries, expected n_keys={n_keys}")
     if base_key.d != mcc.dim:
         raise ValueError(f"key d={base_key.d} does not match cylinder dimension {mcc.dim}")
     encoded = encode_dataset(dataset, mcc)
@@ -207,10 +193,9 @@ def revocability_experiment(
     # one finger's renewals at a time, so memory does not grow with the dataset
     for finger_index, template_key in enumerate(first_samples(dataset)):
         first = EncodedDataset(encoded.rows[encoded.ranges[template_key]], {template_key: slice(None)})
-        fresh_seeds = key_seeds or [child_seed(seed, finger_index, key_index) for key_index in range(n_keys)]
         renewed = {
-            key_index: hash_dataset(first, replace(base_key, seed=fresh_seed))[template_key]
-            for key_index, fresh_seed in enumerate(fresh_seeds)
+            k: hash_dataset(first, replace(base_key, seed=child_seed(seed, finger_index, k)))[template_key]
+            for k in range(n_keys)
         }
         base = {template_key: under_base[template_key]}
         pairs = [(template_key, key_index) for key_index in renewed]

@@ -54,7 +54,7 @@ class TestGiomHash:
         (hashed,) = hash_dataset(EncodedDataset(cylinders.vectors, {("f0", 1): slice(0, 2)}), key).values()
         assert hashed.codes.shape == (2, 4)
         assert hashed.q == 5
-        assert hashed.key_fingerprint == derive_bank(key).fingerprint()
+        assert hashed.key_fingerprint == key.fingerprint()
 
     def test_iom_equals_single_row_giom(self):
         rng = np.random.default_rng(8)
@@ -83,13 +83,13 @@ class TestGiomHash:
     def test_tie_breaks_to_smallest_index(self):
         # identical columns project identically; the first must win
         mats = np.ones((2, 3, 4))
-        bank = GaussianBank(mats)
+        bank = GaussianBank.of(mats)
         np.testing.assert_array_equal(iom_hash(np.array([0.2, 0.5, 0.3]), bank), [1, 1])
 
     def test_dominant_column_forced(self):
         mats = np.zeros((1, 3, 4))
         mats[0, :, 2] = 1.0
-        bank = GaussianBank(mats)
+        bank = GaussianBank.of(mats)
         np.testing.assert_array_equal(iom_hash(np.array([0.1, 0.2, 0.3]), bank), [3])
 
     def test_dimension_mismatch(self):
@@ -119,7 +119,7 @@ class TestBlockedKernel:
         b = _block_matrices(q)
         m = [1, b - 1, b, b + 1, 2 * b + 3][edge]
         rng = np.random.default_rng([q, n, m])
-        bank = GaussianBank(rng.standard_normal((m, 6, q)))
+        bank = GaussianBank.of(rng.standard_normal((m, 6, q)))
         rows = rng.random((n, 6))
         codes = hash_rows(rows, bank)
         assert codes.shape == (n, m) and codes.dtype == np.int64
@@ -139,7 +139,7 @@ class TestBlockedKernel:
         winners = {b - 1: (90, 10), b: (99, 0), b + 1: (50, 51)}
         for i, cols in winners.items():
             mats[i][:, list(cols)] = 64.0
-        bank = GaussianBank(mats)
+        bank = GaussianBank.of(mats)
         rows = rng.integers(1, 8, size=(_ROW_CHUNK + 5, 6)) / 8.0
         codes = hash_rows(rows, bank)
         for i, cols in winners.items():
@@ -161,12 +161,25 @@ class TestBlockedKernel:
         output_growth = (4096 - 512) * bank.m * 8
         assert peaks[4096] - peaks[512] <= output_growth + (1 << 20)
 
+    def test_finiteness_check_holds_no_row_mask(self):
+        # d=1536, m=1, q=2: the block and the codes are tiny, so an (N, d)
+        # bool mask of the rows, an eighth of their bytes, would dominate
+        rows = np.random.default_rng(7).random((4000, 1536))
+        bank = derive_bank(HashKey(seed=1, m=1, q=2, d=rows.shape[1]))
+        tracemalloc.start()
+        try:
+            codes = hash_rows(rows, bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - codes.nbytes) / rows.nbytes <= 0.02
+
     def test_derived_bank_codes_equal_stored_bank_codes(self):
         # more than one row chunk and a partial last block of matrices
         q = 100
         key = HashKey(seed=6, m=2 * _block_matrices(q) + 5, q=q, d=12)
         derived = derive_bank(key)
-        stored = GaussianBank(derived.matrices, key)
+        stored = GaussianBank.of(derived.matrices)
         rows = np.random.default_rng(4).random((2 * _ROW_CHUNK + 44, key.d))
         codes = hash_rows(rows, derived)
         np.testing.assert_array_equal(codes, hash_rows(rows, stored))

@@ -211,6 +211,13 @@ class TestSynthDataset:
         params = SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6))
         assert synth_dataset(9, params) == synth_dataset(9, params)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() used to read both as seed 1
+        params = SynthParams(fingers=1, samples_per_finger=1, minutiae_range=(2, 3))
+        with pytest.raises(ValueError, match=f"entropy must be an integer, got {seed!r}"):
+            synth_dataset(seed, params)
+
     def test_finger_streams_stable_under_more_fingers(self):
         small = synth_dataset(3, SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6)))
         large = synth_dataset(3, SynthParams(fingers=4, samples_per_finger=2, minutiae_range=(4, 6)))

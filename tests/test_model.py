@@ -180,28 +180,36 @@ class TestHashKey:
 class TestGaussianBank:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(m, d, q\)"):
-            GaussianBank(np.zeros((2, 3)))
+            GaussianBank.of(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="degenerate"):
-            GaussianBank(np.zeros((1, 3, 1)))
+            GaussianBank.of(np.zeros((1, 3, 1)))
 
-    def test_key_shape_mismatch(self):
-        key = HashKey(seed=1, m=2, q=3, d=4)
-        with pytest.raises(ValueError, match="does not match key"):
-            GaussianBank(np.zeros((2, 4, 2)), key=key)
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (1, 0, 2), (1, 3, 1)])
+    def test_degenerate_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"degenerate bank shape \(%d, %d, %d\)" % shape):
+            GaussianBank(*shape, np.zeros)
 
-    def test_fingerprint_follows_key(self):
-        key = HashKey(seed=1, m=1, q=2, d=2)
-        bank = GaussianBank(np.zeros((1, 2, 2)), key=key)
-        assert bank.fingerprint() == key.fingerprint()
+    @pytest.mark.parametrize("field,shape", [("m", (1.5, 3, 2)), ("d", (1, True, 2)), ("q", (1, 3, 2.0))])
+    def test_non_integer_shape_rejected(self, field, shape):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GaussianBank(*shape, np.zeros)
 
-    def test_keyless_fingerprint_from_contents(self):
-        a = GaussianBank(np.zeros((1, 2, 2)))
-        b = GaussianBank(np.ones((1, 2, 2)))
-        assert a.fingerprint() != b.fingerprint()
+    def test_reads_call_the_matrix_function(self):
+        reads = []
+
+        def matrix(i):
+            reads.append(i)
+            return np.full((3, 2), float(i))
+
+        bank = GaussianBank(np.int64(2), 3, 2, matrix)
+        assert (bank.m, bank.d, bank.q) == (2, 3, 2) and type(bank.m) is int
+        assert bank.matrices.shape == (2, 3, 2) and not bank.matrices.flags.writeable
+        np.testing.assert_array_equal(bank.matrix(1), np.ones((3, 2)))
+        assert reads == [0, 1, 0, 1, 1]
 
     def test_copies_its_input(self):
         mats = np.arange(12, dtype=float).reshape(2, 3, 2)
-        bank = GaussianBank(mats)
+        bank = GaussianBank.of(mats)
         expected = mats.copy()
         mats[0, 0, 0] = -1.0
         for i in range(2):
@@ -214,7 +222,7 @@ class TestGaussianBank:
         mats = np.zeros((2, 3, 2))
         mats[1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            GaussianBank(mats)
+            GaussianBank.of(mats)
 
 
 class TestHashedTemplate:

@@ -49,6 +49,21 @@ class TestSeededStreams:
         key = HashKey(seed=5, m=4, q=3, d=1)
         assert bank_matrix(key, 3)[0].tolist() == [-1.7199310891498314, 0.216305643242891, -0.2493740851242899]
 
+    @pytest.mark.parametrize("bad", [1.9, True, np.float64(2.0)])
+    def test_non_integer_entropy_rejected(self, bad):
+        # int() would truncate 1.9 to 1 and read True as 1, aliasing another stream
+        with pytest.raises(ValueError, match="entropy must be an integer"):
+            stream(7, bad)
+        with pytest.raises(ValueError, match="entropy must be an integer"):
+            child_seed(bad, 7)
+
+    def test_fractional_matrix_index_rejected(self):
+        key = HashKey(seed=5, m=4, q=3, d=2)
+        with pytest.raises(ValueError, match="entropy must be an integer, got 1.5"):
+            bank_matrix(key, 1.5)
+        with pytest.raises(ValueError, match="entropy must be an integer, got True"):
+            bank_matrix(key, True)
+
     def test_only_randomness_seeds(self):
         # one owner for the seeding rule, so two copies cannot drift apart
         package = Path(giomhash.__file__).parent
@@ -66,7 +81,7 @@ class TestBankDerivation:
         a = derive_bank(key)
         b = derive_bank(key)
         np.testing.assert_array_equal(a.matrices, b.matrices)
-        assert a.key == key
+        assert (a.m, a.d, a.q) == (key.m, key.d, key.q)
 
     def test_prefix_stable_in_m(self):
         small = derive_bank(HashKey(seed=9, m=3, q=4, d=5))
@@ -81,7 +96,7 @@ class TestBankDerivation:
             np.testing.assert_array_equal(bank.matrices[i], bank_matrix(key, i))
 
     def test_derivation_holds_no_matrix(self):
-        # a derived bank holds its key, not its m*d*q entries
+        # a derived bank holds its shape and draw, not its m*d*q entries
         key = HashKey(seed=8, m=200, q=50, d=144)
         tracemalloc.start()
         try:
