@@ -11,11 +11,9 @@ orthonormal random projection with its embedding-dimension bound.
 from .model import (
     Minutia,
     MinutiaeTemplate,
-    CylinderSet,
     HashKey,
     GaussianBank,
     HashedTemplate,
-    MatchScore,
     ParseError,
     IntegrityError,
     KeyMismatchWarning,

@@ -27,6 +27,7 @@ from .model import (
     HashKey,
     IntegrityError,
     ParseError,
+    file_stem,
     load_hashed,
     load_minutiae,
     save_hashed,
@@ -254,8 +255,8 @@ def _cmd_hash(args, parser: argparse.ArgumentParser) -> int:
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for (finger_id, sample_id), template in hashed.items():
-        save_hashed(template, out / f"{finger_id}_{sample_id:02d}.json")
+    for template_key, template in hashed.items():
+        save_hashed(template, out / f"{file_stem(template_key)}.json")
     save_key(key, out / "key.json")
     print(f"hashed {len(templates)} templates under key {key.fingerprint()} to {args.out}")
     return EXIT_OK
@@ -270,13 +271,13 @@ def _cmd_match(args) -> int:
         _write_json(
             Path(args.detail),
             {
-                "score": score.value,
+                "score": score,
                 "n_p": n_p,
                 "pairs": [[i, j, s] for i, j, s in selected],
                 "config": dataclasses.asdict(lgs),
             },
         )
-    print(repr(score.value))
+    print(repr(score))
     return EXIT_OK
 
 

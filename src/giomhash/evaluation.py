@@ -168,7 +168,7 @@ def encode_dataset(dataset, mcc: MccParams) -> EncodedDataset:
     ranges = {t.key: slice(lo, hi) for t, lo, hi in zip(dataset, starts, starts[1:])}
     rows = np.empty((starts[-1], mcc.dim))
     for t in dataset:
-        rows[ranges[t.key]] = encode_cylinders(t, mcc).vectors
+        rows[ranges[t.key]] = encode_cylinders(t, mcc)
     rows.flags.writeable = False
     return EncodedDataset(rows, ranges)
 
@@ -191,7 +191,7 @@ def score_pairs(
     allow_cross_key: bool = False,
     hashed_b: dict[TemplateKey, HashedTemplate] | None = None,
 ) -> list[float]:
-    """Match scores in pair order, each equal to lgs_match(...).value.
+    """Match scores in pair order, each equal to lgs_match(...).
 
     hashed_b, when given, supplies the second template of each pair (used by
     the cross-key experiments); otherwise both come from `hashed`. All the

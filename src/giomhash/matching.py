@@ -14,6 +14,7 @@ evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
 lgs_match_detail a pair's two templates, and similarity_matrix is a single
 matrix. Distances come from gram matrices of the integer codes, which is
 exact, so scores are bit-identical to a direct per-pair distance computation.
+Every score is a built-in float, from lgs_match and packed_scores alike.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HashedTemplate, MatchScore, _integer, _real
+from .model import HashedTemplate, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,7 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
 def packed_scores(
     packed: PackedTemplates, pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False
 ) -> list[float]:
-    """lgs_match(packed.templates[i], packed.templates[j], ...).value for every (i, j) in `pairs`, in order.
+    """lgs_match(packed.templates[i], packed.templates[j], ...) for every (i, j) in `pairs`, in order.
 
     `pairs` may be any iterable of index pairs. It is read once into index
     arrays, a few dozen bytes per pair. Pairs are then grouped by shape, the
@@ -316,8 +317,8 @@ def lgs_match(
     b: HashedTemplate,
     params: LgsParams = LgsParams(),
     allow_cross_key: bool = False,
-) -> MatchScore:
-    """Mean similarity of the selected n_p point pairs, in [0, 1].
+) -> float:
+    """Mean similarity of the selected n_p point pairs, a float in [0, 1].
 
     Templates hashed under different keys are not comparable; such calls
     raise unless allow_cross_key is set (the security experiments construct
@@ -332,7 +333,7 @@ def lgs_match_detail(
     b: HashedTemplate,
     params: LgsParams = LgsParams(),
     allow_cross_key: bool = False,
-) -> tuple[MatchScore, list[tuple[int, int, float]], int]:
+) -> tuple[float, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
     packed = pack_templates((a, b))
     first, second, swapped = _prepare(packed, np.array([0]), np.array([1]), allow_cross_key)
@@ -340,4 +341,4 @@ def lgs_match_detail(
     rows, cols, values, scores = _match_block(packed, first, second, n_p, params.greedy_unique)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
-    return MatchScore(float(scores[0])), selected, n_p
+    return float(scores[0]), selected, n_p

@@ -4,7 +4,9 @@ Each minutia gets a 3-d histogram of its neighborhood, discretized into
 ns x ns spatial cells by nd directional cells and flattened row-major with
 the directional index fastest. Cell values are products of a spatial and a
 wrapped-angular Gaussian kernel summed over neighbors, clamped to [0, 1].
-Only the real-valued cell core is implemented; validity masks, consolidation
+A template's cylinders are one read-only (n, d) float64 row array, which
+evaluation.encode_dataset writes into its dataset-wide row stack. Only the
+real-valued cell core is implemented; validity masks, consolidation
 and bit quantization of the full construction are out of scope.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, Minutia, MinutiaeTemplate, CylinderSet, _integer, _real, save_minutiae
+from .model import TWO_PI, Minutia, MinutiaeTemplate, _integer, _real, file_stem, save_minutiae
 from .randomness import stream
 
 
@@ -74,13 +76,15 @@ def wrapped_angle_distance(a, b) -> np.ndarray:
     return np.minimum(delta, TWO_PI - delta)
 
 
-def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()) -> CylinderSet:
+def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()) -> np.ndarray:
     """One flattened cylinder per minutia, cells indexed (ix, iy, direction).
 
-    Cell centers rotate into the central minutia's frame, so the encoding is
-    invariant to rigid motion of the whole template. Neighbors are the other
-    minutiae within `radius` of the central one; a minutia never contributes
-    to its own cylinder, so an isolated minutia encodes to all zeros.
+    Returns a read-only (n, params.dim) float64 array with every cell in
+    [0, 1], one row per minutia in template order. Cell centers rotate into
+    the central minutia's frame, so the encoding is invariant to rigid motion
+    of the whole template. Neighbors are the other minutiae within `radius`
+    of the central one; a minutia never contributes to its own cylinder, so
+    an isolated minutia encodes to all zeros.
     """
     xy, theta = template.as_arrays()
     n = len(template)
@@ -108,8 +112,10 @@ def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()
 
     values = np.einsum("ksl,hkl->ksh", spatial, directional)  # (n, S, nd)
     values[:, ~in_circle, :] = 0.0
+    # sums of products of exp() terms are never negative, so the cap bounds every cell to [0, 1]
     np.minimum(values, 1.0, out=values)
-    return CylinderSet(values.reshape(n, params.dim))
+    values.flags.writeable = False
+    return values.reshape(n, params.dim)
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def write_dataset(dataset, directory) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for template in dataset:
-        path = directory / f"{template.finger_id}_{template.sample_id:02d}.txt"
+        path = directory / f"{file_stem(template.key)}.txt"
         save_minutiae(template, path)
         paths.append(path)
     return paths

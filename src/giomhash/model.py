@@ -14,7 +14,7 @@ import numbers
 import re
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +90,12 @@ class MinutiaeTemplate:
         return xy, theta
 
 
+def file_stem(key: tuple[str, int]) -> str:
+    """The file-name stem <finger>_<sample, two digits> of a template's files, minutiae and hashed alike."""
+    finger_id, sample_id = key
+    return f"{finger_id}_{sample_id:02d}"
+
+
 def _integer(value, name: str) -> int:
     """value as an int; a bool or a non-integer raises ValueError naming the field.
 
@@ -126,38 +132,6 @@ def _is_frozen(arr: np.ndarray) -> bool:
     return arr is None
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderSet:
-    """Real-valued local descriptors, one row per point, all cells in [0, 1]."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"cylinder array must be 2-d, got shape {v.shape}")
-        if v.shape[0] < 1:
-            raise ValueError("cylinder set must contain >= 1 row")
-        if not np.isfinite(v).all():
-            raise ValueError("cylinder values must be finite")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
-            raise ValueError("cylinder values must lie in [0, 1]")
-        object.__setattr__(self, "vectors", _frozen_array(v, float))
-
-    @property
-    def n_points(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CylinderSet):
-            return NotImplemented
-        return np.array_equal(self.vectors, other.vectors)
-
-
 @dataclass(frozen=True)
 class HashKey:
     """Seed material for one revocable bank of Gaussian projection matrices.
@@ -166,7 +140,8 @@ class HashKey:
     seed revokes the old templates.
     """
 
-    seed: int
+    # the seed is the revocable secret, so repr leaves it out
+    seed: int = field(repr=False)
     m: int
     q: int
     d: int
@@ -202,7 +177,8 @@ class GaussianBank:
     m: int
     d: int
     q: int
-    matrix: Callable[[int], np.ndarray]
+    # a derived bank's matrix is bank_matrix bound to its key, seed included
+    matrix: Callable[[int], np.ndarray] = field(repr=False)
 
     def __post_init__(self) -> None:
         for name in ("m", "d", "q"):
@@ -274,18 +250,6 @@ class HashedTemplate:
             and self.key_fingerprint == other.key_fingerprint
             and np.array_equal(self.codes, other.codes)
         )
-
-
-@dataclass(frozen=True, order=True)
-class MatchScore:
-    """A similarity score in [0, 1]; higher means more similar."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"score must lie in [0, 1], got {self.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ class TestRunEvaluation:
         for template in dataset:
             rows = encoded.rows[encoded.ranges[template.key]]
             assert encoded.ranges[template.key] == slice(lo, lo + len(template))
-            np.testing.assert_array_equal(rows, encode_cylinders(template, mcc).vectors, strict=True)
+            np.testing.assert_array_equal(rows, encode_cylinders(template, mcc), strict=True)
             lo += len(template)
 
     def test_encode_dataset_rejects_duplicate_keys(self, eval_setup):
@@ -231,7 +231,7 @@ class TestRunEvaluation:
         bank = derive_bank(key)
         assert list(batch) == [t.key for t in dataset]
         for template in dataset:
-            want = hash_rows(encode_cylinders(template, mcc).vectors, bank)
+            want = hash_rows(encode_cylinders(template, mcc), bank)
             np.testing.assert_array_equal(batch[template.key].codes, want, strict=True)
             assert batch[template.key].q == key.q
             assert batch[template.key].key_fingerprint == key.fingerprint()

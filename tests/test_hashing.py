@@ -9,7 +9,7 @@ from oracles import oracle_hash
 from giomhash.cases import get_case, square_case_region
 from giomhash.evaluation import EncodedDataset, hash_dataset
 from giomhash.hashing import _ROW_CHUNK, _block_matrices, hash_rows, iom_hash
-from giomhash.model import CylinderSet, GaussianBank, HashKey
+from giomhash.model import GaussianBank, HashKey
 from giomhash.randomness import derive_bank
 
 
@@ -50,8 +50,7 @@ class TestGiomHash:
 
     def test_cylinder_set_entry_point(self):
         key = HashKey(seed=3, m=4, q=5, d=6)
-        cylinders = CylinderSet(np.full((2, 6), 0.5))
-        (hashed,) = hash_dataset(EncodedDataset(cylinders.vectors, {("f0", 1): slice(0, 2)}), key).values()
+        (hashed,) = hash_dataset(EncodedDataset(np.full((2, 6), 0.5), {("f0", 1): slice(0, 2)}), key).values()
         assert hashed.codes.shape == (2, 4)
         assert hashed.q == 5
         assert hashed.key_fingerprint == key.fingerprint()

@@ -171,27 +171,27 @@ class TestPointSimilarity:
 class TestLgsMatch:
     def test_identical_templates_score_one(self):
         t = hashed([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert lgs_match(t, t).value == 1.0
+        assert lgs_match(t, t) == 1.0
 
     def test_single_point_identical_and_opposite(self):
         same = lgs_match(hashed([[2, 2]], q=5), hashed([[2, 2]], q=5))
-        assert same.value == 1.0
+        assert same == 1.0
         far = lgs_match(hashed([[1, 1]], q=5), hashed([[5, 5]], q=5))
-        assert far.value == 0.0
+        assert far == 0.0
 
     def test_score_in_range(self, small_dataset, small_mcc):
         key = HashKey(seed=3, m=16, q=8, d=small_mcc.dim)
         hashed_templates = list(hash_dataset(encode_dataset(small_dataset[:4], small_mcc), key).values())
         for i in range(len(hashed_templates)):
             for j in range(len(hashed_templates)):
-                value = lgs_match(hashed_templates[i], hashed_templates[j]).value
+                value = lgs_match(hashed_templates[i], hashed_templates[j])
                 assert 0.0 <= value <= 1.0
 
     @given(codes_strategy(max_rows=5), codes_strategy(max_rows=5))
     def test_greedy_score_reachable_by_oracle(self, rows_a, rows_b):
         a, b = hashed(rows_a, q=4), hashed(rows_b, q=4)
         params = LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7)
-        score = lgs_match(a, b, params).value
+        score = lgs_match(a, b, params)
         sim = oracle_similarity_matrix(rows_a, rows_b, 4)
         n_p = np_select(len(rows_a), len(rows_b), params)
         achievable = oracle_greedy_score_set(sim, n_p)
@@ -201,13 +201,13 @@ class TestLgsMatch:
     def test_symmetry(self, rows_a, rows_b):
         a, b = hashed(rows_a, q=4), hashed(rows_b, q=4)
         params = LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7)
-        assert lgs_match(a, b, params).value == lgs_match(b, a, params).value
+        assert lgs_match(a, b, params) == lgs_match(b, a, params)
 
     @given(codes_strategy(max_rows=5), codes_strategy(max_rows=5))
     def test_flat_topk_matches_oracle(self, rows_a, rows_b):
         a, b = hashed(rows_a, q=4), hashed(rows_b, q=4)
         params = LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7, greedy_unique=False)
-        score = lgs_match(a, b, params).value
+        score = lgs_match(a, b, params)
         sim = oracle_similarity_matrix(rows_a, rows_b, 4)
         n_p = np_select(len(rows_a), len(rows_b), params)
         assert score == pytest.approx(oracle_flat_topk_score(sim, n_p), abs=1e-12)
@@ -237,7 +237,7 @@ class TestLgsMatch:
         b = hashed([[1, 2]], fp="k1")
         with pytest.raises(ValueError, match="key fingerprint mismatch"):
             lgs_match(a, b)
-        assert lgs_match(a, b, allow_cross_key=True).value == 1.0
+        assert lgs_match(a, b, allow_cross_key=True) == 1.0
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError, match="code length mismatch"):
@@ -250,9 +250,9 @@ class TestLgsMatch:
         bank = derive_bank(HashKey(seed=5, m=12, q=6, d=8))
         rows_a = rng.random((5, 8))
         rows_b = rng.random((4, 8))
-        base = lgs_match(hashed(hash_rows(rows_a, bank), q=6), hashed(hash_rows(rows_b, bank), q=6)).value
+        base = lgs_match(hashed(hash_rows(rows_a, bank), q=6), hashed(hash_rows(rows_b, bank), q=6))
         # positive scaling changes cylinder values but not argmax codes
-        scaled = lgs_match(hashed(hash_rows(rows_a * 0.25, bank), q=6), hashed(hash_rows(rows_b, bank), q=6)).value
+        scaled = lgs_match(hashed(hash_rows(rows_a * 0.25, bank), q=6), hashed(hash_rows(rows_b, bank), q=6))
         assert scaled == base
 
 
@@ -311,7 +311,8 @@ class TestBatchedScorer:
         for a in templates:
             for b in templates:
                 score, selected, n_p = lgs_match_detail(a, b, params)
-                assert (score.value, selected, n_p) == reference_lgs_match_detail(a, b, params)
+                assert type(score) is float and type(lgs_match(a, b, params)) is float
+                assert (score, selected, n_p) == reference_lgs_match_detail(a, b, params)
 
     def test_similarity_matrix_matches_reference(self):
         rng = np.random.default_rng(12)

@@ -14,7 +14,7 @@ from giomhash.mcc import (
     wrapped_angle_distance,
     write_dataset,
 )
-from giomhash.model import Minutia, MinutiaeTemplate, load_minutiae
+from giomhash.model import Minutia, MinutiaeTemplate, _is_frozen, load_minutiae
 
 
 def template_from(tuples, finger="f0", sample=1):
@@ -83,25 +83,25 @@ class TestEncodeCylinders:
     def test_isolated_minutia_all_zero(self, small_mcc):
         t = template_from([(100.0, 100.0, 1.0)])
         c = encode_cylinders(t, small_mcc)
-        assert c.vectors.shape == (1, small_mcc.dim)
-        np.testing.assert_array_equal(c.vectors, 0.0)
+        assert c.shape == (1, small_mcc.dim)
+        np.testing.assert_array_equal(c, 0.0)
 
     def test_far_apart_minutiae_all_zero(self, small_mcc):
         t = template_from([(0.0, 0.0, 1.0), (5000.0, 5000.0, 2.0)])
         c = encode_cylinders(t, small_mcc)
-        np.testing.assert_array_equal(c.vectors, 0.0)
+        np.testing.assert_array_equal(c, 0.0)
 
     def test_deterministic(self, small_mcc, small_dataset):
         a = encode_cylinders(small_dataset[0], small_mcc)
         b = encode_cylinders(small_dataset[0], small_mcc)
-        assert a == b
+        np.testing.assert_array_equal(a, b, strict=True)
 
     def test_matches_loop_oracle(self, small_mcc):
         rng = np.random.default_rng(33)
         pts = [(float(x), float(y), float(t)) for x, y, t in
                zip(rng.uniform(0, 150, 4), rng.uniform(0, 150, 4), rng.uniform(0, 2 * math.pi, 4))]
         t = template_from(pts)
-        got = encode_cylinders(t, small_mcc).vectors
+        got = encode_cylinders(t, small_mcc)
         expected = np.array(oracle_cylinders(t, small_mcc))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -109,7 +109,7 @@ class TestEncodeCylinders:
         rng = np.random.default_rng(71)
         pts = [(float(x), float(y), float(t)) for x, y, t in
                zip(rng.uniform(0, 120, 6), rng.uniform(0, 120, 6), rng.uniform(0, 2 * math.pi, 6))]
-        base = encode_cylinders(template_from(pts), small_mcc).vectors
+        base = encode_cylinders(template_from(pts), small_mcc)
 
         angle = 1.234
         dx, dy = 50.0, -30.0
@@ -118,7 +118,7 @@ class TestEncodeCylinders:
             (cos_a * x - sin_a * y + dx, sin_a * x + cos_a * y + dy, (t + angle) % (2 * math.pi))
             for x, y, t in pts
         ]
-        transformed = encode_cylinders(template_from(moved), small_mcc).vectors
+        transformed = encode_cylinders(template_from(moved), small_mcc)
         np.testing.assert_allclose(transformed, base, atol=1e-9)
 
     def test_values_clamped_to_one(self):
@@ -127,12 +127,12 @@ class TestEncodeCylinders:
         params = MccParams(radius=50.0, ns=4, nd=2, sigma_d=10.0)
         pts = [(10.0, 10.0, 0.0)] + [(22.5, 22.5, 0.0)] * 8
         c = encode_cylinders(template_from(pts), params)
-        assert c.vectors.max() == 1.0
+        assert c.max() == 1.0
 
     def test_out_of_circle_cells_zero(self, small_mcc):
         # corner cells lie outside the inscribed circle for ns >= 2
         t = template_from([(0.0, 0.0, 0.0), (10.0, 0.0, 0.0)])
-        c = encode_cylinders(t, small_mcc).vectors.reshape(
+        c = encode_cylinders(t, small_mcc).reshape(
             2, small_mcc.ns, small_mcc.ns, small_mcc.nd
         )
         corner = math.hypot(
@@ -144,8 +144,13 @@ class TestEncodeCylinders:
 
     def test_range_invariant(self, small_mcc, small_dataset):
         for template in small_dataset[:4]:
-            v = encode_cylinders(template, small_mcc).vectors
+            v = encode_cylinders(template, small_mcc)
+            assert v.dtype == np.float64 and v.shape == (len(template), small_mcc.dim)
+            assert np.isfinite(v).all()
             assert v.min() >= 0.0 and v.max() <= 1.0
+            assert _is_frozen(v)
+            with pytest.raises(ValueError):
+                v[0, 0] = 0.5
 
 
 class TestSynthParams:

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from giomhash.mcc import SynthParams, synth_dataset
+from giomhash.randomness import derive_bank
 from giomhash.model import (
     TWO_PI,
-    CylinderSet,
     GaussianBank,
     HashKey,
     HashedTemplate,
     IntegrityError,
     KeyMismatchWarning,
-    MatchScore,
     Minutia,
     MinutiaeTemplate,
     ParseError,
@@ -100,36 +99,6 @@ class TestMinutiaeTemplate:
         np.testing.assert_array_equal(theta, [0.5, 1.5])
 
 
-class TestCylinderSet:
-    def test_valid(self):
-        c = CylinderSet(np.array([[0.0, 0.5, 1.0]]))
-        assert c.n_points == 1 and c.dim == 3
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            CylinderSet(np.array([[0.0, 1.5]]))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            CylinderSet(np.array([[-0.1, 0.5]]))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            CylinderSet(np.array([[0.1, np.nan]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CylinderSet(np.zeros((0, 4)))
-
-    def test_frozen_array(self):
-        c = CylinderSet(np.array([[0.5]]))
-        with pytest.raises(ValueError):
-            c.vectors[0, 0] = 0.1
-
-    def test_equality_by_value(self):
-        a = CylinderSet(np.array([[0.25, 0.75]]))
-        b = CylinderSet(np.array([[0.25, 0.75]]))
-        assert a == b
-
-
 class TestHashKey:
     def test_degenerate_q_message(self):
         with pytest.raises(ValueError, match="argmax over fewer than two candidates is degenerate"):
@@ -175,6 +144,12 @@ class TestHashKey:
         assert k1.fingerprint() == k2.fingerprint()
         assert k1.fingerprint() != k3.fingerprint()
         assert len(k1.fingerprint()) == 16
+
+    def test_repr_hides_seed(self):
+        # the seed is the revocable secret; a derived bank's matrix function is bound to the key
+        key = HashKey(seed=987654321, m=2, q=3, d=4)
+        assert "987654321" not in repr(key)
+        assert "987654321" not in repr(derive_bank(key))
 
 
 class TestGaussianBank:
@@ -278,18 +253,6 @@ class TestHashedTemplate:
         codes.flags.writeable = False
         t = HashedTemplate(codes, q=3, key_fingerprint="ab")
         assert t.codes.dtype == np.int64 and not np.shares_memory(t.codes, codes)
-
-
-class TestMatchScore:
-    def test_range(self):
-        assert MatchScore(0.5).value == 0.5
-        with pytest.raises(ValueError):
-            MatchScore(1.5)
-        with pytest.raises(ValueError):
-            MatchScore(-0.1)
-
-    def test_ordering(self):
-        assert MatchScore(0.2) < MatchScore(0.8)
 
 
 class TestMinutiaeIO:
