@@ -16,7 +16,6 @@ from .model import (
     HashedTemplate,
     ParseError,
     IntegrityError,
-    KeyMismatchWarning,
     load_minutiae,
     save_minutiae,
     load_key,

@@ -9,9 +9,7 @@ identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -19,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cases, security
-from .evaluation import encode_dataset, evaluation_config, hash_dataset, run_evaluation, sweep, write_sweep_csv
+from .evaluation import encode_dataset, evaluation_config, hash_dataset, json_text, run_evaluation, sweep, write_csv, write_sweep_csv
 from .hashing import hash_rows
 from .matching import LgsParams, lgs_match_detail
 from .mcc import MccParams, SynthParams, synth_dataset, write_dataset
@@ -211,19 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json_text(payload))
 
 
 def _write_hist_csv(path: Path, columns: dict[str, list[float]]) -> None:
-    edges = security.HIST_EDGES
-    fractions = {name: security.score_fractions(scores) for name, scores in columns.items()}
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_left", "bin_right"] + [f"{name}_fraction" for name in columns])
-        for i in range(len(edges) - 1):
-            row = [repr(float(edges[i])), repr(float(edges[i + 1]))]
-            row += [repr(float(fractions[name][i])) for name in columns]
-            writer.writerow(row)
+    edges = security.HIST_EDGES.tolist()
+    fractions = [security.score_fractions(scores).tolist() for scores in columns.values()]
+    header = ["bin_left", "bin_right"] + [f"{name}_fraction" for name in columns]
+    write_csv(path, header, zip(edges[:-1], edges[1:], *fractions))
 
 
 def _cmd_gen_data(args) -> int:
@@ -245,7 +238,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_hash(args, parser: argparse.ArgumentParser) -> int:
     if args.case is not None:
         case = cases.get_case(args.case)
-        print(" ".join(str(int(i)) for i in case.expected_code))
+        print(" ".join(str(int(i)) for i in hash_rows(case.vector[None, :], case.bank)[0]))
         return EXIT_OK
     if not args.data or args.seed is None or not args.out:
         parser.error("hash requires --data, --seed and --out (or --case)")
@@ -346,11 +339,7 @@ def _analyze_invert(args, out: Path) -> None:
         "decimal_digits": places * dim + 1,
     }
     _write_json(out / "invert.json", report)
-    with open(out / "invert_volume.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["case", "constraints", "volume_estimate"])
-        for name, prefix, vol in volume_rows:
-            writer.writerow([name, prefix, repr(vol)])
+    write_csv(out / "invert_volume.csv", ["case", "constraints", "volume_estimate"], volume_rows)
 
 
 def _analyze_unlink(args, out: Path, parser: argparse.ArgumentParser) -> None:

@@ -67,6 +67,22 @@ def impostor_pairs(dataset) -> list[Pair]:
     ]
 
 
+def json_text(payload) -> str:
+    """The JSON text of every report file: indent 2, sorted keys, trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows with csv's default dialect (\\r\\n line ends).
+
+    csv spells a float with str(), which for a Python float is its repr.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def compute_eer(genuine, impostor) -> tuple[float, list[tuple[float, float, float]]]:
     """EER and the (threshold, fmr, fnmr) table over all observed score values.
 
@@ -115,17 +131,13 @@ class EvalReport:
             "impostor_scores": list(self.impostor_scores),
             "roc": [list(row) for row in self.roc],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text(payload)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
 
     def write_roc_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["threshold", "fmr", "fnmr"])
-            for threshold, fmr, fnmr in self.roc:
-                writer.writerow([repr(threshold), repr(fmr), repr(fnmr)])
+        write_csv(path, ["threshold", "fmr", "fnmr"], self.roc)
 
 
 def load_report(path) -> EvalReport:
@@ -177,7 +189,10 @@ def hash_dataset(encoded: EncodedDataset, key: HashKey) -> dict[TemplateKey, Has
     """Hash every template under one key in one hash_rows call over all rows.
 
     Each template's codes are a read-only view, with its rows' range, of one frozen (N, m) array.
+    Raises ValueError unless key.d is the rows' dimension.
     """
+    if key.d != encoded.rows.shape[1]:
+        raise ValueError(f"key d={key.d} does not match cylinder dimension {encoded.rows.shape[1]}")
     codes = hash_rows(encoded.rows, derive_bank(key))
     codes.flags.writeable = False
     fingerprint = key.fingerprint()
@@ -208,6 +223,25 @@ def score_pairs(
     return packed_scores(pack_templates(templates), ((first[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
 
 
+def protocol_scores(dataset, hashed, lgs: LgsParams, hashed_b=None) -> tuple[list[float], list[float]]:
+    """(genuine, impostor) scores of the dataset's protocol pairs, scored in one score_pairs call.
+
+    With hashed_b each pair's second template comes from it, so pairs cross
+    keys (the unlinkability experiment); otherwise both come from `hashed`.
+    """
+    genuine = genuine_pairs(dataset)
+    pairs = genuine + impostor_pairs(dataset)
+    scores = score_pairs(pairs, hashed, lgs, allow_cross_key=hashed_b is not None, hashed_b=hashed_b)
+    return scores[: len(genuine)], scores[len(genuine) :]
+
+
+def _check_protocol(dataset) -> None:
+    """Raise the protocol's errors without encoding: a finger below two samples, then fewer than two fingers."""
+    genuine_pairs(dataset)
+    if len(first_samples(dataset)) < 2:
+        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
+
+
 def evaluation_config(key: HashKey, mcc: MccParams, lgs: LgsParams) -> dict:
     return {
         "seed": key.seed,
@@ -224,22 +258,14 @@ def run_evaluation(
     key: HashKey,
     mcc: MccParams = MccParams(),
     lgs: LgsParams = LgsParams(),
-    encoded: EncodedDataset | None = None,
 ) -> EvalReport:
     """Full protocol run: encode, hash under key, score all pairs, table the ROC.
 
-    Rows from encode_dataset may be passed to skip re-encoding across runs on
-    one dataset (the sweep does); rows encoded here are freed before scoring.
+    The rows are freed before scoring.
     """
-    if key.d != mcc.dim:
-        raise ValueError(f"key d={key.d} does not match cylinder dimension {mcc.dim}")
-    gen = genuine_pairs(dataset)
-    imp = impostor_pairs(dataset)
-    if not imp:
-        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
-    hashed = hash_dataset(encode_dataset(dataset, mcc) if encoded is None else encoded, key)
-    scores = score_pairs(gen + imp, hashed, lgs)
-    genuine_scores, impostor_scores = scores[: len(gen)], scores[len(gen) :]
+    _check_protocol(dataset)
+    hashed = hash_dataset(encode_dataset(dataset, mcc), key)
+    genuine_scores, impostor_scores = protocol_scores(dataset, hashed, lgs)
     eer, roc = compute_eer(genuine_scores, impostor_scores)
     return EvalReport(
         genuine_scores=tuple(genuine_scores),
@@ -270,7 +296,8 @@ def sweep(
     """Mean EER per (m, q) over `trials` evaluations with fresh derived seeds.
 
     Trial seeds derive from (base_seed, m, q, trial), so every grid cell is
-    reproducible in isolation.
+    reproducible in isolation. Every cell's key and the protocol are checked
+    before the dataset is encoded once for the whole grid.
     """
     # checked before child_seed sees them, so the error names the grid field
     m_list = [_integer(m, "m") for m in m_list]
@@ -279,30 +306,25 @@ def sweep(
         raise ValueError("m_list and q_list must be non-empty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cells = [
+        (m, q, [HashKey(seed=child_seed(base_seed, m, q, trial), m=m, q=q, d=mcc.dim) for trial in range(trials)])
+        for m in m_list
+        for q in q_list
+    ]
+    _check_protocol(dataset)
     encoded = encode_dataset(dataset, mcc)
     records = []
     means = []
-    for m in m_list:
-        for q in q_list:
-            eers = []
-            for trial in range(trials):
-                seed = child_seed(base_seed, m, q, trial)
-                key = HashKey(seed=seed, m=m, q=q, d=mcc.dim)
-                report = run_evaluation(dataset, key, mcc, lgs, encoded=encoded)
-                records.append((m, q, trial, seed, report.eer))
-                eers.append(report.eer)
-            means.append((m, q, float(np.mean(eers))))
+    for m, q, keys in cells:
+        eers = []
+        for trial, key in enumerate(keys):
+            eer = compute_eer(*protocol_scores(dataset, hash_dataset(encoded, key), lgs))[0]
+            records.append((m, q, trial, key.seed, eer))
+            eers.append(eer)
+        means.append((m, q, float(np.mean(eers))))
     return SweepResult(records=tuple(records), means=tuple(means))
 
 
 def write_sweep_csv(result: SweepResult, trials_path, means_path) -> None:
-    with open(trials_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["m", "q", "trial", "seed", "eer"])
-        for m, q, trial, seed, eer in result.records:
-            writer.writerow([m, q, trial, seed, repr(eer)])
-    with open(means_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["m", "q", "mean_eer"])
-        for m, q, mean_eer in result.means:
-            writer.writerow([m, q, repr(mean_eer)])
+    write_csv(trials_path, ["m", "q", "trial", "seed", "eer"], result.records)
+    write_csv(means_path, ["m", "q", "mean_eer"], result.means)

@@ -30,10 +30,6 @@ class IntegrityError(ValueError):
     """A persisted artifact fails validation on load."""
 
 
-class KeyMismatchWarning(UserWarning):
-    """A loaded hashed template was produced under a different key."""
-
-
 def _wrap_angle(theta: float) -> float:
     wrapped = float(theta) % TWO_PI
     # float modulo can round up to exactly 2*pi for tiny negative inputs
@@ -362,12 +358,10 @@ def save_hashed(template: HashedTemplate, path) -> None:
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
-def load_hashed(path, expected_key: HashKey | None = None) -> HashedTemplate:
+def load_hashed(path) -> HashedTemplate:
     """Load a hashed template, validating types, index ranges and row lengths.
 
     q, m and every code must be JSON integers (true and false are not).
-    Passing expected_key warns (KeyMismatchWarning) if the stored fingerprint
-    does not match; comparing templates across keys is meaningless.
     """
     path = Path(path)
     try:
@@ -391,11 +385,4 @@ def load_hashed(path, expected_key: HashKey | None = None) -> HashedTemplate:
         raise IntegrityError(f"{path.name}: {exc}") from None
     if "m" in payload and payload["m"] != template.m:
         raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
-    if expected_key is not None and template.key_fingerprint != expected_key.fingerprint():
-        warnings.warn(
-            f"{path.name}: stored under key {template.key_fingerprint}, "
-            f"expected {expected_key.fingerprint()}",
-            KeyMismatchWarning,
-            stacklevel=2,
-        )
     return template

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import EncodedDataset, encode_dataset, first_samples, genuine_pairs, hash_dataset, impostor_pairs, score_pairs
+from .evaluation import EncodedDataset, encode_dataset, first_samples, hash_dataset, protocol_scores, score_pairs
 from .matching import LgsParams
 from .mcc import MccParams
 from .model import GaussianBank, HashKey, _frozen_array, _integer
@@ -154,17 +154,12 @@ def unlinkability_experiment(
         raise ValueError("keys must have different seeds; identical keys make the experiment meaningless")
     if (key_a.m, key_a.q, key_a.d) != (key_b.m, key_b.q, key_b.d):
         raise ValueError("keys must share (m, q, d) so scores are comparable")
-    if key_a.d != mcc.dim:
-        raise ValueError(f"key d={key_a.d} does not match cylinder dimension {mcc.dim}")
     encoded = encode_dataset(dataset, mcc)
-    under_a = hash_dataset(encoded, key_a)
-    under_b = hash_dataset(encoded, key_b)
-    mated_pairs = genuine_pairs(dataset)
-    non_mated_pairs = impostor_pairs(dataset)
-    if not non_mated_pairs:
+    under_a, under_b = hash_dataset(encoded, key_a), hash_dataset(encoded, key_b)
+    mated, non_mated = protocol_scores(dataset, under_a, lgs, hashed_b=under_b)
+    if not non_mated:
         warnings.warn("single-finger dataset: non-mated score set is empty", stacklevel=2)
-    scores = score_pairs(mated_pairs + non_mated_pairs, under_a, lgs, allow_cross_key=True, hashed_b=under_b)
-    return scores[: len(mated_pairs)], scores[len(mated_pairs) :]
+    return mated, non_mated
 
 
 def revocability_experiment(
@@ -185,8 +180,6 @@ def revocability_experiment(
     """
     if n_keys < 1:
         raise ValueError("n_keys must be >= 1")
-    if base_key.d != mcc.dim:
-        raise ValueError(f"key d={base_key.d} does not match cylinder dimension {mcc.dim}")
     encoded = encode_dataset(dataset, mcc)
     under_base = hash_dataset(encoded, base_key)
     mated: list[float] = []
@@ -200,6 +193,4 @@ def revocability_experiment(
         base = {template_key: under_base[template_key]}
         pairs = [(template_key, key_index) for key_index in renewed]
         mated += score_pairs(pairs, base, lgs, allow_cross_key=True, hashed_b=renewed)
-    genuine, impostor = genuine_pairs(dataset), impostor_pairs(dataset)
-    scores = score_pairs(genuine + impostor, under_base, lgs)
-    return mated, scores[: len(genuine)], scores[len(genuine) :]
+    return mated, *protocol_scores(dataset, under_base, lgs)

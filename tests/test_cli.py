@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -5,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import giomhash
+from giomhash import cases
 from giomhash.cli import main
 from giomhash.evaluation import encode_dataset, hash_dataset
 from giomhash.mcc import MccParams
@@ -116,6 +119,12 @@ class TestHash:
     def test_unknown_case_is_usage_error(self):
         assert main(["hash", "--case", "9"]) == 1
 
+    def test_case_code_is_hashed_not_read(self, capsys, monkeypatch):
+        wrong = dataclasses.replace(cases.get_case(1), expected_code=np.array([2, 1, 2]))
+        monkeypatch.setitem(cases.CASES, 1, wrong)
+        assert main(["hash", "--case", "1"]) == 0
+        assert capsys.readouterr().out == "1 2 1\n"
+
     def test_writes_key_and_templates(self, hashed_dir):
         names = sorted(p.name for p in hashed_dir.iterdir())
         assert "key.json" in names
@@ -133,7 +142,7 @@ class TestHash:
         written = sorted(p.name for p in hashed_dir.iterdir() if p.name != "key.json")
         assert written == sorted(f"{f}_{s:02d}.json" for f, s in want)
         for (finger_id, sample_id), template in want.items():
-            assert load_hashed(hashed_dir / f"{finger_id}_{sample_id:02d}.json", expected_key=key) == template
+            assert load_hashed(hashed_dir / f"{finger_id}_{sample_id:02d}.json") == template
 
     def test_duplicate_template_header_is_runtime_error(self, data_dir, tmp_path, capsys):
         data = tmp_path / "data"

@@ -201,12 +201,6 @@ class TestRunEvaluation:
         with pytest.raises(ValueError, match="does not match cylinder dimension"):
             run_evaluation(dataset, bad_key, mcc)
 
-    def test_precomputed_cylinders_equivalent(self, eval_setup):
-        dataset, key, mcc = eval_setup
-        direct = run_evaluation(dataset, key, mcc)
-        cached = run_evaluation(dataset, key, mcc, encoded=encode_dataset(dataset, mcc))
-        assert direct == cached
-
     def test_encode_dataset_rows_in_dataset_order(self, eval_setup):
         dataset, _, mcc = eval_setup
         encoded = encode_dataset(dataset, mcc)
@@ -498,6 +492,22 @@ class TestSweep:
             sweep(dataset, [5.9], [5], trials=1, base_seed=0, mcc=mcc)
         with pytest.raises(ValueError, match="q must be an integer, got 4.5"):
             sweep(dataset, [6], [4.5], trials=1, base_seed=0, mcc=mcc)
+
+    def test_bad_grid_or_protocol_fails_before_encoding(self, eval_setup, monkeypatch):
+        dataset, _, mcc = eval_setup
+        one_finger = [t for t in dataset if t.finger_id == dataset[0].finger_id]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep with a bad cell or protocol reached encoding or hashing")
+
+        monkeypatch.setattr(evaluation, "encode_dataset", unreachable)
+        monkeypatch.setattr(evaluation, "hash_dataset", unreachable)
+        with pytest.raises(ValueError, match="q must be >= 2"):
+            sweep(dataset, [5], [100, 1], trials=1, base_seed=0, mcc=mcc)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            sweep(dataset, [0], [10], trials=1, base_seed=0, mcc=mcc)
+        with pytest.raises(ValueError, match="protocol needs >= 2 fingers for impostor comparisons"):
+            sweep(one_finger, [5], [10], trials=1, base_seed=0, mcc=mcc)
 
     def test_csv_round_trip(self, eval_setup, tmp_path):
         dataset, _, mcc = eval_setup

@@ -1,0 +1,101 @@
+"""Byte-for-byte pins of the report files: JSON text, CSV line ends and float spelling.
+
+Every input is built from literals (or, for invert_volume.csv, is a fraction
+of a handful of samples), so no BLAS rounding enters the expected text.
+"""
+
+import hashlib
+
+from giomhash import cli
+from giomhash.evaluation import EvalReport, SweepResult, write_sweep_csv
+
+
+def hand_report():
+    return EvalReport(
+        genuine_scores=(0.75, 0.5),
+        impostor_scores=(0.25, 0.5),
+        roc=((0.25, 1.0, 0.0), (0.5, 0.5, 0.0), (0.75, 0.0, 0.5)),
+        eer=0.25,
+        config={"seed": 3, "m": 2, "lgs": {"mu_p": 20.0, "greedy_unique": True}, "data": "x"},
+    )
+
+
+def test_report_json_text():
+    assert hand_report().to_json() == (
+        "{\n"
+        '  "config": {\n'
+        '    "data": "x",\n'
+        '    "lgs": {\n'
+        '      "greedy_unique": true,\n'
+        '      "mu_p": 20.0\n'
+        "    },\n"
+        '    "m": 2,\n'
+        '    "seed": 3\n'
+        "  },\n"
+        '  "eer": 0.25,\n'
+        '  "genuine_scores": [\n'
+        "    0.75,\n"
+        "    0.5\n"
+        "  ],\n"
+        '  "impostor_scores": [\n'
+        "    0.25,\n"
+        "    0.5\n"
+        "  ],\n"
+        '  "roc": [\n'
+        "    [\n      0.25,\n      1.0,\n      0.0\n    ],\n"
+        "    [\n      0.5,\n      0.5,\n      0.0\n    ],\n"
+        "    [\n      0.75,\n      0.0,\n      0.5\n    ]\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+def test_report_save_writes_json_text(tmp_path):
+    hand_report().save(tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == hand_report().to_json().encode()
+
+
+def test_roc_csv_bytes(tmp_path):
+    hand_report().write_roc_csv(tmp_path / "roc.csv")
+    assert (tmp_path / "roc.csv").read_bytes() == (
+        b"threshold,fmr,fnmr\r\n0.25,1.0,0.0\r\n0.5,0.5,0.0\r\n0.75,0.0,0.5\r\n"
+    )
+
+
+def test_sweep_csv_bytes(tmp_path):
+    result = SweepResult(
+        records=((5, 10, 0, 123, 0.1), (5, 10, 1, 456, 0.30000000000000004)),
+        means=((5, 10, 0.2),),
+    )
+    write_sweep_csv(result, tmp_path / "trials.csv", tmp_path / "means.csv")
+    assert (tmp_path / "trials.csv").read_bytes() == (
+        b"m,q,trial,seed,eer\r\n5,10,0,123,0.1\r\n5,10,1,456,0.30000000000000004\r\n"
+    )
+    assert (tmp_path / "means.csv").read_bytes() == b"m,q,mean_eer\r\n5,10,0.2\r\n"
+
+
+def test_hist_csv_bytes(tmp_path):
+    cli._write_hist_csv(tmp_path / "h_hist.csv", {"a": [0.005, 0.5, 0.5, 1.0], "b": [0.1]})
+    text = (tmp_path / "h_hist.csv").read_bytes()
+    lines = text.split(b"\r\n")
+    assert len(lines) == 1 + 100 + 1 and lines[-1] == b""
+    assert b"\n" not in text.replace(b"\r\n", b"")
+    assert lines[0] == b"bin_left,bin_right,a_fraction,b_fraction"
+    assert lines[1] == b"0.0,0.01,0.25,0.0"
+    assert lines[11] == b"0.1,0.11,0.0,1.0"
+    assert lines[51] == b"0.5,0.51,0.5,0.0"
+    assert lines[100] == b"0.99,1.0,0.25,0.0"
+    # the whole file, every bin edge spelled as repr spells it
+    assert hashlib.sha256(text).hexdigest() == "a3b9693eb751174385c3c3255d6d57c1696e0cc492e4d65eb5abc22f5a2167a4"
+
+
+def test_invert_volume_csv_bytes(tmp_path):
+    out = tmp_path / "invert"
+    argv = ["analyze", "--mode", "invert", "--seed", "0", "--attempts", "50", "--volume-samples", "8"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    # eight samples per estimate, so every estimate is an exact multiple of 1/8
+    assert (out / "invert_volume.csv").read_bytes() == (
+        b"case,constraints,volume_estimate\r\n"
+        b"square,0,1.0\r\nsquare,1,0.375\r\nsquare,2,0.25\r\nsquare,3,0.25\r\n"
+        b"underdetermined,0,1.0\r\nunderdetermined,1,0.625\r\nunderdetermined,2,0.5\r\n"
+    )

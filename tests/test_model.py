@@ -13,7 +13,6 @@ from giomhash.model import (
     HashKey,
     HashedTemplate,
     IntegrityError,
-    KeyMismatchWarning,
     Minutia,
     MinutiaeTemplate,
     ParseError,
@@ -452,18 +451,3 @@ class TestHashedIO:
         (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"q": 5}')
         with pytest.raises(IntegrityError, match=r"^bad\.json: invalid hashed-template file"):
             load_hashed(tmp_path / "bad.json")
-
-    def test_key_mismatch_warns(self, tmp_path):
-        key = HashKey(seed=1, m=2, q=3, d=4)
-        other = HashKey(seed=2, m=2, q=3, d=4)
-        t = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint=key.fingerprint())
-        save_hashed(t, tmp_path / "h.json")
-        with pytest.warns(KeyMismatchWarning):
-            load_hashed(tmp_path / "h.json", expected_key=other)
-
-    def test_matching_key_silent(self, tmp_path, recwarn):
-        key = HashKey(seed=1, m=2, q=3, d=4)
-        t = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint=key.fingerprint())
-        save_hashed(t, tmp_path / "h.json")
-        load_hashed(tmp_path / "h.json", expected_key=key)
-        assert not recwarn.list
