@@ -351,7 +351,6 @@ def _analyze_unlink(args, out: Path, parser: argparse.ArgumentParser) -> None:
     key_b = HashKey(seed=args.seed_b, m=args.m, q=args.q, d=mcc.dim)
     dataset = load_minutiae(args.data)
     mated, non_mated = security.unlinkability_experiment(dataset, key_a, key_b, mcc, lgs)
-    overlap = security.histogram_intersection(mated, non_mated) if non_mated else None
     _write_json(
         out / "unlink.json",
         {
@@ -359,9 +358,9 @@ def _analyze_unlink(args, out: Path, parser: argparse.ArgumentParser) -> None:
             "config": evaluation_config(key_a, mcc, lgs) | {"seed_b": key_b.seed, "data": args.data},
             "mated_genuine": mated,
             "non_mated_impostor": non_mated,
-            "histogram_intersection": overlap,
+            "histogram_intersection": security.histogram_intersection(mated, non_mated),
             "mated_mean": float(np.mean(mated)),
-            "non_mated_mean": float(np.mean(non_mated)) if non_mated else None,
+            "non_mated_mean": float(np.mean(non_mated)),
         },
     )
     _write_hist_csv(out / "unlink_hist.csv", {"mated_genuine": mated, "non_mated_impostor": non_mated})

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hashing import hash_rows
-from .matching import LgsParams, pack_templates, packed_scores
+from .matching import LgsParams, check_one_key, pack_templates, packed_scores
 from .mcc import MccParams, encode_cylinders
 from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer
 from .randomness import child_seed, derive_bank
@@ -65,6 +65,19 @@ def impostor_pairs(dataset) -> list[Pair]:
         for i in range(len(firsts))
         for j in range(i + 1, len(firsts))
     ]
+
+
+def protocol_pairs(dataset) -> tuple[list[Pair], list[Pair]]:
+    """The protocol's (genuine, impostor) pairs; every experiment builds them before it encodes.
+
+    Raises ValueError for a finger below two samples, then for fewer than
+    two fingers, so a dataset the protocol cannot score fails at once.
+    """
+    genuine = genuine_pairs(dataset)
+    impostor = impostor_pairs(dataset)
+    if not impostor:
+        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
+    return genuine, impostor
 
 
 def json_text(payload) -> str:
@@ -203,43 +216,37 @@ def score_pairs(
     pairs,
     hashed: dict[TemplateKey, HashedTemplate],
     lgs: LgsParams,
-    allow_cross_key: bool = False,
     hashed_b: dict[TemplateKey, HashedTemplate] | None = None,
 ) -> list[float]:
     """Match scores in pair order, each equal to lgs_match(...).
 
-    hashed_b, when given, supplies the second template of each pair (used by
-    the cross-key experiments); otherwise both come from `hashed`. All the
-    templates must share one m and q, or pack_templates raises. They are
-    packed once, so a template in many pairs is converted and copied once,
-    and the pairs are read once and scored by index into the pack.
+    Without hashed_b both templates of a pair come from `hashed`, which must
+    hold one key; with hashed_b each pair crosses from `hashed` to hashed_b
+    and keys are not compared. All templates must share one m and q. A set
+    that breaks a rule raises lgs_match's error when packed, even if no pair
+    uses the offending template. Templates are packed once, pairs read once.
     """
     first = {k: i for i, k in enumerate(hashed)}
-    second = first
     templates = list(hashed.values())
-    if hashed_b is not None and hashed_b is not hashed:
+    if hashed_b is None:
+        packed = pack_templates(templates)
+        check_one_key(templates)
+        second = first
+    else:
         second = {k: i + len(templates) for i, k in enumerate(hashed_b)}
-        templates += hashed_b.values()
-    return packed_scores(pack_templates(templates), ((first[a], second[b]) for a, b in pairs), lgs, allow_cross_key)
+        packed = pack_templates(templates + list(hashed_b.values()))
+    return packed_scores(packed, ((first[a], second[b]) for a, b in pairs), lgs)
 
 
-def protocol_scores(dataset, hashed, lgs: LgsParams, hashed_b=None) -> tuple[list[float], list[float]]:
-    """(genuine, impostor) scores of the dataset's protocol pairs, scored in one score_pairs call.
+def protocol_scores(protocol, hashed, lgs: LgsParams, hashed_b=None) -> tuple[list[float], list[float]]:
+    """(genuine, impostor) scores of protocol_pairs' pairs, scored in one score_pairs call.
 
     With hashed_b each pair's second template comes from it, so pairs cross
     keys (the unlinkability experiment); otherwise both come from `hashed`.
     """
-    genuine = genuine_pairs(dataset)
-    pairs = genuine + impostor_pairs(dataset)
-    scores = score_pairs(pairs, hashed, lgs, allow_cross_key=hashed_b is not None, hashed_b=hashed_b)
+    genuine, impostor = protocol
+    scores = score_pairs(genuine + impostor, hashed, lgs, hashed_b)
     return scores[: len(genuine)], scores[len(genuine) :]
-
-
-def _check_protocol(dataset) -> None:
-    """Raise the protocol's errors without encoding: a finger below two samples, then fewer than two fingers."""
-    genuine_pairs(dataset)
-    if len(first_samples(dataset)) < 2:
-        raise ValueError("protocol needs >= 2 fingers for impostor comparisons")
 
 
 def evaluation_config(key: HashKey, mcc: MccParams, lgs: LgsParams) -> dict:
@@ -263,9 +270,9 @@ def run_evaluation(
 
     The rows are freed before scoring.
     """
-    _check_protocol(dataset)
+    protocol = protocol_pairs(dataset)
     hashed = hash_dataset(encode_dataset(dataset, mcc), key)
-    genuine_scores, impostor_scores = protocol_scores(dataset, hashed, lgs)
+    genuine_scores, impostor_scores = protocol_scores(protocol, hashed, lgs)
     eer, roc = compute_eer(genuine_scores, impostor_scores)
     return EvalReport(
         genuine_scores=tuple(genuine_scores),
@@ -304,6 +311,7 @@ def sweep(
     q_list = [_integer(q, "q") for q in q_list]
     if not m_list or not q_list:
         raise ValueError("m_list and q_list must be non-empty")
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cells = [
@@ -311,14 +319,14 @@ def sweep(
         for m in m_list
         for q in q_list
     ]
-    _check_protocol(dataset)
+    protocol = protocol_pairs(dataset)
     encoded = encode_dataset(dataset, mcc)
     records = []
     means = []
     for m, q, keys in cells:
         eers = []
         for trial, key in enumerate(keys):
-            eer = compute_eer(*protocol_scores(dataset, hash_dataset(encoded, key), lgs))[0]
+            eer = compute_eer(*protocol_scores(protocol, hash_dataset(encoded, key), lgs))[0]
             records.append((m, q, trial, key.seed, eer))
             eers.append(eer)
         means.append((m, q, float(np.mean(eers))))

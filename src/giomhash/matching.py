@@ -167,17 +167,23 @@ def _flat_picks(sim: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(order, b)
 
 
-def _check_pair(a: HashedTemplate, b: HashedTemplate, allow_cross_key: bool) -> None:
-    """Raise lgs_match's ValueError if a and b are not comparable."""
+def _check_pair(a: HashedTemplate, b: HashedTemplate) -> None:
+    """Raise lgs_match's ValueError if a and b differ in code length m or index range q."""
     if a.m != b.m:
         raise ValueError(f"code length mismatch: m={a.m} vs m={b.m}")
     if a.q != b.q:
         raise ValueError(f"index range mismatch: q={a.q} vs q={b.q}")
-    if not allow_cross_key and a.key_fingerprint != b.key_fingerprint:
-        raise ValueError(
-            f"key fingerprint mismatch ({a.key_fingerprint} vs {b.key_fingerprint}); "
-            "templates hashed under different keys are not comparable"
-        )
+
+
+def check_one_key(templates) -> None:
+    """Raise lgs_match's ValueError for the first template hashed under another key than the first one."""
+    templates = tuple(templates)
+    for template in templates[1:]:
+        if template.key_fingerprint != templates[0].key_fingerprint:
+            raise ValueError(
+                f"key fingerprint mismatch ({templates[0].key_fingerprint} vs {template.key_fingerprint}); "
+                "templates hashed under different keys are not comparable"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +192,17 @@ class PackedTemplates:
 
     `codes` (rows, m) holds every template's rows back to back, `norms`
     their squared norms and `q` the shared index range. Per template:
-    `offsets` and `sizes` locate its rows, `fingerprints` numbers its key
-    fingerprint, and `ranks` is its place in the canonical
-    (n_points, code bytes) order, equal keys sharing a rank.
+    `offsets` and `sizes` locate its rows, and `ranks` is its place in the
+    canonical (n_points, code bytes) order, equal ones sharing a rank. A
+    pack holds no key fingerprints; its callers decide whether keys must
+    agree (check_one_key).
     """
 
-    templates: tuple[HashedTemplate, ...]
     codes: np.ndarray
     norms: np.ndarray
     q: int
     offsets: np.ndarray
     sizes: np.ndarray
-    fingerprints: np.ndarray
     ranks: np.ndarray
 
 
@@ -226,7 +231,7 @@ def pack_templates(templates) -> PackedTemplates:
     """
     templates = tuple(templates)
     for template in templates[1:]:
-        _check_pair(templates[0], template, allow_cross_key=True)
+        _check_pair(templates[0], template)
     width, q = (templates[0].m, templates[0].q) if templates else (1, 2)
     sizes = np.array([t.n_points for t in templates], dtype=np.intp)
     codes = np.zeros((int(sizes.sum()), width))
@@ -234,34 +239,21 @@ def pack_templates(templates) -> PackedTemplates:
     np.cumsum(sizes[:-1], out=offsets[1:])
     for template, offset in zip(templates, offsets.tolist()):
         codes[offset : offset + template.n_points] = template.codes
-    _, fingerprints = np.unique([t.key_fingerprint for t in templates], return_inverse=True)
     return PackedTemplates(
-        templates=templates,
         codes=codes,
         norms=np.einsum("rm,rm->r", codes, codes),
         q=q,
         offsets=offsets,
         sizes=sizes,
-        fingerprints=fingerprints,
         ranks=_canonical_ranks(templates, sizes),
     )
 
 
-def _prepare(
-    packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray, allow_cross_key: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check index pairs and put each in canonical order: (first, second, swapped) arrays.
+def _prepare(packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Put each index pair in canonical order: (first, second, swapped) arrays.
 
-    The pack shares one m and q, so only key fingerprints are checked: without
-    allow_cross_key the first pair whose fingerprints differ raises
-    _check_pair's error. Canonical orientation makes greedy tie-breaking
-    symmetric in (a, b).
+    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
     """
-    if not allow_cross_key:
-        bad = packed.fingerprints[ia] != packed.fingerprints[ib]
-        if bad.any():
-            i = int(bad.argmax())
-            _check_pair(packed.templates[ia[i]], packed.templates[ib[i]], allow_cross_key)
     swapped = packed.ranks[ib] < packed.ranks[ia]
     return np.where(swapped, ib, ia), np.where(swapped, ia, ib), swapped
 
@@ -286,10 +278,8 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
     return rows, cols, values, values.mean(axis=1)
 
 
-def packed_scores(
-    packed: PackedTemplates, pairs, params: LgsParams = LgsParams(), allow_cross_key: bool = False
-) -> list[float]:
-    """lgs_match(packed.templates[i], packed.templates[j], ...) for every (i, j) in `pairs`, in order.
+def packed_scores(packed: PackedTemplates, pairs, params: LgsParams = LgsParams()) -> list[float]:
+    """lgs_match of the packed templates i and j, for every (i, j) in `pairs`, in order.
 
     `pairs` may be any iterable of index pairs. It is read once into index
     arrays, a few dozen bytes per pair. Pairs are then grouped by shape, the
@@ -297,7 +287,7 @@ def packed_scores(
     scored with its one n_p in blocks whose stacks stay within _BLOCK_FLOATS.
     """
     flat = np.fromiter((i for pair in pairs for i in pair), dtype=np.intp)
-    first, second, _ = _prepare(packed, flat[0::2], flat[1::2], allow_cross_key)
+    first, second, _ = _prepare(packed, flat[0::2], flat[1::2])
     sizes_a, sizes_b = packed.sizes[first], packed.sizes[second]
     shapes = sizes_a * (int(packed.sizes.max(initial=0)) + 1) + sizes_b
     order = np.argsort(shapes, kind="stable")
@@ -312,31 +302,24 @@ def packed_scores(
     return scores.tolist()
 
 
-def lgs_match(
-    a: HashedTemplate,
-    b: HashedTemplate,
-    params: LgsParams = LgsParams(),
-    allow_cross_key: bool = False,
-) -> float:
+def lgs_match(a: HashedTemplate, b: HashedTemplate, params: LgsParams = LgsParams()) -> float:
     """Mean similarity of the selected n_p point pairs, a float in [0, 1].
 
-    Templates hashed under different keys are not comparable; such calls
-    raise unless allow_cross_key is set (the security experiments construct
-    cross-key comparisons deliberately).
+    Templates hashed under different keys are not comparable and raise;
+    the security experiments score cross-key pairs through
+    evaluation.score_pairs(..., hashed_b=).
     """
-    score, _, _ = lgs_match_detail(a, b, params, allow_cross_key)
+    score, _, _ = lgs_match_detail(a, b, params)
     return score
 
 
 def lgs_match_detail(
-    a: HashedTemplate,
-    b: HashedTemplate,
-    params: LgsParams = LgsParams(),
-    allow_cross_key: bool = False,
+    a: HashedTemplate, b: HashedTemplate, params: LgsParams = LgsParams()
 ) -> tuple[float, list[tuple[int, int, float]], int]:
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
     packed = pack_templates((a, b))
-    first, second, swapped = _prepare(packed, np.array([0]), np.array([1]), allow_cross_key)
+    check_one_key((a, b))
+    first, second, swapped = _prepare(packed, np.array([0]), np.array([1]))
     n_p = np_select(a.n_points, b.n_points, params)
     rows, cols, values, scores = _match_block(packed, first, second, n_p, params.greedy_unique)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())

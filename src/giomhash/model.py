@@ -213,6 +213,9 @@ class HashedTemplate:
     key_fingerprint: str
 
     def __post_init__(self) -> None:
+        # == and the scorers compare fingerprints as given, so 123 and "123" would be different keys
+        if not isinstance(self.key_fingerprint, str):
+            raise ValueError(f"key_fingerprint must be a str, got {self.key_fingerprint!r}")
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise ValueError(f"codes must be a non-empty 2-d array, got shape {codes.shape}")
@@ -361,7 +364,8 @@ def save_hashed(template: HashedTemplate, path) -> None:
 def load_hashed(path) -> HashedTemplate:
     """Load a hashed template, validating types, index ranges and row lengths.
 
-    q, m and every code must be JSON integers (true and false are not).
+    q, m and every code must be JSON integers (true and false are not), and
+    key_fingerprint a JSON string.
     """
     path = Path(path)
     try:
@@ -380,7 +384,7 @@ def load_hashed(path) -> HashedTemplate:
     if len(rows) > 1:
         raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
     try:
-        template = HashedTemplate(np.asarray(codes, dtype=np.int64), q, str(fingerprint))
+        template = HashedTemplate(np.asarray(codes, dtype=np.int64), q, fingerprint)
     except (ValueError, OverflowError) as exc:
         raise IntegrityError(f"{path.name}: {exc}") from None
     if "m" in payload and payload["m"] != template.m:

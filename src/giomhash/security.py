@@ -8,12 +8,11 @@ distribution overlap for the unlinkability and revocability claims.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evaluation import EncodedDataset, encode_dataset, first_samples, hash_dataset, protocol_scores, score_pairs
+from .evaluation import EncodedDataset, encode_dataset, first_samples, hash_dataset, protocol_pairs, protocol_scores, score_pairs
 from .matching import LgsParams
 from .mcc import MccParams
 from .model import GaussianBank, HashKey, _frozen_array, _integer
@@ -84,7 +83,6 @@ def _seeded_batches(total: int, batch: int, seed: int):
 
     Batch i draws from stream(seed, i).
     """
-    total = int(total)
     for index, start in enumerate(range(0, total, batch)):
         yield index, stream(seed, index), min(batch, total - start)
 
@@ -97,6 +95,7 @@ def sample_preimage(system: InequalitySystem, attempts: int, seed: int) -> np.nd
     first hit, or None once `attempts` candidates are exhausted.
     Reproducible from (seed, attempts).
     """
+    attempts = _integer(attempts, "attempts")
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
     for index, rng, n in _seeded_batches(attempts, PREIMAGE_BATCH, seed):
@@ -114,6 +113,7 @@ def preimage_volume_estimate(system: InequalitySystem, samples: int, seed: int =
     A larger fraction at fixed q and smaller m means the code constrains the
     input more weakly. An empty constraint set gives exactly 1.0.
     """
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     hits = 0
@@ -154,12 +154,10 @@ def unlinkability_experiment(
         raise ValueError("keys must have different seeds; identical keys make the experiment meaningless")
     if (key_a.m, key_a.q, key_a.d) != (key_b.m, key_b.q, key_b.d):
         raise ValueError("keys must share (m, q, d) so scores are comparable")
+    protocol = protocol_pairs(dataset)
     encoded = encode_dataset(dataset, mcc)
     under_a, under_b = hash_dataset(encoded, key_a), hash_dataset(encoded, key_b)
-    mated, non_mated = protocol_scores(dataset, under_a, lgs, hashed_b=under_b)
-    if not non_mated:
-        warnings.warn("single-finger dataset: non-mated score set is empty", stacklevel=2)
-    return mated, non_mated
+    return protocol_scores(protocol, under_a, lgs, hashed_b=under_b)
 
 
 def revocability_experiment(
@@ -178,8 +176,10 @@ def revocability_experiment(
     reference distributions. The fresh seed for finger f's k-th key is
     child_seed(seed, f, k).
     """
+    n_keys = _integer(n_keys, "n_keys")
     if n_keys < 1:
         raise ValueError("n_keys must be >= 1")
+    protocol = protocol_pairs(dataset)
     encoded = encode_dataset(dataset, mcc)
     under_base = hash_dataset(encoded, base_key)
     mated: list[float] = []
@@ -192,5 +192,5 @@ def revocability_experiment(
         }
         base = {template_key: under_base[template_key]}
         pairs = [(template_key, key_index) for key_index in renewed]
-        mated += score_pairs(pairs, base, lgs, allow_cross_key=True, hashed_b=renewed)
-    return mated, *protocol_scores(dataset, under_base, lgs)
+        mated += score_pairs(pairs, base, lgs, hashed_b=renewed)
+    return mated, *protocol_scores(protocol, under_base, lgs)

@@ -33,7 +33,7 @@ def pack_calls(monkeypatch):
 
     def counting(templates):
         packed = original(templates)
-        calls.append(len(packed.templates))
+        calls.append(len(packed.sizes))
         return packed
 
     monkeypatch.setattr(evaluation, "pack_templates", counting)

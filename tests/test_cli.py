@@ -382,6 +382,18 @@ class TestAnalyze:
         assert hist[0] == "bin_left,bin_right,mated_genuine_fraction,non_mated_impostor_fraction"
         assert len(hist) == 1 + 100
 
+    def test_unlink_on_one_finger_is_runtime_error(self, data_dir, tmp_path, capsys):
+        one_finger = tmp_path / "one_finger"
+        one_finger.mkdir()
+        finger = sorted(data_dir.glob("*.txt"))[0].name.rsplit("_", 1)[0]
+        for path in data_dir.glob(f"{finger}_*.txt"):
+            shutil.copy(path, one_finger)
+        out = tmp_path / "unlink"
+        argv = ["analyze", "--mode", "unlink", "--data", str(one_finger), "--seed-a", "1", "--seed-b", "2"]
+        assert main(argv + ["--out", str(out)] + SMALL_KEY + SMALL_MCC) == 2
+        assert capsys.readouterr().err == "error: protocol needs >= 2 fingers for impostor comparisons\n"
+        assert not (out / "unlink.json").exists()
+
     def test_unlink_requires_both_seeds(self, data_dir, tmp_path):
         code = main(
             ["analyze", "--mode", "unlink", "--data", str(data_dir), "--seed-a", "1", "--out", str(tmp_path / "x")]

@@ -288,10 +288,12 @@ class TestRunEvaluation:
         under_b = hash_dataset(cylinders, HashKey(seed=key.seed + 1, m=key.m, q=key.q, d=key.d))
         pairs = genuine_pairs(dataset)
         want = reference_score_pairs(pairs, under_a, LgsParams(), allow_cross_key=True, hashed_b=under_b)
-        got = score_pairs(pairs, under_a, LgsParams(), allow_cross_key=True, hashed_b=under_b)
+        got = score_pairs(pairs, under_a, LgsParams(), hashed_b=under_b)
         assert got == want
+        # one mapping that mixes the keys raises, though no pair crosses them
+        mixed = under_a | {"other key": under_b[pairs[0][0]]}
         with pytest.raises(ValueError, match="key fingerprint mismatch"):
-            score_pairs(pairs, under_a, LgsParams(), hashed_b=under_b)
+            score_pairs(pairs, mixed, LgsParams())
 
     def test_score_pairs_empty(self, eval_setup):
         assert score_pairs([], {}, LgsParams()) == []

@@ -237,13 +237,19 @@ class TestLgsMatch:
         b = hashed([[1, 2]], fp="k1")
         with pytest.raises(ValueError, match="key fingerprint mismatch"):
             lgs_match(a, b)
-        assert lgs_match(a, b, allow_cross_key=True) == 1.0
+        assert score_pairs([(0, 0)], {0: a}, LgsParams(), hashed_b={0: b}) == [1.0]
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError, match="code length mismatch"):
             lgs_match(hashed([[1, 2]]), hashed([[1, 2, 3]]))
         with pytest.raises(ValueError, match="index range mismatch"):
             lgs_match(hashed([[1, 2]], q=5), hashed([[1, 2]], q=6))
+        # m and q are checked before keys, by both scorers
+        a, b = hashed([[1, 2]], q=5, fp="k0"), hashed([[1, 2]], q=6, fp="k1")
+        with pytest.raises(ValueError, match="index range mismatch"):
+            lgs_match(a, b)
+        with pytest.raises(ValueError, match="index range mismatch"):
+            batch_scores([(a, a), (b, b)], LgsParams())
 
     def test_end_to_end_scale_invariance(self, small_mcc):
         rng = np.random.default_rng(15)
@@ -266,9 +272,9 @@ def keyed(pairs):
     return templates, [(id(a), id(b)) for a, b in pairs]
 
 
-def batch_scores(pairs, params, allow_cross_key=False):
+def batch_scores(pairs, params):
     templates, keys = keyed(pairs)
-    return score_pairs(keys, templates, params, allow_cross_key)
+    return score_pairs(keys, templates, params)
 
 
 def random_templates(rng, count, m, q, rows=(1, 25), fp="k0"):
@@ -354,7 +360,7 @@ class TestBatchedScorer:
                 batch_scores(pairs, LgsParams())
             assert str(got.value) == str(want.value)
             with pytest.raises(ValueError) as got:
-                score_pairs([(0, 0)], {0: base[0]}, LgsParams(), allow_cross_key=True, hashed_b={0: other[0]})
+                score_pairs([(0, 0)], {0: base[0]}, LgsParams(), hashed_b={0: other[0]})
             assert str(got.value) == str(want.value)
 
     def test_cross_key_and_empty(self):
@@ -363,9 +369,7 @@ class TestBatchedScorer:
         under_b = random_templates(rng, 5, m=6, q=4, fp="k1")
         pairs = list(zip(under_a, under_b))
         keys = [(i, i) for i in range(len(pairs))]
-        got = score_pairs(
-            keys, dict(enumerate(under_a)), LgsParams(), allow_cross_key=True, hashed_b=dict(enumerate(under_b))
-        )
+        got = score_pairs(keys, dict(enumerate(under_a)), LgsParams(), hashed_b=dict(enumerate(under_b)))
         assert got == reference_scores(pairs, LgsParams(), allow_cross_key=True)
         assert score_pairs([], {}, LgsParams()) == []
 

@@ -220,6 +220,13 @@ class TestHashedTemplate:
             HashedTemplate(np.array([[1, 2]]), q=q, key_fingerprint="k")
         assert str(info.value) == f"q must be an integer, got {q!r}"
 
+    @pytest.mark.parametrize("fingerprint", [123, None, b"ab"])
+    def test_non_string_fingerprint_rejected(self, fingerprint):
+        # a fingerprint of another type would not equal the str it reads back as from its file
+        with pytest.raises(ValueError) as info:
+            HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint=fingerprint)
+        assert str(info.value) == f"key_fingerprint must be a str, got {fingerprint!r}"
+
     def test_equality_by_value(self):
         a = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="ab")
         b = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="ab")
@@ -438,6 +445,8 @@ class TestHashedIO:
             ({"codes": {"a": 1}}, "codes must be a list of rows"),
             ({"codes": [[1, 2**70]]}, "too large"),
             ({"q": 2**64, "codes": [[1, 2**63]]}, "too large"),
+            ({"key_fingerprint": 123}, "key_fingerprint must be a str, got 123"),
+            ({"key_fingerprint": None}, "key_fingerprint must be a str, got None"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, change, message):

@@ -4,8 +4,10 @@ from hypothesis import given, strategies as st
 
 from oracles import reference_lgs_match_detail, reference_sample_preimage, reference_volume_estimate
 
+import giomhash.evaluation as evaluation
+import giomhash.security as security
 from giomhash.cases import get_case
-from giomhash.evaluation import encode_dataset, hash_dataset, score_pairs
+from giomhash.evaluation import encode_dataset, hash_dataset, run_evaluation, score_pairs, sweep
 from giomhash.hashing import iom_hash
 from giomhash.matching import LgsParams
 from giomhash.model import HashKey
@@ -271,16 +273,6 @@ class TestUnlinkability:
         unlinkability_experiment(small_dataset, a, b, mcc=small_mcc)
         assert pack_calls == [2 * len(small_dataset)]
 
-    def test_single_finger_warns(self, small_dataset, small_mcc):
-        finger = small_dataset[0].finger_id
-        subset = [t for t in small_dataset if t.finger_id == finger]
-        a = HashKey(seed=1, m=8, q=6, d=small_mcc.dim)
-        b = HashKey(seed=2, m=8, q=6, d=small_mcc.dim)
-        with pytest.warns(UserWarning, match="single-finger"):
-            mated, non_mated = unlinkability_experiment(subset, a, b, mcc=small_mcc)
-        assert len(mated) == 3
-        assert non_mated == []
-
 
 class TestRevocability:
     def test_reissuing_the_same_key_is_a_perfect_match(self, small_dataset, small_mcc):
@@ -291,7 +283,7 @@ class TestRevocability:
         first = hash_dataset(encoded, base)
         again = hash_dataset(encoded, HashKey(seed=5, m=8, q=6, d=small_mcc.dim))
         pairs = [(k, k) for k in first]
-        assert score_pairs(pairs, first, LgsParams(), allow_cross_key=True, hashed_b=again) == [1.0] * len(pairs)
+        assert score_pairs(pairs, first, LgsParams(), hashed_b=again) == [1.0] * len(pairs)
 
     def test_score_set_sizes(self, small_dataset, small_mcc):
         base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim)
@@ -344,3 +336,56 @@ class TestRevocability:
         base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim + 1)
         with pytest.raises(ValueError, match="cylinder dimension"):
             revocability_experiment(small_dataset, base, n_keys=1, seed=0, mcc=small_mcc)
+
+
+def _key(mcc, seed=1):
+    return HashKey(seed=seed, m=8, q=6, d=mcc.dim)
+
+
+PROTOCOL_EXPERIMENTS = {
+    "evaluate": lambda data, mcc: run_evaluation(data, _key(mcc), mcc),
+    "sweep": lambda data, mcc: sweep(data, [8], [6], trials=1, base_seed=0, mcc=mcc),
+    "unlink": lambda data, mcc: unlinkability_experiment(data, _key(mcc, 1), _key(mcc, 2), mcc),
+    "revoke": lambda data, mcc: revocability_experiment(data, _key(mcc), n_keys=2, seed=0, mcc=mcc),
+}
+
+
+@pytest.mark.parametrize("shape", ["one-finger", "one-sample"])
+@pytest.mark.parametrize("experiment", sorted(PROTOCOL_EXPERIMENTS))
+def test_protocol_fails_before_encoding(small_dataset, small_mcc, monkeypatch, experiment, shape):
+    finger = small_dataset[0].finger_id
+    if shape == "one-finger":
+        data = [t for t in small_dataset if t.finger_id == finger]
+        message = "protocol needs >= 2 fingers for impostor comparisons"
+    else:
+        data = [t for t in small_dataset if t.finger_id != finger or t.sample_id == 1]
+        message = f"finger {finger} has 1 sample(s); need >= 2"
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a dataset the protocol cannot score reached encoding or hashing")
+
+    for module in (evaluation, security):
+        monkeypatch.setattr(module, "encode_dataset", unreachable)
+        monkeypatch.setattr(module, "hash_dataset", unreachable)
+    with pytest.raises(ValueError) as info:
+        PROTOCOL_EXPERIMENTS[experiment](data, small_mcc)
+    assert str(info.value) == message
+
+
+EMPTY_SYSTEM = InequalitySystem(np.zeros((0, 3)), 3)
+
+COUNTS = {
+    "attempts": lambda value, data, mcc: sample_preimage(EMPTY_SYSTEM, attempts=value, seed=0),
+    "samples": lambda value, data, mcc: preimage_volume_estimate(EMPTY_SYSTEM, samples=value),
+    "trials": lambda value, data, mcc: sweep(data, [8], [6], trials=value, base_seed=0, mcc=mcc),
+    "n_keys": lambda value, data, mcc: revocability_experiment(data, _key(mcc), n_keys=value, seed=0, mcc=mcc),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 1.5, True])
+@pytest.mark.parametrize("field", sorted(COUNTS))
+def test_counts_must_be_integers(small_dataset, small_mcc, field, value):
+    # int() would truncate 2.5 to 2: the volume estimate read 2 hits / 2.5 = 0.8 for a cone of volume 1
+    with pytest.raises(ValueError) as info:
+        COUNTS[field](value, small_dataset, small_mcc)
+    assert str(info.value) == f"{field} must be an integer, got {value!r}"
