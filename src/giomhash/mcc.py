@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, Minutia, MinutiaeTemplate, _integer, _real, file_stem, save_minutiae
+from .model import TWO_PI, MinutiaeTemplate, _integer, _real, file_stem, save_minutiae
 from .randomness import stream
 
 
@@ -86,7 +86,9 @@ def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()
     of the central one; a minutia never contributes to its own cylinder, so
     an isolated minutia encodes to all zeros.
     """
-    xy, theta = template.as_arrays()
+    # contiguous copies of the columns: NumPy's vectorised cos and sin may round otherwise on strided input
+    xy = np.ascontiguousarray(template.points[:, :2])
+    theta = np.ascontiguousarray(template.points[:, 2])
     n = len(template)
     centers, in_circle, directions = _cell_layout(params)
 
@@ -98,8 +100,9 @@ def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()
     )  # (n, 2, 2)
     cell_abs = xy[:, None, :] + np.einsum("kab,sb->ksa", rot, centers)  # (n, S, 2)
 
-    diff = cell_abs[:, :, None, :] - xy[None, None, :, :]  # (n, S, n, 2)
-    spatial = np.exp(-0.5 * np.sum(diff**2, axis=-1) / params.sigma_s**2)  # (n, S, n)
+    dx = cell_abs[:, :, None, 0] - xy[None, None, :, 0]  # (n, S, n)
+    dy = cell_abs[:, :, None, 1] - xy[None, None, :, 1]
+    spatial = np.exp(-0.5 * (dx**2 + dy**2) / params.sigma_s**2)
 
     pair_dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
     neighbor = (pair_dist <= params.radius) & ~np.eye(n, dtype=bool)  # (n, n)
@@ -184,12 +187,7 @@ def synth_dataset(seed: int, params: SynthParams = SynthParams()) -> list[Minuti
             xy = master_xy + rng.standard_normal((count, 2)) * params.jitter_pos
             theta = master_theta + rng.standard_normal(count) * params.jitter_theta
             np.clip(xy, 0.0, params.field_size, out=xy)
-            points = tuple(
-                Minutia(px, py, pt)
-                for (px, py), pt, k in zip(xy, theta, keep)
-                if k
-            )
-            dataset.append(MinutiaeTemplate(finger_id, s, points))
+            dataset.append(MinutiaeTemplate(finger_id, s, np.column_stack([xy, theta])[keep]))
     return dataset
 
 

@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,60 +31,63 @@ class IntegrityError(ValueError):
     """A persisted artifact fails validation on load."""
 
 
-def _wrap_angle(theta: float) -> float:
-    wrapped = float(theta) % TWO_PI
-    # float modulo can round up to exactly 2*pi for tiny negative inputs
-    if wrapped >= TWO_PI:
-        wrapped = 0.0
-    return wrapped
-
-
-@dataclass(frozen=True)
-class Minutia:
-    """A single feature point: position in pixels, direction in radians.
-
-    The direction is wrapped into [0, 2*pi) on construction.
-    """
+class Minutia(NamedTuple):
+    """A feature point record: position in pixels, direction in radians; `MinutiaeTemplate` checks it."""
 
     x: float
     y: float
     theta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _real(self.x, "x"))
-        object.__setattr__(self, "y", _real(self.y, "y"))
-        object.__setattr__(self, "theta", _wrap_angle(_real(self.theta, "theta")))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinutiaeTemplate:
-    """An ordered set of minutiae belonging to one sample of one finger."""
+    """One sample of one finger: a read-only (n, 3) float64 array of finite x, y, theta rows.
+
+    points is an integer or float array, or an iterable of real (x, y, theta) triples such as
+    `Minutia` records. The template keeps its own copy, with every theta wrapped into [0, 2*pi).
+    """
 
     finger_id: str
     sample_id: int
-    points: tuple[Minutia, ...]
+    points: np.ndarray
 
     def __post_init__(self) -> None:
         # finger ids name output files, so one must be a single plain file-name component
         if not isinstance(self.finger_id, str) or not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", self.finger_id):
             raise ValueError(f"finger id must match [A-Za-z0-9][A-Za-z0-9_.-]*, got {self.finger_id!r}")
-        object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "sample_id", _integer(self.sample_id, "sample_id"))
-        if len(self.points) < 1:
+        points = self.points
+        if not isinstance(points, np.ndarray):
+            points = [tuple(row) for row in points]
+            for row in points:
+                for name, value in zip(Minutia._fields, row):
+                    _real(value, name)
+        elif points.dtype.kind not in "iuf":
+            raise ValueError(f"points must be an integer or float array, got dtype {points.dtype}")
+        points = np.array(points, dtype=float)
+        if points.size == 0:
             raise ValueError("template must contain >= 1 minutia")
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        theta = np.mod(points[:, 2], TWO_PI, out=points[:, 2])
+        # float modulo can round up to exactly 2*pi for tiny negative inputs
+        theta[theta >= TWO_PI] = 0.0
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.shape[0]
 
     @property
     def key(self) -> tuple[str, int]:
         return (self.finger_id, self.sample_id)
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return positions as an (N, 2) array and directions as an (N,) array."""
-        xy = np.array([[p.x, p.y] for p in self.points], dtype=float)
-        theta = np.array([p.theta for p in self.points], dtype=float)
-        return xy, theta
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MinutiaeTemplate):
+            return NotImplemented
+        return self.key == other.key and np.array_equal(self.points, other.points)
 
 
 def file_stem(key: tuple[str, int]) -> str:
@@ -261,8 +265,7 @@ def save_minutiae(template: MinutiaeTemplate, path) -> None:
     """Write one template as a header line plus one x y theta triple per line."""
     path = Path(path)
     lines = [f"# finger={template.finger_id} sample={template.sample_id}"]
-    for p in template.points:
-        lines.append(f"{p.x!r} {p.y!r} {p.theta!r}")
+    lines += [f"{x!r} {y!r} {theta!r}" for x, y, theta in template.points.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -270,7 +273,6 @@ def _parse_minutiae_file(path: Path) -> MinutiaeTemplate:
     finger_id = None
     sample_id = None
     points = []
-    wrapped = 0
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -292,20 +294,17 @@ def _parse_minutiae_file(path: Path) -> MinutiaeTemplate:
             raise ParseError(f"{path.name}:{lineno}: non-numeric value in {line!r}") from None
         if not all(map(math.isfinite, (x, y, theta))):
             raise ParseError(f"{path.name}:{lineno}: non-finite value in {line!r}")
-        if not (0.0 <= theta < TWO_PI):
-            wrapped += 1
-        points.append(Minutia(x, y, theta))
+        points.append((x, y, theta))
     if finger_id is None:
         raise ParseError(f"{path.name}: missing header line")
+    points = np.array(points, dtype=float).reshape(-1, 3)
     try:
-        template = MinutiaeTemplate(finger_id, sample_id, tuple(points))
+        template = MinutiaeTemplate(finger_id, sample_id, points)
     except ValueError as exc:
         raise ParseError(f"{path.name}: {exc}") from None
+    wrapped = np.count_nonzero((points[:, 2] < 0.0) | (points[:, 2] >= TWO_PI))
     if wrapped:
-        warnings.warn(
-            f"{path.name}: wrapped {wrapped} direction(s) into [0, 2*pi)",
-            stacklevel=3,
-        )
+        warnings.warn(f"{path.name}: wrapped {wrapped} direction(s) into [0, 2*pi)", stacklevel=3)
     return template
 
 

@@ -107,7 +107,7 @@ def oracle_angle_distance(a, b):
 
 def oracle_cylinders(template, params):
     """Per-cell loop encoder mirroring the documented construction."""
-    points = [(p.x, p.y, p.theta) for p in template.points]
+    points = template.points.tolist()
     g = 2.0 * params.radius / params.ns
     out = []
     for k, (xk, yk, tk) in enumerate(points):

@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the report files: JSON text, CSV line ends and float spelling.
+"""Byte-for-byte pins of the text files: report JSON, CSV line ends, float spelling and minutiae text.
 
 Every input is built from literals (or, for invert_volume.csv, is a fraction
 of a handful of samples), so no BLAS rounding enters the expected text.
@@ -6,8 +6,11 @@ of a handful of samples), so no BLAS rounding enters the expected text.
 
 import hashlib
 
+import numpy as np
+
 from giomhash import cli
 from giomhash.evaluation import EvalReport, SweepResult, write_sweep_csv
+from giomhash.model import MinutiaeTemplate, load_minutiae, save_minutiae
 
 
 def hand_report():
@@ -99,3 +102,19 @@ def test_invert_volume_csv_bytes(tmp_path):
         b"square,0,1.0\r\nsquare,1,0.375\r\nsquare,2,0.25\r\nsquare,3,0.25\r\n"
         b"underdetermined,0,1.0\r\nunderdetermined,1,0.625\r\nunderdetermined,2,0.5\r\n"
     )
+
+
+def test_minutiae_text_bytes(tmp_path):
+    # 7.0 and -0.25 lie outside [0, 2*pi): the template wraps them before they are written
+    points = np.array([[312.01, 145.77, 1.302], [0.1, 400, 7.0], [88.94, 1e-05, -0.25]])
+    template = MinutiaeTemplate("f0012", 3, points)
+    save_minutiae(template, tmp_path / "f0012_03.txt")
+    assert (tmp_path / "f0012_03.txt").read_bytes() == (
+        b"# finger=f0012 sample=3\n"
+        b"312.01 145.77 1.302\n"
+        b"0.1 400.0 0.7168146928204138\n"
+        b"88.94 1e-05 6.033185307179586\n"
+    )
+    (loaded,) = load_minutiae(tmp_path / "f0012_03.txt")
+    assert loaded == template
+    assert loaded.points.tobytes() == template.points.tobytes()

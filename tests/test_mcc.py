@@ -234,7 +234,8 @@ class TestSynthDataset:
             jitter_pos=0.0, jitter_theta=0.0, drop_rate=0.0,
         )
         s1, s2, s3 = synth_dataset(4, params)
-        assert s1.points == s2.points == s3.points
+        np.testing.assert_array_equal(s1.points, s2.points)
+        np.testing.assert_array_equal(s1.points, s3.points)
 
     def test_total_drop_rejected(self):
         params = SynthParams(fingers=1, samples_per_finger=1, minutiae_range=(2, 3), drop_rate=1.0)
@@ -244,15 +245,13 @@ class TestSynthDataset:
     def test_angles_wrapped(self):
         data = synth_dataset(6, SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6), jitter_theta=2.0))
         for t in data:
-            for p in t.points:
-                assert 0.0 <= p.theta < 2 * math.pi
+            assert ((0.0 <= t.points[:, 2]) & (t.points[:, 2] < 2 * math.pi)).all()
 
     def test_positions_clipped_to_field(self):
         params = SynthParams(fingers=2, samples_per_finger=3, minutiae_range=(5, 8),
                              jitter_pos=100.0, field_size=50.0)
         for t in synth_dataset(7, params):
-            for p in t.points:
-                assert 0.0 <= p.x <= 50.0 and 0.0 <= p.y <= 50.0
+            assert ((0.0 <= t.points[:, :2]) & (t.points[:, :2] <= 50.0)).all()
 
 
 class TestWriteDataset:

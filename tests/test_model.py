@@ -27,27 +27,35 @@ from giomhash.model import (
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 
+def point(x, y, theta) -> np.ndarray:
+    """The one stored row of a template built from one Minutia record."""
+    return MinutiaeTemplate("f0", 1, (Minutia(x, y, theta),)).points[0]
+
+
 class TestMinutia:
+    """Minutia is a plain record; the template checks and wraps the points it is given."""
+
     def test_theta_wrapped_above(self):
         # 7.0 - 2*pi
-        assert Minutia(0, 0, 7.0).theta == pytest.approx(0.7168146928204138, abs=1e-15)
+        assert point(0, 0, 7.0)[2] == pytest.approx(0.7168146928204138, abs=1e-15)
 
     def test_theta_wrapped_negative(self):
-        assert Minutia(0, 0, -0.1).theta == pytest.approx(TWO_PI - 0.1, abs=1e-15)
+        assert point(0, 0, -0.1)[2] == pytest.approx(TWO_PI - 0.1, abs=1e-15)
 
     def test_theta_two_pi_wraps_to_zero(self):
-        assert Minutia(0, 0, TWO_PI).theta == 0.0
+        assert point(0, 0, TWO_PI)[2] == 0.0
 
     def test_theta_tiny_negative_does_not_round_to_two_pi(self):
-        assert 0.0 <= Minutia(0, 0, -1e-20).theta < TWO_PI
+        assert 0.0 <= point(0, 0, -1e-20)[2] < TWO_PI
 
     @given(finite_floats)
     def test_theta_always_in_range(self, theta):
-        assert 0.0 <= Minutia(0.0, 0.0, theta).theta < TWO_PI
+        assert 0.0 <= point(0.0, 0.0, theta)[2] < TWO_PI
 
     def test_coordinates_coerced_to_float(self):
-        p = Minutia(1, 2, 0)
-        assert isinstance(p.x, float) and isinstance(p.y, float)
+        t = MinutiaeTemplate("f0", 1, (Minutia(1, 2, 0),))
+        assert t.points.dtype == np.float64
+        np.testing.assert_array_equal(t.points, [[1.0, 2.0, 0.0]])
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -56,11 +64,13 @@ class TestMinutia:
             ((0, "3", 1), "y must be a finite real number, got '3'"),
             ((0, 3, True), "theta must be a finite real number, got True"),
             ((0, 3, math.inf), "theta must be a finite real number, got inf"),
+            ((None, 3, 1), "x must be a finite real number, got None"),
+            ((0, -math.inf, 1), "y must be a finite real number, got -inf"),
         ],
     )
     def test_non_real_or_non_finite_fields_rejected(self, fields, message):
         with pytest.raises(ValueError) as got:
-            Minutia(*fields)
+            MinutiaeTemplate("f0", 1, (Minutia(1, 2, 0.5), Minutia(*fields)))
         assert str(got.value) == message
 
 
@@ -90,12 +100,55 @@ class TestMinutiaeTemplate:
         assert len(t) == 1
         assert t.key == ("f0", 2)
 
-    def test_as_arrays(self):
-        t = MinutiaeTemplate("f0", 1, (Minutia(1, 2, 0.5), Minutia(3, 4, 1.5)))
-        xy, theta = t.as_arrays()
-        assert xy.shape == (2, 2)
-        np.testing.assert_array_equal(xy, [[1, 2], [3, 4]])
-        np.testing.assert_array_equal(theta, [0.5, 1.5])
+    def test_points_are_one_frozen_copy(self):
+        given = np.array([[1.0, 2.0, 0.5], [3.0, 4.0, 1.5]])
+        t = MinutiaeTemplate("f0", 1, given)
+        assert t.points.shape == (2, 3) and t.points.dtype == np.float64
+        np.testing.assert_array_equal(t.points, given)
+        assert not t.points.flags.writeable and not np.shares_memory(t.points, given)
+        with pytest.raises(ValueError):
+            t.points[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([[1, 2, 0], [3, 4, 1]]),
+            np.array([[1, 2, 0], [3, 4, 1]], dtype=np.uint8),
+            np.array([[1, 2, 0], [3, 4, 1]], dtype=np.float32),
+            (Minutia(1, 2, 0), Minutia(3, 4, 1)),
+            [[1, 2, 0.0], (np.int64(3), np.float64(4), 1)],
+        ],
+    )
+    def test_integer_and_float_points_accepted(self, points):
+        t = MinutiaeTemplate("f0", 1, points)
+        assert t == MinutiaeTemplate("f0", 1, (Minutia(1.0, 2.0, 0.0), Minutia(3.0, 4.0, 1.0)))
+        assert t != MinutiaeTemplate("f0", 1, (Minutia(1.0, 2.0, 0.0), Minutia(3.0, 4.0, 1.5)))
+        assert t != MinutiaeTemplate("f0", 2, points)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (np.array([[1.0, 2.0], [3.0, 4.0]]), r"points must have shape \(n, 3\), got \(2, 2\)"),
+            ([(1, 2), (3, 4)], r"points must have shape \(n, 3\), got \(2, 2\)"),
+            (np.zeros((0, 3)), "template must contain >= 1 minutia"),
+            (np.array([[True, False, True]]), "integer or float array, got dtype bool"),
+            (np.array([[1.0, 2.0, 0.5]], dtype=object), "integer or float array, got dtype object"),
+            (np.array([[1.0, math.nan, 0.5]]), "points must be finite"),
+            (np.array([[1.0, 2.0, math.inf]]), "points must be finite"),
+            (np.array([[-math.inf, 2.0, 0.5]]), "points must be finite"),
+        ],
+    )
+    def test_malformed_points_rejected(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            MinutiaeTemplate("f0", 1, points)
+
+    @pytest.mark.parametrize("theta", [-1e-17, -TWO_PI, 0.0, -0.0, 4 * math.pi])
+    def test_wrap_is_python_modulo(self, theta):
+        expected = float(theta) % TWO_PI
+        expected = 0.0 if expected >= TWO_PI else expected
+        for points in (np.array([[0.0, 0.0, theta]]), (Minutia(0, 0, theta),)):
+            wrapped = MinutiaeTemplate("f0", 1, points).points[0, 2]
+            assert wrapped.tobytes() == np.float64(expected).tobytes()
 
 
 class TestHashKey:
@@ -331,7 +384,7 @@ class TestMinutiaeIO:
         path.write_text("# finger=f0 sample=1\n1.0 2.0 7.0\n")
         with pytest.warns(UserWarning, match="wrapped"):
             (t,) = load_minutiae(path)
-        assert t.points[0].theta == pytest.approx(7.0 - TWO_PI)
+        assert t.points[0, 2] == pytest.approx(7.0 - TWO_PI)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "t.txt"
