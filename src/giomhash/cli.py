@@ -280,7 +280,8 @@ def _cmd_evaluate(args) -> int:
     key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
     dataset = load_minutiae(args.data)
     report = run_evaluation(dataset, key, mcc, lgs)
-    report = dataclasses.replace(report, config={**report.config, "data": args.data})
+    # the config dict is this report's own, so the scores are not copied into a new report
+    report.config["data"] = args.data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "report.json")

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, asdict
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,8 +82,54 @@ def protocol_pairs(dataset) -> tuple[list[Pair], list[Pair]]:
 
 
 def json_text(payload) -> str:
-    """The JSON text of every report file: indent 2, sorted keys, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The JSON text of every report file: indent 2, sorted keys, trailing newline.
+
+    It is json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte for byte.
+    A list or tuple of floats is written as one run of float reprs, and a
+    report's spelled ROC rows as they stand, so each float is formatted once;
+    every other value is spelled by json.
+    """
+    return _json(payload, "\n") + "\n"
+
+
+class _SpelledRows(tuple):
+    """Rows of floats already spelled, each row its float reprs joined by ",".
+
+    json_text writes them as json writes the rows' floats: an array of arrays.
+    """
+
+
+def _json_numbers(text: str) -> str:
+    """A run of float reprs in JSON's spelling: nan, inf and -inf become NaN, Infinity and -Infinity.
+
+    No finite float's repr holds the letter n, so only the non-finite ones change.
+    """
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json(value, nl: str) -> str:
+    """value's JSON text in json_text's layout, where nl is a newline and the indent of value's line."""
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if isinstance(value, _SpelledRows):
+            cell = inner + "  "
+            # float reprs hold neither "," nor ";", so rows joined by ";" split back exactly
+            rows = ";".join(value).replace(",", "," + cell).replace(";", f"{inner}],{inner}[{cell}")
+            items = f"[{cell}{_json_numbers(rows)}{inner}]"
+        else:
+            try:
+                items = _json_numbers(("," + inner).join(map(float.__repr__, value)))
+            except TypeError:  # an item is not a float
+                items = ("," + inner).join(_json(item, inner) for item in value)
+        return f"[{inner}{items}{nl}]"
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def write_csv(path, header, rows) -> None:
@@ -114,7 +161,7 @@ def compute_eer(genuine, impostor) -> tuple[float, list[tuple[float, float, floa
     fnmr = np.searchsorted(gen_sorted, thresholds, side="left") / gen_sorted.size
     best = int(np.argmin(np.abs(fmr - fnmr)))
     eer = float((fmr[best] + fnmr[best]) / 2.0)
-    roc = [(float(t), float(a), float(r)) for t, a, r in zip(thresholds, fmr, fnmr)]
+    roc = list(zip(thresholds.tolist(), fmr.tolist(), fnmr.tolist()))
     return eer, roc
 
 
@@ -140,17 +187,27 @@ class EvalReport:
         payload = {
             "config": self.config,
             "eer": self.eer,
-            "genuine_scores": list(self.genuine_scores),
-            "impostor_scores": list(self.impostor_scores),
-            "roc": [list(row) for row in self.roc],
+            "genuine_scores": self.genuine_scores,
+            "impostor_scores": self.impostor_scores,
+            "roc": self._roc_rows,
         }
         return json_text(payload)
+
+    @cached_property
+    def _roc_rows(self) -> _SpelledRows:
+        """The ROC table spelled once and kept with the report, each row "threshold,fmr,fnmr".
+
+        They are report.json's rows and roc.csv's lines.
+        """
+        spelled = map(float.__repr__, chain.from_iterable(self.roc))
+        return _SpelledRows(map(",".join, zip(spelled, spelled, spelled)))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
 
     def write_roc_csv(self, path) -> None:
-        write_csv(path, ["threshold", "fmr", "fnmr"], self.roc)
+        """A header and one line per ROC row, with \\r\\n line ends: what csv.writer writes for these rows."""
+        Path(path).write_text("\r\n".join(("threshold,fmr,fnmr", *self._roc_rows, "")), newline="")
 
 
 def load_report(path) -> EvalReport:

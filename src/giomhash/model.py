@@ -110,11 +110,18 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """value as a finite float; a bool, a non-real or a non-finite value raises ValueError naming the field.
 
-    float() would read "70" and True as numbers and pass nan and inf on.
+    float() would read "70" and True as numbers and pass nan and inf on; an int
+    too large for a float raises OverflowError in float(), reported here as ValueError.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

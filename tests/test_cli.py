@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -265,6 +266,30 @@ class TestEvaluate:
         self.run(data_dir, second)
         self.run(data_dir, threaded, extra=["--threads", "3"])
         assert read_bytes(first) == read_bytes(second) == read_bytes(threaded)
+
+    @pytest.mark.parametrize(
+        "fingers, samples, report_sha256, roc_sha256",
+        [
+            # criterion 9's seeded 4 x 3 set
+            (4, 3, "68beb37b254604b1772ce2b0a737c759cb91b9829a562d9b794c4a0f1d84f32e",
+             "603704e8084107e11d12d915d1e5a1ad3cc923c3db6d0dbf9656f5eeb29f17ec"),
+            # 780 impostor scores, so report.json holds thousands of floats
+            (40, 2, "08f12adad66fb988d8e90eaf5891409b5e534c1ba208111fce9b114e189d89b6",
+             "a446d63cf4bce4ce9f501785bbafdfd6e65208c13c40a4b47e58eedd75417460"),
+        ],
+    )
+    def test_report_bytes_pinned(self, tmp_path, monkeypatch, fingers, samples, report_sha256, roc_sha256):
+        # reruns within one version cannot see a drift that every run shares, so the bytes are pinned;
+        # relative paths keep the report's config.data independent of where the test runs
+        monkeypatch.chdir(tmp_path)
+        gen = ["gen-data", "--fingers", str(fingers), "--samples", str(samples), "--min-minutiae", "15",
+               "--max-minutiae", "22", "--jitter-pos", "4", "--jitter-theta", "0.08", "--drop-rate", "0.1",
+               "--field-size", "300", "--seed", "7", "--out", "data"]
+        assert main(gen) == 0
+        assert self.run(Path("data"), Path("eval")) == 0
+        out = tmp_path / "eval"
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha256
+        assert hashlib.sha256((out / "roc.csv").read_bytes()).hexdigest() == roc_sha256
 
     def test_zero_m_is_usage_error(self, data_dir, tmp_path):
         code = main(

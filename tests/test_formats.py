@@ -4,12 +4,17 @@ Every input is built from literals (or, for invert_volume.csv, is a fraction
 of a handful of samples), so no BLAS rounding enters the expected text.
 """
 
+import csv
 import hashlib
+import io
+import json
+import math
 
 import numpy as np
+from hypothesis import given, strategies as st
 
 from giomhash import cli
-from giomhash.evaluation import EvalReport, SweepResult, write_sweep_csv
+from giomhash.evaluation import EvalReport, SweepResult, json_text, write_sweep_csv
 from giomhash.model import MinutiaeTemplate, load_minutiae, save_minutiae
 
 
@@ -56,6 +61,51 @@ def test_report_json_text():
 def test_report_save_writes_json_text(tmp_path):
     hand_report().save(tmp_path / "report.json")
     assert (tmp_path / "report.json").read_bytes() == hand_report().to_json().encode()
+
+
+# NaN, both infinities, -0.0, subnormals and np.float64 values (a float subclass that reprs otherwise)
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
+    st.floats().map(np.float64),
+)
+json_scalars = st.none() | st.booleans() | st.integers() | st.text() | json_floats
+
+
+def json_containers(children):
+    return (
+        st.lists(json_floats)  # all floats: json_text's one-run path
+        | st.lists(json_floats).map(tuple)
+        | st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children)
+    )
+
+
+@given(st.recursive(json_scalars, json_containers, max_leaves=40))
+def test_json_text_equals_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@given(st.lists(st.tuples(json_floats, json_floats, json_floats), max_size=30))
+def test_report_files_equal_json_and_csv_writer(tmp_path_factory, roc):
+    report = EvalReport((0.5,), (0.25, 0.5), roc, 0.25, {"seed": 1})
+    payload = {
+        "config": {"seed": 1},
+        "eer": 0.25,
+        "genuine_scores": [0.5],
+        "impostor_scores": [0.25, 0.5],
+        "roc": [list(row) for row in roc],
+    }
+    assert report.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["threshold", "fmr", "fnmr"])
+    writer.writerows(report.roc)
+    path = tmp_path_factory.mktemp("roc") / "roc.csv"
+    report.write_roc_csv(path)
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_roc_csv_bytes(tmp_path):

@@ -74,6 +74,7 @@ class TestLgsParams:
             ({"mu_p": "20"}, "mu_p must be a finite real number, got '20'"),
             ({"tau_p": True}, "tau_p must be a finite real number, got True"),
             ({"tau_p": math.inf}, "tau_p must be a finite real number, got inf"),
+            pytest.param({"mu_p": 10**400}, f"mu_p must be a finite real number, got {10**400}", id="int-beyond-float"),
         ],
     )
     def test_non_real_or_non_finite_sigmoid_rejected(self, change, message):

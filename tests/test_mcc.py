@@ -57,6 +57,9 @@ class TestMccParams:
             ({"radius": math.inf}, "radius must be a finite real number, got inf"),
             ({"sigma_s": math.nan}, "sigma_s must be a finite real number, got nan"),
             ({"sigma_d": True}, "sigma_d must be a finite real number, got True"),
+            pytest.param(
+                {"radius": 10**400}, f"radius must be a finite real number, got {10**400}", id="int-beyond-float"
+            ),
         ],
     )
     def test_non_real_or_non_finite_spreads_rejected(self, change, message):

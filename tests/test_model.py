@@ -66,6 +66,8 @@ class TestMinutia:
             ((0, 3, math.inf), "theta must be a finite real number, got inf"),
             ((None, 3, 1), "x must be a finite real number, got None"),
             ((0, -math.inf, 1), "y must be a finite real number, got -inf"),
+            # float() of an int beyond the float range raises OverflowError, not ValueError
+            pytest.param((10**400, 1, 1), f"x must be a finite real number, got {10**400}", id="int-beyond-float"),
         ],
     )
     def test_non_real_or_non_finite_fields_rejected(self, fields, message):
