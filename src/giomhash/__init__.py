@@ -4,8 +4,8 @@ The pipeline: minutiae -> one (N, d) array of per-point cylinder rows
 (encode_dataset) -> per-point winner-index codes under a seeded Gaussian bank
 (hash_dataset) -> greedy local similarity scoring -> FVC-style accuracy
 evaluation, plus the security experiments (inversion, unlinkability,
-revocability), fixed-vector index-of-max hashing (iom_hash) and the
-orthonormal random projection with its embedding-dimension bound.
+revocability), fixed-vector index-of-max hashing (hash_rows on one row) and
+the orthonormal random projection with its embedding-dimension bound.
 """
 
 from .model import (
@@ -32,7 +32,7 @@ from .randomness import (
     random_projection,
     jl_dimension,
 )
-from .hashing import iom_hash, hash_rows
+from .hashing import hash_rows
 from .mcc import MccParams, SynthParams, encode_cylinders, synth_dataset, write_dataset
 from .matching import (
     LgsParams,

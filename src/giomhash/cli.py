@@ -331,14 +331,6 @@ def _analyze_invert(args, out: Path) -> None:
             vol = security.preimage_volume_estimate(sub, samples=args.volume_samples, seed=args.seed)
             volume_rows.append((case.name, prefix, vol))
         report[case.name] = entry
-    # 10^(places*dim) has places*dim + 1 decimal digits; avoid materializing
-    # the 6145-digit string (CPython caps int-to-str conversions)
-    places, dim = 4, 1536
-    report["guess_space"] = {
-        "decimal_places": places,
-        "dim": dim,
-        "decimal_digits": places * dim + 1,
-    }
     _write_json(out / "invert.json", report)
     write_csv(out / "invert_volume.csv", ["case", "constraints", "volume_estimate"], volume_rows)
 

@@ -3,7 +3,7 @@
 hash_rows maps every row of an (N, d) array through m Gaussian matrices and
 keeps only the 1-based argmax column per matrix, giving an N x m index code;
 evaluation.hash_dataset hashes a whole dataset's rows with it in one call.
-iom_hash is the single fixed-vector case (Jin et al.'s IoM hashing).
+A one-row array is the single fixed-vector case (Jin et al.'s IoM hashing).
 """
 
 from __future__ import annotations
@@ -60,10 +60,3 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     codes += 1
     return codes
 
-
-def iom_hash(x, bank: GaussianBank) -> np.ndarray:
-    """Hash one feature vector into a length-m index code; every call reads all m matrices (see GaussianBank)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    return hash_rows(x[None, :], bank)[0]

@@ -12,13 +12,14 @@ and bit quantization of the full construction are out of scope.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, MinutiaeTemplate, _integer, _real, file_stem, save_minutiae
+from .model import TWO_PI, MinutiaeTemplate, _frozen_array, _integer, _real, file_stem, save_minutiae
 from .randomness import stream
 
 
@@ -59,15 +60,16 @@ class MccParams:
         return self.ns * self.ns * self.nd
 
 
-def _cell_layout(params: MccParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Local cell centers: spatial (ns*ns, 2), in-circle mask, and directions (nd,)."""
+@functools.lru_cache(maxsize=16)
+def _cell_layout(params: MccParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only cell centres cx, cy (ns*ns,), their in-circle mask and directions (nd,), memoised per MccParams."""
     g = 2.0 * params.radius / params.ns
     axis = -params.radius + g * (np.arange(params.ns) + 0.5)
     ci, cj = np.meshgrid(axis, axis, indexing="ij")
-    centers = np.stack([ci.ravel(), cj.ravel()], axis=1)
-    in_circle = np.hypot(centers[:, 0], centers[:, 1]) <= params.radius
+    cx, cy = ci.ravel(), cj.ravel()
+    in_circle = np.hypot(cx, cy) <= params.radius
     directions = (2.0 * np.arange(1, params.nd + 1) - 1.0) * math.pi / params.nd
-    return centers, in_circle, directions
+    return tuple(_frozen_array(a, a.dtype) for a in (cx, cy, in_circle, directions))
 
 
 def wrapped_angle_distance(a, b) -> np.ndarray:
@@ -87,24 +89,20 @@ def encode_cylinders(template: MinutiaeTemplate, params: MccParams = MccParams()
     an isolated minutia encodes to all zeros.
     """
     # contiguous copies of the columns: NumPy's vectorised cos and sin may round otherwise on strided input
-    xy = np.ascontiguousarray(template.points[:, :2])
-    theta = np.ascontiguousarray(template.points[:, 2])
+    x, y, theta = np.ascontiguousarray(template.points.T)
     n = len(template)
-    centers, in_circle, directions = _cell_layout(params)
+    cx, cy, in_circle, directions = _cell_layout(params)
 
+    # each cell centre rotated by the central minutia's theta_k and moved to its position: (n, S)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # rotation by theta_k applied to each local cell center
-    rot = np.stack(
-        [np.stack([cos_t, -sin_t], axis=1), np.stack([sin_t, cos_t], axis=1)],
-        axis=1,
-    )  # (n, 2, 2)
-    cell_abs = xy[:, None, :] + np.einsum("kab,sb->ksa", rot, centers)  # (n, S, 2)
+    cell_x = x[:, None] + (cos_t[:, None] * cx - sin_t[:, None] * cy)
+    cell_y = y[:, None] + (sin_t[:, None] * cx + cos_t[:, None] * cy)
 
-    dx = cell_abs[:, :, None, 0] - xy[None, None, :, 0]  # (n, S, n)
-    dy = cell_abs[:, :, None, 1] - xy[None, None, :, 1]
+    dx = cell_x[:, :, None] - x  # (n, S, n)
+    dy = cell_y[:, :, None] - y
     spatial = np.exp(-0.5 * (dx**2 + dy**2) / params.sigma_s**2)
 
-    pair_dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+    pair_dist = np.hypot(x[:, None] - x, y[:, None] - y)
     neighbor = (pair_dist <= params.radius) & ~np.eye(n, dtype=bool)  # (n, n)
     spatial = spatial * neighbor[:, None, :]
 

@@ -103,7 +103,7 @@ def _integer(value, name: str) -> int:
     another; NumPy integers are Integral and are accepted.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -121,7 +121,15 @@ def _real(value, name: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    raise ValueError(f"{name} must be a finite real number, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value) for a rejection message, or its type where CPython refuses the repr (an int over 4,300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -137,6 +145,9 @@ def _is_frozen(arr: np.ndarray) -> bool:
             return False
         arr = arr.base
     return arr is None
+
+
+_SEED_LIMIT = 10**4300
 
 
 @dataclass(frozen=True)
@@ -158,6 +169,9 @@ class HashKey:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # the fingerprint spells the seed in decimal, which CPython refuses beyond 4,300 digits
+        if self.seed >= _SEED_LIMIT:
+            raise ValueError("seed must have at most 4300 decimal digits")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.q < 2:

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written with plain loops and stdlib math, deliberately
-avoiding the vectorized code paths under test.
+avoiding the vectorized code paths under test, except the frozen sections
+below, each of which keeps an earlier vectorised form to compare against bit
+for bit.
 """
 
 from __future__ import annotations
@@ -139,6 +141,63 @@ def oracle_cylinders(template, params):
     return out
 
 
+# ---------------------------------------------------------------------------
+# frozen cylinder encoder
+#
+# The vectorised encoder as it stood before its rotation and pair distances
+# were written out as plain arithmetic: (n, 2, 2) rotation matrices applied
+# with an einsum, distances from a transposed (2, n, n) difference stack,
+# and a layout built per call. Kept verbatim so the package's cylinders can
+# be required to equal it byte for byte.
+
+
+def _reference_cell_layout(params):
+    g = 2.0 * params.radius / params.ns
+    axis = -params.radius + g * (np.arange(params.ns) + 0.5)
+    ci, cj = np.meshgrid(axis, axis, indexing="ij")
+    centers = np.stack([ci.ravel(), cj.ravel()], axis=1)
+    in_circle = np.hypot(centers[:, 0], centers[:, 1]) <= params.radius
+    directions = (2.0 * np.arange(1, params.nd + 1) - 1.0) * math.pi / params.nd
+    return centers, in_circle, directions
+
+
+def _reference_angle_distance(a, b):
+    delta = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % (2.0 * math.pi)
+    return np.minimum(delta, 2.0 * math.pi - delta)
+
+
+def reference_encode_cylinders(template, params):
+    xy = np.ascontiguousarray(template.points[:, :2])
+    theta = np.ascontiguousarray(template.points[:, 2])
+    n = len(template)
+    centers, in_circle, directions = _reference_cell_layout(params)
+
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    rot = np.stack(
+        [np.stack([cos_t, -sin_t], axis=1), np.stack([sin_t, cos_t], axis=1)],
+        axis=1,
+    )  # (n, 2, 2)
+    cell_abs = xy[:, None, :] + np.einsum("kab,sb->ksa", rot, centers)  # (n, S, 2)
+
+    dx = cell_abs[:, :, None, 0] - xy[None, None, :, 0]  # (n, S, n)
+    dy = cell_abs[:, :, None, 1] - xy[None, None, :, 1]
+    spatial = np.exp(-0.5 * (dx**2 + dy**2) / params.sigma_s**2)
+
+    pair_dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+    neighbor = (pair_dist <= params.radius) & ~np.eye(n, dtype=bool)  # (n, n)
+    spatial = spatial * neighbor[:, None, :]
+
+    rel_angle = _reference_angle_distance(
+        directions[:, None, None], (theta[:, None] - theta[None, :])[None, :, :]
+    )  # (nd, n, n)
+    directional = np.exp(-0.5 * rel_angle**2 / params.sigma_d**2)
+
+    values = np.einsum("ksl,hkl->ksh", spatial, directional)  # (n, S, nd)
+    values[:, ~in_circle, :] = 0.0
+    np.minimum(values, 1.0, out=values)
+    return values.reshape(n, params.dim)
+
+
 def oracle_genuine_count(fingers, samples):
     return fingers * samples * (samples - 1) // 2
 
@@ -150,7 +209,7 @@ def oracle_impostor_count(fingers):
 # ---------------------------------------------------------------------------
 # frozen per-pair scorer
 #
-# The one exception to the plain-loop rule above: this is the per-pair
+# An exception to the plain-loop rule above: this is the per-pair
 # scorer the batched one replaced (scipy's cdist, a greedy or flat pick
 # per matrix, np.mean), kept verbatim so the batched scores can be required
 # to match it bit for bit, ties and orientation included.

@@ -378,7 +378,7 @@ class TestAnalyze:
         for name in ("square", "underdetermined"):
             assert report[name]["found"] is True
             assert report[name]["rehash_matches"] is True
-        assert report["guess_space"]["decimal_digits"] == 6145
+        assert "guess_space" not in report
         rows = (out / "invert_volume.csv").read_text().splitlines()
         assert rows[0] == "case,constraints,volume_estimate"
         # 3 constraints for the square case, 2 for the underdetermined one

@@ -8,7 +8,7 @@ from oracles import oracle_hash
 
 from giomhash.cases import get_case, square_case_region
 from giomhash.evaluation import EncodedDataset, hash_dataset
-from giomhash.hashing import _ROW_CHUNK, _block_matrices, hash_rows, iom_hash
+from giomhash.hashing import _ROW_CHUNK, _block_matrices, hash_rows
 from giomhash.model import GaussianBank, HashKey
 from giomhash.randomness import derive_bank
 
@@ -30,11 +30,11 @@ class TestWorkedExamples:
 
     def test_square_case_code(self, square_case):
         np.testing.assert_array_equal(
-            iom_hash(square_case.vector, square_case.bank), [1, 2, 1]
+            hash_rows(square_case.vector[None, :], square_case.bank), [[1, 2, 1]]
         )
 
     def test_underdetermined_case_code(self, under_case):
-        np.testing.assert_array_equal(iom_hash(under_case.vector, under_case.bank), [1, 2])
+        np.testing.assert_array_equal(hash_rows(under_case.vector[None, :], under_case.bank), [[1, 2]])
 
     def test_square_case_region_contains_vector(self, square_case):
         assert square_case_region(square_case.vector[None, :])[0]
@@ -56,10 +56,11 @@ class TestGiomHash:
         assert hashed.key_fingerprint == key.fingerprint()
 
     def test_iom_equals_single_row_giom(self):
+        # Jin et al.'s IoM code of one fixed vector is the one-row gIoM code
         rng = np.random.default_rng(8)
         bank = derive_bank(HashKey(seed=11, m=6, q=4, d=5))
         x = rng.random(5)
-        np.testing.assert_array_equal(iom_hash(x, bank), hash_rows(x[None, :], bank)[0])
+        np.testing.assert_array_equal(hash_rows(x[None, :], bank), [oracle_hash(x, bank.matrices)])
 
     def test_indices_in_range(self):
         rng = np.random.default_rng(2)
@@ -70,36 +71,36 @@ class TestGiomHash:
     def test_deterministic(self):
         bank = derive_bank(HashKey(seed=21, m=5, q=6, d=7))
         x = np.linspace(0, 1, 7)
-        np.testing.assert_array_equal(iom_hash(x, bank), iom_hash(x, bank))
+        np.testing.assert_array_equal(hash_rows(x[None, :], bank), hash_rows(x[None, :], bank))
 
     @given(st.integers(0, 10_000), st.floats(1e-6, 10.0, allow_nan=False))
     def test_positive_scale_invariance(self, seed, alpha):
         rng = np.random.default_rng(seed)
         bank = derive_bank(HashKey(seed=seed, m=3, q=4, d=5))
         x = rng.standard_normal(5)
-        np.testing.assert_array_equal(iom_hash(x, bank), iom_hash(alpha * x, bank))
+        np.testing.assert_array_equal(hash_rows(x[None, :], bank), hash_rows(alpha * x[None, :], bank))
 
     def test_tie_breaks_to_smallest_index(self):
         # identical columns project identically; the first must win
         mats = np.ones((2, 3, 4))
         bank = GaussianBank.of(mats)
-        np.testing.assert_array_equal(iom_hash(np.array([0.2, 0.5, 0.3]), bank), [1, 1])
+        np.testing.assert_array_equal(hash_rows(np.array([[0.2, 0.5, 0.3]]), bank), [[1, 1]])
 
     def test_dominant_column_forced(self):
         mats = np.zeros((1, 3, 4))
         mats[0, :, 2] = 1.0
         bank = GaussianBank.of(mats)
-        np.testing.assert_array_equal(iom_hash(np.array([0.1, 0.2, 0.3]), bank), [3])
+        np.testing.assert_array_equal(hash_rows(np.array([[0.1, 0.2, 0.3]]), bank), [[3]])
 
     def test_dimension_mismatch(self):
         bank = derive_bank(HashKey(seed=1, m=2, q=3, d=4))
         with pytest.raises(ValueError, match="does not match bank"):
-            iom_hash(np.ones(5), bank)
+            hash_rows(np.ones((1, 5)), bank)
 
     def test_non_finite_rejected(self):
         bank = derive_bank(HashKey(seed=1, m=2, q=3, d=4))
         with pytest.raises(ValueError, match="finite"):
-            iom_hash(np.array([1.0, np.nan, 0.0, 0.0]), bank)
+            hash_rows(np.array([[1.0, np.nan, 0.0, 0.0]]), bank)
 
 
 def _per_matrix_codes(rows, bank):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ class TestLgsParams:
             ({"min_np": True}, "min_np must be an integer, got True"),
             ({"greedy_unique": "no"}, "greedy_unique must be a bool, got 'no'"),
             ({"greedy_unique": 0}, "greedy_unique must be a bool, got 0"),
+            pytest.param(
+                {"min_np": Fraction(10**5000, 3)},
+                "min_np must be an integer, got <Fraction too large to print>",
+                id="fraction-beyond-repr",
+            ),
         ],
     )
     def test_non_integer_counts_and_non_bool_selection_rejected(self, change, message):

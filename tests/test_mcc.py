@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import oracle_cylinders
+from oracles import oracle_cylinders, reference_encode_cylinders
 
+from giomhash.evaluation import encode_dataset
 from giomhash.mcc import (
     MccParams,
+    _cell_layout,
     SynthParams,
     encode_cylinders,
     synth_dataset,
@@ -19,6 +21,29 @@ from giomhash.model import Minutia, MinutiaeTemplate, _is_frozen, load_minutiae
 
 def template_from(tuples, finger="f0", sample=1):
     return MinutiaeTemplate(finger, sample, tuple(Minutia(*t) for t in tuples))
+
+
+# radius 100 with ns 6 / nd 4 (d=144), the CLI default (d=1536) and ns 9 / nd 5 (d=405)
+ENCODERS = (MccParams(radius=100.0, ns=6, nd=4), MccParams(), MccParams(radius=100.0, ns=9, nd=5))
+# directions at and next to the wrap, before MinutiaeTemplate reduces them into [0, 2*pi)
+EDGE_ANGLES = (0.0, 5e-324, 1e-15, -1e-17, 2 * math.pi - 1e-15, math.nextafter(2 * math.pi, 0.0), 2 * math.pi)
+
+
+@st.composite
+def cylinder_case(draw):
+    """A template of 1-300 minutiae, some coincident and some at the angle wrap, and an encoder."""
+    params = draw(st.sampled_from(ENCODERS))
+    # the default encoder's (n, 256, n) temporaries reach about 750 MB at 300 minutiae
+    n = draw(st.integers(1, 100 if params.dim == 1536 else 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = draw(st.sampled_from([40.0, 300.0]))
+    points = np.column_stack([rng.uniform(0, field, (n, 2)), rng.uniform(0, 2 * math.pi, n)])
+    index = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=4)):
+        points[dst, :2] = points[src, :2]
+    for row, angle in draw(st.lists(st.tuples(index, st.sampled_from(EDGE_ANGLES)), max_size=4)):
+        points[row, 2] = angle
+    return MinutiaeTemplate("f0", 1, points), params
 
 
 class TestMccParams:
@@ -59,6 +84,11 @@ class TestMccParams:
             ({"sigma_d": True}, "sigma_d must be a finite real number, got True"),
             pytest.param(
                 {"radius": 10**400}, f"radius must be a finite real number, got {10**400}", id="int-beyond-float"
+            ),
+            pytest.param(
+                {"radius": 10**5000},
+                "radius must be a finite real number, got <int too large to print>",
+                id="int-beyond-repr",
             ),
         ],
     )
@@ -154,6 +184,20 @@ class TestEncodeCylinders:
             assert _is_frozen(v)
             with pytest.raises(ValueError):
                 v[0, 0] = 0.5
+
+    @given(cylinder_case())
+    def test_bits_equal_frozen_encoder(self, case):
+        template, params = case
+        got = encode_cylinders(template, params)
+        assert got.tobytes() == reference_encode_cylinders(template, params).tobytes()
+
+    def test_layout_read_only_and_built_once_per_params(self, small_mcc, small_dataset):
+        _cell_layout.cache_clear()
+        encode_dataset(small_dataset, small_mcc)
+        encode_dataset(small_dataset, MccParams(radius=100.0, ns=6, nd=4))
+        assert _cell_layout.cache_info().misses == 1
+        for arr in _cell_layout(small_mcc):
+            assert _is_frozen(arr)
 
 
 class TestSynthParams:

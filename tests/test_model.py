@@ -165,6 +165,10 @@ class TestHashKey:
             HashKey(seed=0, m=0, q=2, d=3)
         with pytest.raises(ValueError):
             HashKey(seed=0, m=1, q=2, d=0)
+        # the fingerprint spells the seed in decimal, so a seed beyond CPython's 4,300 digits is refused at once
+        with pytest.raises(ValueError, match="^seed must have at most 4300 decimal digits$"):
+            HashKey(seed=10**5000, m=1, q=2, d=3)
+        assert len(HashKey(seed=10**4300 - 1, m=1, q=2, d=3).fingerprint()) == 16
 
     @pytest.mark.parametrize(
         "change, message",

@@ -41,7 +41,7 @@ ROWS = module_rows(README.read_text())
 def test_checker_flags_a_stale_name():
     assert {"giomhash.evaluation", "giomhash.matching", "giomhash.model"} <= set(ROWS)
     contents = "`hash_rows`, `GaussianBank.of`, `float`, `(N, d)`, `matrix(i)`, `giom_hash`, `GaussianBank.key`"
-    assert unresolved("giomhash.hashing", "`hash_rows`, `iom_hash`") == []
+    assert unresolved("giomhash.hashing", "`hash_rows`, `GaussianBank.of`") == []
     assert unresolved("giomhash.model", contents) == ["hash_rows", "giom_hash", "GaussianBank.key"]
 
 

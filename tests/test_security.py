@@ -8,7 +8,7 @@ import giomhash.evaluation as evaluation
 import giomhash.security as security
 from giomhash.cases import get_case
 from giomhash.evaluation import encode_dataset, hash_dataset, run_evaluation, score_pairs, sweep
-from giomhash.hashing import iom_hash
+from giomhash.hashing import hash_rows
 from giomhash.matching import LgsParams
 from giomhash.model import HashKey
 from giomhash.randomness import child_seed, derive_bank
@@ -55,7 +55,7 @@ class TestBuildInequalities:
     def test_constraint_count(self):
         key = HashKey(seed=5, m=4, q=6, d=8)
         bank = derive_bank(key)
-        code = iom_hash(np.arange(1.0, 9.0), bank)
+        code = hash_rows(np.arange(1.0, 9.0)[None, :], bank)[0]
         system = build_inequalities(bank, code)
         assert system.n_constraints == key.m * (key.q - 1)
 
@@ -79,7 +79,7 @@ class TestBuildInequalities:
     def test_hashed_vector_satisfies_own_system(self, key_seed, x_seed, m, q, d):
         bank = derive_bank(HashKey(seed=key_seed, m=m, q=q, d=d))
         x = np.random.default_rng(x_seed).standard_normal(d)
-        system = build_inequalities(bank, iom_hash(x, bank))
+        system = build_inequalities(bank, hash_rows(x[None, :], bank)[0])
         assert system.satisfied(x)[0]
 
 
@@ -119,7 +119,7 @@ class TestSamplePreimage:
         forged = sample_preimage(system, attempts=10**5, seed=0)
         assert forged is not None
         assert system.satisfied(forged)[0]
-        np.testing.assert_array_equal(iom_hash(forged, case.bank), case.expected_code)
+        np.testing.assert_array_equal(hash_rows(forged[None, :], case.bank)[0], case.expected_code)
 
     def test_deterministic(self):
         case = get_case(2)
