@@ -1,7 +1,9 @@
 """Command-line pipeline: data generation, hashing, matching, evaluation, sweeps,
 and the security analyses.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. All randomness flows
+Exit codes: 0 success, 1 usage error, 2 runtime error. An option value out of
+range is a usage error, whether argparse or a parameter type (MccParams,
+LgsParams, SynthParams, HashKey) rejects it. All randomness flows
 from explicit --seed flags and outputs carry no timestamps, so reruns with
 identical arguments are byte-identical.
 """
@@ -9,8 +11,9 @@ identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import math
+import functools
 import sys
 from pathlib import Path
 
@@ -21,16 +24,7 @@ from .evaluation import encode_dataset, evaluation_config, hash_dataset, json_te
 from .hashing import hash_rows
 from .matching import LgsParams, lgs_match_detail
 from .mcc import MccParams, SynthParams, synth_dataset, write_dataset
-from .model import (
-    HashKey,
-    IntegrityError,
-    ParseError,
-    file_stem,
-    load_hashed,
-    load_minutiae,
-    save_hashed,
-    save_key,
-)
+from .model import HashKey, file_stem, load_hashed, load_minutiae, save_hashed, save_key
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,34 +52,6 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = _finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {value}")
-    return value
-
-
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -100,19 +66,19 @@ def _int_list(text: str) -> list[int]:
 
 def _add_mcc_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("cylinder encoding")
-    group.add_argument("--radius", type=_positive_float, default=70.0, help="cylinder radius in pixels")
+    group.add_argument("--radius", type=float, default=70.0, help="cylinder radius in pixels")
     group.add_argument("--ns", type=_positive_int, default=16, help="spatial cells per axis")
     group.add_argument("--nd", type=_positive_int, default=6, help="directional cells")
-    group.add_argument("--sigma-s", type=_positive_float, default=None, help="spatial kernel std-dev (default radius/7.5)")
-    group.add_argument("--sigma-d", type=_positive_float, default=np.pi / 9.0, help="angular kernel std-dev")
+    group.add_argument("--sigma-s", type=float, default=None, help="spatial kernel std-dev (default radius/7.5)")
+    group.add_argument("--sigma-d", type=float, default=np.pi / 9.0, help="angular kernel std-dev")
 
 
 def _add_lgs_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("matcher")
     group.add_argument("--min-np", type=_positive_int, default=4, help="minimum pair budget")
     group.add_argument("--max-np", type=_positive_int, default=12, help="maximum pair budget")
-    group.add_argument("--mu-p", type=_finite_float, default=20.0, help="pair-budget sigmoid midpoint")
-    group.add_argument("--tau-p", type=_finite_float, default=0.4, help="pair-budget sigmoid slope")
+    group.add_argument("--mu-p", type=float, default=20.0, help="pair-budget sigmoid midpoint")
+    group.add_argument("--tau-p", type=float, default=0.4, help="pair-budget sigmoid slope")
     group.add_argument(
         "--flat-topk",
         action="store_true",
@@ -120,18 +86,34 @@ def _add_lgs_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _mcc_from_args(args) -> MccParams:
-    return MccParams(radius=args.radius, ns=args.ns, nd=args.nd, sigma_s=args.sigma_s, sigma_d=args.sigma_d)
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Report a parameter type's ValueError raised in the block as a usage error of parser's command (exit 1)."""
+    try:
+        yield
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _lgs_from_args(args) -> LgsParams:
-    return LgsParams(
-        min_np=args.min_np,
-        max_np=args.max_np,
-        mu_p=args.mu_p,
-        tau_p=args.tau_p,
-        greedy_unique=not args.flat_topk,
-    )
+def _mcc_from_args(parser: argparse.ArgumentParser, args) -> MccParams:
+    with _usage_errors(parser):
+        return MccParams(radius=args.radius, ns=args.ns, nd=args.nd, sigma_s=args.sigma_s, sigma_d=args.sigma_d)
+
+
+def _lgs_from_args(parser: argparse.ArgumentParser, args) -> LgsParams:
+    with _usage_errors(parser):
+        return LgsParams(
+            min_np=args.min_np,
+            max_np=args.max_np,
+            mu_p=args.mu_p,
+            tau_p=args.tau_p,
+            greedy_unique=not args.flat_topk,
+        )
+
+
+def _key_from_args(parser: argparse.ArgumentParser, args, seed: int, mcc: MccParams) -> HashKey:
+    with _usage_errors(parser):
+        return HashKey(seed=seed, m=args.m, q=args.q, d=mcc.dim)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,18 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic minutiae dataset")
+    p.set_defaults(run=functools.partial(_cmd_gen_data, p))
     p.add_argument("--fingers", type=_positive_int, default=10)
     p.add_argument("--samples", type=_positive_int, default=8)
     p.add_argument("--min-minutiae", type=_positive_int, default=15)
     p.add_argument("--max-minutiae", type=_positive_int, default=30)
-    p.add_argument("--jitter-pos", type=_nonneg_float, default=5.0)
-    p.add_argument("--jitter-theta", type=_nonneg_float, default=0.1)
-    p.add_argument("--drop-rate", type=_unit_float, default=0.05)
-    p.add_argument("--field-size", type=_positive_float, default=500.0)
+    p.add_argument("--jitter-pos", type=float, default=5.0)
+    p.add_argument("--jitter-theta", type=float, default=0.1)
+    p.add_argument("--drop-rate", type=float, default=0.05)
+    p.add_argument("--field-size", type=float, default=500.0)
     p.add_argument("--seed", type=_nonneg_int, required=True)
     p.add_argument("--out", required=True, help="output directory for template text files")
 
     p = sub.add_parser("hash", help="hash minutiae templates into protected index codes")
+    p.set_defaults(run=functools.partial(_cmd_hash, p))
     p.add_argument("--case", type=int, choices=sorted(cases.CASES), help="print the code of a bundled worked example and exit")
     p.add_argument("--data", help="template file or directory")
     p.add_argument("--seed", type=_nonneg_int)
@@ -163,12 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mcc_args(p)
 
     p = sub.add_parser("match", help="score two hashed templates")
+    p.set_defaults(run=functools.partial(_cmd_match, p))
     p.add_argument("--a", required=True, help="first hashed template (JSON)")
     p.add_argument("--b", required=True, help="second hashed template (JSON)")
     p.add_argument("--detail", help="write selected pairs and n_p as JSON")
     _add_lgs_args(p)
 
     p = sub.add_parser("evaluate", help="run the genuine/impostor protocol and report EER")
+    p.set_defaults(run=functools.partial(_cmd_evaluate, p))
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=_nonneg_int, required=True)
     p.add_argument("--m", type=_positive_int, default=DEFAULT_M)
@@ -179,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lgs_args(p)
 
     p = sub.add_parser("sweep", help="mean EER over a grid of (m, q)")
+    p.set_defaults(run=functools.partial(_cmd_sweep, p))
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=_nonneg_int, required=True)
     p.add_argument("--m", type=_int_list, default=_int_list(DEFAULT_M_GRID))
@@ -190,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lgs_args(p)
 
     p = sub.add_parser("analyze", help="security experiments: invert, unlink, revoke")
-    p.add_argument("--mode", choices=["invert", "unlink", "revoke"], required=True)
+    p.set_defaults(run=functools.partial(_cmd_analyze, p))
+    p.add_argument("--mode", choices=list(_ANALYSES), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--data", help="dataset directory (unlink and revoke modes)")
@@ -208,6 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, made when a command has its results and writes them."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json_text(payload))
 
@@ -219,44 +214,42 @@ def _write_hist_csv(path: Path, columns: dict[str, list[float]]) -> None:
     write_csv(path, header, zip(edges[:-1], edges[1:], *fractions))
 
 
-def _cmd_gen_data(args) -> int:
-    params = SynthParams(
-        fingers=args.fingers,
-        samples_per_finger=args.samples,
-        minutiae_range=(args.min_minutiae, args.max_minutiae),
-        jitter_pos=args.jitter_pos,
-        jitter_theta=args.jitter_theta,
-        drop_rate=args.drop_rate,
-        field_size=args.field_size,
-    )
+def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
+    with _usage_errors(parser):
+        params = SynthParams(
+            fingers=args.fingers,
+            samples_per_finger=args.samples,
+            minutiae_range=(args.min_minutiae, args.max_minutiae),
+            jitter_pos=args.jitter_pos,
+            jitter_theta=args.jitter_theta,
+            drop_rate=args.drop_rate,
+            field_size=args.field_size,
+        )
     dataset = synth_dataset(args.seed, params)
     paths = write_dataset(dataset, args.out)
     print(f"wrote {len(paths)} templates to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_hash(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
+    mcc = _mcc_from_args(parser, args)
     if args.case is not None:
         case = cases.get_case(args.case)
         print(" ".join(str(int(i)) for i in hash_rows(case.vector[None, :], case.bank)[0]))
-        return EXIT_OK
+        return
     if not args.data or args.seed is None or not args.out:
         parser.error("hash requires --data, --seed and --out (or --case)")
-    mcc = _mcc_from_args(args)
-    key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
+    key = _key_from_args(parser, args, args.seed, mcc)
     templates = load_minutiae(args.data)
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     for template_key, template in hashed.items():
         save_hashed(template, out / f"{file_stem(template_key)}.json")
     save_key(key, out / "key.json")
     print(f"hashed {len(templates)} templates under key {key.fingerprint()} to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_match(args) -> int:
-    lgs = _lgs_from_args(args)
+def _cmd_match(parser: argparse.ArgumentParser, args) -> None:
+    lgs = _lgs_from_args(parser, args)
     a = load_hashed(args.a)
     b = load_hashed(args.b)
     score, selected, n_p = lgs_match_detail(a, b, lgs)
@@ -271,38 +264,33 @@ def _cmd_match(args) -> int:
             },
         )
     print(repr(score))
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    mcc = _mcc_from_args(args)
-    lgs = _lgs_from_args(args)
-    key = HashKey(seed=args.seed, m=args.m, q=args.q, d=mcc.dim)
+def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
+    mcc = _mcc_from_args(parser, args)
+    lgs = _lgs_from_args(parser, args)
+    key = _key_from_args(parser, args, args.seed, mcc)
     dataset = load_minutiae(args.data)
     report = run_evaluation(dataset, key, mcc, lgs)
     # the config dict is this report's own, so the scores are not copied into a new report
     report.config["data"] = args.data
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report.save(out / "report.json")
     report.write_roc_csv(out / "roc.csv")
     print(f"eer={report.eer!r} ({len(report.genuine_scores)} genuine, {len(report.impostor_scores)} impostor)")
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    mcc = _mcc_from_args(args)
-    lgs = _lgs_from_args(args)
+def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
+    mcc = _mcc_from_args(parser, args)
+    lgs = _lgs_from_args(parser, args)
     dataset = load_minutiae(args.data)
     result = sweep(dataset, args.m, args.q, args.trials, args.seed, mcc, lgs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_sweep_csv(result, out / "sweep_trials.csv", out / "sweep_means.csv")
     print(f"swept {len(result.means)} (m, q) cells x {args.trials} trials into {args.out}")
-    return EXIT_OK
 
 
-def _analyze_invert(args, out: Path) -> None:
+def _analyze_invert(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
     report = {
         "mode": "invert",
         "seed": args.seed,
@@ -331,19 +319,19 @@ def _analyze_invert(args, out: Path) -> None:
             vol = security.preimage_volume_estimate(sub, samples=args.volume_samples, seed=args.seed)
             volume_rows.append((case.name, prefix, vol))
         report[case.name] = entry
+    out = _out_dir(args)
     _write_json(out / "invert.json", report)
     write_csv(out / "invert_volume.csv", ["case", "constraints", "volume_estimate"], volume_rows)
 
 
-def _analyze_unlink(args, out: Path, parser: argparse.ArgumentParser) -> None:
+def _analyze_unlink(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
     if not args.data or args.seed_a is None or args.seed_b is None:
         parser.error("analyze --mode unlink requires --data, --seed-a and --seed-b")
-    mcc = _mcc_from_args(args)
-    lgs = _lgs_from_args(args)
-    key_a = HashKey(seed=args.seed_a, m=args.m, q=args.q, d=mcc.dim)
-    key_b = HashKey(seed=args.seed_b, m=args.m, q=args.q, d=mcc.dim)
+    key_a = _key_from_args(parser, args, args.seed_a, mcc)
+    key_b = _key_from_args(parser, args, args.seed_b, mcc)
     dataset = load_minutiae(args.data)
     mated, non_mated = security.unlinkability_experiment(dataset, key_a, key_b, mcc, lgs)
+    out = _out_dir(args)
     _write_json(
         out / "unlink.json",
         {
@@ -359,16 +347,15 @@ def _analyze_unlink(args, out: Path, parser: argparse.ArgumentParser) -> None:
     _write_hist_csv(out / "unlink_hist.csv", {"mated_genuine": mated, "non_mated_impostor": non_mated})
 
 
-def _analyze_revoke(args, out: Path, parser: argparse.ArgumentParser) -> None:
+def _analyze_revoke(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
     if not args.data or args.base_seed is None:
         parser.error("analyze --mode revoke requires --data and --base-seed")
-    mcc = _mcc_from_args(args)
-    lgs = _lgs_from_args(args)
-    base_key = HashKey(seed=args.base_seed, m=args.m, q=args.q, d=mcc.dim)
+    base_key = _key_from_args(parser, args, args.base_seed, mcc)
     dataset = load_minutiae(args.data)
     mated, genuine, impostor = security.revocability_experiment(
         dataset, base_key, n_keys=args.n_keys, seed=args.seed, mcc=mcc, lgs=lgs
     )
+    out = _out_dir(args)
     _write_json(
         out / "revoke.json",
         {
@@ -385,48 +372,28 @@ def _analyze_revoke(args, out: Path, parser: argparse.ArgumentParser) -> None:
             "impostor_mean": float(np.mean(impostor)),
         },
     )
-    _write_hist_csv(
-        out / "revoke_hist.csv",
-        {"mated_genuine": mated, "genuine": genuine, "impostor": impostor},
-    )
+    _write_hist_csv(out / "revoke_hist.csv", {"mated_genuine": mated, "genuine": genuine, "impostor": impostor})
 
 
-def _cmd_analyze(args, parser: argparse.ArgumentParser) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.mode == "invert":
-        _analyze_invert(args, out)
-    elif args.mode == "unlink":
-        _analyze_unlink(args, out, parser)
-    else:
-        _analyze_revoke(args, out, parser)
+_ANALYSES = {"invert": _analyze_invert, "unlink": _analyze_unlink, "revoke": _analyze_revoke}
+
+
+def _cmd_analyze(parser: argparse.ArgumentParser, args) -> None:
+    _ANALYSES[args.mode](parser, args, _mcc_from_args(parser, args), _lgs_from_args(parser, args))
     print(f"wrote {args.mode} analysis to {args.out}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args.run(args)
+    except SystemExit as exc:  # argparse's exit, also from parser.error inside a handler
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "hash":
-            return _cmd_hash(args, parser)
-        if args.command == "match":
-            return _cmd_match(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_analyze(args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (ValueError, OSError, ParseError, IntegrityError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 def app() -> None:

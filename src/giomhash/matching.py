@@ -61,7 +61,7 @@ def np_select(n_a: int, n_b: int, params: LgsParams = LgsParams()) -> int:
 
     Z is the sigmoid 1 / (1 + exp(-tau_p * (v - mu_p))) of v = min(n_a, n_b).
     """
-    n_a, n_b = int(n_a), int(n_b)
+    n_a, n_b = _integer(n_a, "n_a"), _integer(n_b, "n_b")
     if n_a < 1 or n_b < 1:
         raise ValueError("template sizes must be >= 1")
     v = min(n_a, n_b)

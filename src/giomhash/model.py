@@ -205,7 +205,7 @@ class GaussianBank:
         for name in ("m", "d", "q"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 1 or self.d < 1 or self.q < 2:
-            raise ValueError(f"degenerate bank shape {(self.m, self.d, self.q)}")
+            raise ValueError(f"degenerate bank shape ({', '.join(_shown(n) for n in (self.m, self.d, self.q))})")
 
     @classmethod
     def of(cls, matrices) -> GaussianBank:

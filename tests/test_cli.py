@@ -28,6 +28,15 @@ def child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, inherited]) if inherited else src)
 
 
+def assert_usage_error(argv, out, capsys):
+    """argv exits 1 with its subcommand's usage error and leaves no --out behind; returns the message."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"giom {argv[0]}: error:" in err
+    assert not out.exists()
+    return err
+
+
 def read_bytes(directory):
     return {
         path.name: path.read_bytes()
@@ -95,17 +104,31 @@ class TestGenData:
         )
         assert read_bytes(rerun) == read_bytes(data_dir)
 
-    def test_bad_drop_rate_is_usage_error(self, tmp_path):
-        code = main(
-            ["gen-data", "--seed", "1", "--drop-rate", "1.5", "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
+    def test_bad_drop_rate_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        err = assert_usage_error(["gen-data", "--seed", "1", "--drop-rate", "1.5", "--out", str(out)], out, capsys)
+        assert "drop_rate must lie in [0, 1]" in err
 
     @pytest.mark.parametrize("flag", [["--jitter-pos", "nan"], ["--field-size", "inf"], ["--jitter-theta=-inf"]])
     def test_non_finite_float_is_usage_error(self, tmp_path, capsys, flag):
-        assert main(["gen-data", "--seed", "1", "--out", str(tmp_path / "x")] + flag) == 1
-        assert "expected a finite number" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        out = tmp_path / "x"
+        err = assert_usage_error(["gen-data", "--seed", "1", "--out", str(out)] + flag, out, capsys)
+        assert "must be a finite real number" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--min-minutiae", "30", "--max-minutiae", "10"],
+            ["--jitter-pos", "-1"],
+            ["--jitter-theta", "-1"],
+            ["--drop-rate", "-1"],
+            ["--field-size", "0"],
+        ],
+    )
+    def test_value_rejected_by_synth_params_is_usage_error(self, tmp_path, capsys, flag):
+        # SynthParams owns these ranges; the CLI parses plain numbers
+        out = tmp_path / "x"
+        assert_usage_error(["gen-data", "--seed", "1", "--out", str(out)] + flag, out, capsys)
 
 
 class TestHash:
@@ -177,6 +200,15 @@ class TestHash:
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag", [["--case", "1", "--ns", "1"], ["--case", "1", "--radius", "0"], ["--q", "1"], ["--sigma-d", "-1"]]
+    )
+    def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
+        # checked before --data is read, so the missing file is never reached
+        out = tmp_path / "x"
+        argv = ["hash", "--data", str(tmp_path / "missing"), "--seed", "1", "--out", str(out)] + flag
+        assert_usage_error(argv, out, capsys)
+
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = main(
             ["hash", "--data", str(tmp_path / "absent"), "--seed", "1", "--out", str(tmp_path / "o")]
@@ -228,6 +260,12 @@ class TestMatch:
         )
         assert code == 2
         assert "fingerprint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mu-p", "nan"], ["--tau-p", "inf"], ["--max-np", "2"]])
+    def test_value_rejected_by_lgs_params_is_usage_error(self, tmp_path, capsys, flag):
+        detail = tmp_path / "detail.json"
+        argv = ["match", "--a", str(tmp_path / "a.json"), "--b", str(tmp_path / "b.json"), "--detail", str(detail)]
+        assert_usage_error(argv + flag, detail, capsys)
 
     def test_malformed_file_is_runtime_error(self, hashed_dir, tmp_path, capsys):
         payload = json.loads((hashed_dir / "f0000_01.json").read_text())
@@ -291,19 +329,38 @@ class TestEvaluate:
         assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == report_sha256
         assert hashlib.sha256((out / "roc.csv").read_bytes()).hexdigest() == roc_sha256
 
-    def test_zero_m_is_usage_error(self, data_dir, tmp_path):
-        code = main(
-            ["evaluate", "--data", str(data_dir), "--seed", "1", "--m", "0", "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
+    def test_zero_m_is_usage_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["evaluate", "--data", str(data_dir), "--seed", "1", "--m", "0", "--out", str(out)]
+        assert_usage_error(argv, out, capsys)
 
     @pytest.mark.parametrize(
         "flag", [["--radius", "nan"], ["--sigma-d", "inf"], ["--mu-p", "nan"], ["--tau-p=inf"]]
     )
     def test_non_finite_float_is_usage_error(self, data_dir, tmp_path, capsys, flag):
-        assert self.run(data_dir, tmp_path / "x", extra=flag) == 1
-        assert "expected a finite number" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        out = tmp_path / "x"
+        err = assert_usage_error(
+            ["evaluate", "--data", str(data_dir), "--seed", "11", "--out", str(out)] + SMALL_KEY + SMALL_MCC + flag,
+            out,
+            capsys,
+        )
+        assert "must be a finite real number" in err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--ns", "1"], "ns must be >= 2"),
+            (["--q", "1"], "q must be >= 2"),
+            (["--max-np", "2"], "need 1 <= min_np <= max_np, got [4, 2]"),
+            (["--radius", "0"], "radius must be positive"),
+            (["--sigma-s", "-1"], "kernel spreads must be positive"),
+        ],
+    )
+    def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag, message):
+        # MccParams, LgsParams and HashKey are built before --data is read, so the missing file is never reached
+        out = tmp_path / "x"
+        argv = ["evaluate", "--data", str(tmp_path / "missing"), "--seed", "1", "--out", str(out)] + flag
+        assert message in assert_usage_error(argv, out, capsys)
 
     def test_missing_data_is_runtime_error(self, tmp_path):
         code = main(
@@ -358,6 +415,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"argument {flag[0]}: expected positive integers" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", [["--radius", "0"], ["--nd", "1", "--sigma-d", "0"], ["--min-np", "13"]])
+    def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
+        assert_usage_error(argv, out, capsys)
 
 
 class TestAnalyze:
@@ -417,13 +480,12 @@ class TestAnalyze:
         argv = ["analyze", "--mode", "unlink", "--data", str(one_finger), "--seed-a", "1", "--seed-b", "2"]
         assert main(argv + ["--out", str(out)] + SMALL_KEY + SMALL_MCC) == 2
         assert capsys.readouterr().err == "error: protocol needs >= 2 fingers for impostor comparisons\n"
-        assert not (out / "unlink.json").exists()
+        assert not out.exists()
 
-    def test_unlink_requires_both_seeds(self, data_dir, tmp_path):
-        code = main(
-            ["analyze", "--mode", "unlink", "--data", str(data_dir), "--seed-a", "1", "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
+    def test_unlink_requires_both_seeds(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["analyze", "--mode", "unlink", "--data", str(data_dir), "--seed-a", "1", "--out", str(out)]
+        assert "requires --data, --seed-a and --seed-b" in assert_usage_error(argv, out, capsys)
 
     def test_revoke(self, data_dir, tmp_path):
         out = tmp_path / "revoke"
@@ -449,11 +511,26 @@ class TestAnalyze:
         hist = (out / "revoke_hist.csv").read_text().splitlines()
         assert len(hist) == 1 + 100
 
-    def test_revoke_requires_base_seed(self, data_dir, tmp_path):
-        code = main(
-            ["analyze", "--mode", "revoke", "--data", str(data_dir), "--out", str(tmp_path / "x")]
-        )
-        assert code == 1
+    def test_revoke_requires_base_seed(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = ["analyze", "--mode", "revoke", "--data", str(data_dir), "--out", str(out)]
+        assert "requires --data and --base-seed" in assert_usage_error(argv, out, capsys)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--mode", "invert", "--ns", "1"],
+            ["--mode", "invert", "--max-np", "2"],
+            ["--mode", "invert", "--radius", "nan"],
+            ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--q", "1"],
+            ["--mode", "revoke", "--base-seed", "1", "--tau-p", "-inf"],
+        ],
+    )
+    def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
+        # every mode builds its MccParams and LgsParams before it runs
+        out = tmp_path / "x"
+        argv = ["analyze", "--data", str(tmp_path / "missing"), "--attempts", "10", "--out", str(out)] + flag
+        assert_usage_error(argv, out, capsys)
 
     def test_analyze_rerun_is_byte_identical(self, tmp_path):
         args = [

@@ -121,6 +121,12 @@ class TestNpSelect:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             np_select(0, 5, LgsParams())
+        # int() would truncate 1.5 and read True as 1, both silently giving n_p = 1
+        with pytest.raises(ValueError, match="n_a must be an integer, got 1.5"):
+            np_select(1.5, 10)
+        with pytest.raises(ValueError, match="n_a must be an integer, got True"):
+            np_select(True, 7)
+        assert np_select(np.int64(10), 10) == np_select(10, 10)
 
     @given(st.integers(1, 200), st.integers(1, 200))
     def test_result_always_feasible(self, n_a, n_b):

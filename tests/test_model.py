@@ -221,6 +221,9 @@ class TestGaussianBank:
     def test_degenerate_shape_rejected(self, shape):
         with pytest.raises(ValueError, match=r"degenerate bank shape \(%d, %d, %d\)" % shape):
             GaussianBank(*shape, np.zeros)
+        # an int too long for repr is named by its type, not by CPython's digit-limit error
+        with pytest.raises(ValueError, match=r"degenerate bank shape \(<int too large to print>, %d, %d\)" % shape[1:]):
+            GaussianBank(-(10**5000), *shape[1:], np.zeros)
 
     @pytest.mark.parametrize("field,shape", [("m", (1.5, 3, 2)), ("d", (1, True, 2)), ("q", (1, 3, 2.0))])
     def test_non_integer_shape_rejected(self, field, shape):
