@@ -38,7 +38,6 @@ from .matching import (
     LgsParams,
     np_select,
     point_similarity,
-    similarity_matrix,
     lgs_match,
     lgs_match_detail,
 )

@@ -283,6 +283,11 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
     mcc = _mcc_from_args(parser, args)
     lgs = _lgs_from_args(parser, args)
+    # every grid cell's key is checked before the dataset is read
+    with _usage_errors(parser):
+        for m in args.m:
+            for q in args.q:
+                HashKey(seed=args.seed, m=m, q=q, d=mcc.dim)
     dataset = load_minutiae(args.data)
     result = sweep(dataset, args.m, args.q, args.trials, args.seed, mcc, lgs)
     out = _out_dir(args)
@@ -290,7 +295,8 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
     print(f"swept {len(result.means)} (m, q) cells x {args.trials} trials into {args.out}")
 
 
-def _analyze_invert(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
+def _analyze_invert(parser: argparse.ArgumentParser, args) -> None:
+    # the bundled cases carry their own banks, so no key, cylinder or matcher flag is read
     report = {
         "mode": "invert",
         "seed": args.seed,
@@ -324,9 +330,11 @@ def _analyze_invert(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: 
     write_csv(out / "invert_volume.csv", ["case", "constraints", "volume_estimate"], volume_rows)
 
 
-def _analyze_unlink(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
+def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:
     if not args.data or args.seed_a is None or args.seed_b is None:
         parser.error("analyze --mode unlink requires --data, --seed-a and --seed-b")
+    mcc = _mcc_from_args(parser, args)
+    lgs = _lgs_from_args(parser, args)
     key_a = _key_from_args(parser, args, args.seed_a, mcc)
     key_b = _key_from_args(parser, args, args.seed_b, mcc)
     dataset = load_minutiae(args.data)
@@ -347,9 +355,11 @@ def _analyze_unlink(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: 
     _write_hist_csv(out / "unlink_hist.csv", {"mated_genuine": mated, "non_mated_impostor": non_mated})
 
 
-def _analyze_revoke(parser: argparse.ArgumentParser, args, mcc: MccParams, lgs: LgsParams) -> None:
+def _analyze_revoke(parser: argparse.ArgumentParser, args) -> None:
     if not args.data or args.base_seed is None:
         parser.error("analyze --mode revoke requires --data and --base-seed")
+    mcc = _mcc_from_args(parser, args)
+    lgs = _lgs_from_args(parser, args)
     base_key = _key_from_args(parser, args, args.base_seed, mcc)
     dataset = load_minutiae(args.data)
     mated, genuine, impostor = security.revocability_experiment(
@@ -379,7 +389,7 @@ _ANALYSES = {"invert": _analyze_invert, "unlink": _analyze_unlink, "revoke": _an
 
 
 def _cmd_analyze(parser: argparse.ArgumentParser, args) -> None:
-    _ANALYSES[args.mode](parser, args, _mcc_from_args(parser, args), _lgs_from_args(parser, args))
+    _ANALYSES[args.mode](parser, args)
     print(f"wrote {args.mode} analysis to {args.out}")
 
 

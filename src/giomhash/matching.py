@@ -11,8 +11,9 @@ with row norms; packed_scores reads its pairs of template indices once,
 groups them by the sizes of their two templates and scores each group in
 blocks, each gathered from the packed array by index with no padding.
 evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
-lgs_match_detail a pair's two templates, and similarity_matrix is a single
-matrix. Distances come from gram matrices of the integer codes, which is
+and lgs_match_detail a pair's two templates. point_similarity is the score
+of two one-point templates: their pair budget is 1, so it is the one point
+similarity. Distances come from gram matrices of the integer codes, which is
 exact, so scores are bit-identical to a direct per-pair distance computation.
 Every score is a built-in float, from lgs_match and packed_scores alike.
 """
@@ -68,43 +69,6 @@ def np_select(n_a: int, n_b: int, params: LgsParams = LgsParams()) -> int:
     z = _sigmoid(params.tau_p * (v - params.mu_p))
     raw = params.min_np + round(z * (params.max_np - params.min_np))
     return min(max(raw, params.min_np), params.max_np, n_a, n_b)
-
-
-def _check_codes(codes: np.ndarray, q: int, label: str) -> np.ndarray:
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise ValueError(f"{label}: expected an (N, m) code array, got shape {codes.shape}")
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise ValueError(f"{label}: codes must be integers")
-    if codes.size and (codes.min() < 1 or codes.max() > q):
-        raise ValueError(f"{label}: code indices must lie in [1, {q}]")
-    return codes
-
-
-def point_similarity(a, b, q: int) -> float:
-    """1 - Euclidean distance between two index codes, normalized by its maximum.
-
-    The maximum distance is (q - 1) * sqrt(m), attained by codes all-1 vs
-    all-q, so the result lies in [0, 1].
-    """
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape != b.shape or a.shape[0] != 1:
-        raise ValueError(f"expected two equal-length index vectors, got {a.shape} and {b.shape}")
-    return float(similarity_matrix(a, b, q)[0, 0])
-
-
-def similarity_matrix(codes_a, codes_b, q: int) -> np.ndarray:
-    """Pairwise point similarities between two (N, m) integer code arrays in [1, q], shape (N_A, N_B)."""
-    q = _integer(q, "q")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    codes_a = _check_codes(codes_a, q, "codes_a")
-    codes_b = _check_codes(codes_b, q, "codes_b")
-    if codes_a.shape[1] != codes_b.shape[1]:
-        raise ValueError(f"code lengths differ: {codes_a.shape[1]} vs {codes_b.shape[1]}")
-    a, b = codes_a[None].astype(float), codes_b[None].astype(float)
-    return _similarities(a, b, np.einsum("pam,pam->pa", a, a), np.einsum("pbm,pbm->pb", b, b), q)[0]
 
 
 # Pairs are scored in blocks whose float64 code stacks, similarity stack and
@@ -325,3 +289,17 @@ def lgs_match_detail(
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
     return float(scores[0]), selected, n_p
+
+
+def point_similarity(a, b, q: int) -> float:
+    """1 - Euclidean distance between two index codes, normalized by its maximum.
+
+    The maximum distance is (q - 1) * sqrt(m), attained by codes all-1 vs
+    all-q, so the result lies in [0, 1]. It is lgs_match of a and b taken
+    as one-point templates, whose pair budget is 1.
+    """
+    a = np.atleast_2d(np.asarray(a))
+    b = np.atleast_2d(np.asarray(b))
+    if a.shape != b.shape or a.shape[0] != 1:
+        raise ValueError(f"expected two equal-length index vectors, got {a.shape} and {b.shape}")
+    return lgs_match(HashedTemplate(a, q, ""), HashedTemplate(b, q, ""))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import TWO_PI, MinutiaeTemplate, _frozen_array, _integer, _real, file_stem, save_minutiae
+from .model import TWO_PI, MinutiaeTemplate, _frozen_array, _integer, _real, _shown, file_stem, save_minutiae
 from .randomness import stream
 
 
@@ -52,8 +52,9 @@ class MccParams:
             raise ValueError("ns must be >= 2")
         if self.nd < 1:
             raise ValueError("nd must be >= 1")
-        if self.sigma_s <= 0 or self.sigma_d <= 0:
-            raise ValueError("kernel spreads must be positive")
+        for name in ("sigma_s", "sigma_d"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {_shown(getattr(self, name))}")
 
     @property
     def dim(self) -> int:
@@ -138,16 +139,18 @@ class SynthParams:
         object.__setattr__(self, "minutiae_range", (lo, hi))
         for name in ("jitter_pos", "jitter_theta", "drop_rate", "field_size"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        if self.fingers < 1 or self.samples_per_finger < 1:
-            raise ValueError("counts must be >= 1")
+        for name in ("fingers", "samples_per_finger"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {_shown(getattr(self, name))}")
         if lo < 1:
             raise ValueError("minutiae_range minimum must be >= 1")
         if lo > hi:
             raise ValueError(f"minutiae_range min {lo} > max {hi}")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must lie in [0, 1]")
-        if self.jitter_pos < 0 or self.jitter_theta < 0:
-            raise ValueError("jitter std-devs must be >= 0")
+        for name in ("jitter_pos", "jitter_theta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {_shown(getattr(self, name))}")
         if self.field_size <= 0:
             raise ValueError("field_size must be positive")
 

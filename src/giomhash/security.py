@@ -47,14 +47,12 @@ class InequalitySystem:
     def n_constraints(self) -> int:
         return self.normals.shape[0]
 
-    def satisfied(self, points, margin: float = 0.0) -> np.ndarray:
-        """Boolean mask of rows satisfying every constraint strictly (> margin)."""
+    def satisfied(self, points) -> np.ndarray:
+        """Boolean mask of rows satisfying every constraint strictly; with no constraints, every row."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.variable_dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.variable_dim}")
-        if self.n_constraints == 0:
-            return np.ones(pts.shape[0], dtype=bool)
-        return (pts @ self.normals.T > margin).all(axis=1)
+        return (pts @ self.normals.T > 0).all(axis=1)
 
 
 def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:

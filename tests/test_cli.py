@@ -353,7 +353,7 @@ class TestEvaluate:
             (["--q", "1"], "q must be >= 2"),
             (["--max-np", "2"], "need 1 <= min_np <= max_np, got [4, 2]"),
             (["--radius", "0"], "radius must be positive"),
-            (["--sigma-s", "-1"], "kernel spreads must be positive"),
+            (["--sigma-s", "-1"], "sigma_s must be positive, got -1.0"),
         ],
     )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag, message):
@@ -421,6 +421,14 @@ class TestSweep:
         out = tmp_path / "x"
         argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
         assert_usage_error(argv, out, capsys)
+
+    def test_grid_value_rejected_by_hash_key_is_usage_error(self, tmp_path, capsys):
+        # every grid cell's HashKey is built before the missing --data is read
+        out = tmp_path / "x"
+        argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--q", "6,1", "--out", str(out)]
+        assert "q must be >= 2: argmax over fewer than two candidates is degenerate" in assert_usage_error(
+            argv, out, capsys
+        )
 
 
 class TestAnalyze:
@@ -519,18 +527,26 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flag",
         [
-            ["--mode", "invert", "--ns", "1"],
-            ["--mode", "invert", "--max-np", "2"],
-            ["--mode", "invert", "--radius", "nan"],
+            ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--ns", "1"],
+            ["--mode", "revoke", "--base-seed", "1", "--max-np", "2"],
+            ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--radius", "nan"],
             ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--q", "1"],
             ["--mode", "revoke", "--base-seed", "1", "--tau-p", "-inf"],
         ],
     )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
-        # every mode builds its MccParams and LgsParams before it runs
+        # unlink and revoke build their MccParams, LgsParams and keys before they read --data
         out = tmp_path / "x"
         argv = ["analyze", "--data", str(tmp_path / "missing"), "--attempts", "10", "--out", str(out)] + flag
         assert_usage_error(argv, out, capsys)
+
+    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--q", "1"], ["--max-np", "2"], ["--radius", "nan"]])
+    def test_invert_ignores_options_it_never_reads(self, tmp_path, flag):
+        # the bundled cases carry their own banks, so invert reads no key, cylinder or matcher option
+        out = tmp_path / "x"
+        argv = ["analyze", "--mode", "invert", "--attempts", "10", "--volume-samples", "10", "--out", str(out)]
+        assert main(argv + flag) == 0
+        assert (out / "invert.json").exists()
 
     def test_analyze_rerun_is_byte_identical(self, tmp_path):
         args = [

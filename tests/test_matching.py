@@ -22,7 +22,6 @@ from giomhash.matching import (
     lgs_match_detail,
     np_select,
     point_similarity,
-    similarity_matrix,
 )
 from giomhash.model import HashKey, HashedTemplate
 from giomhash.randomness import derive_bank
@@ -162,21 +161,23 @@ class TestPointSimilarity:
             ([[0, 9]], 3, r"code indices must lie in \[1, 3\]"),
             ([[1.5, 2]], 3, "codes must be integers"),
             ([[1, 1]], 1, "q must be >= 2"),
-            ([1, 2], 3, r"expected an \(N, m\) code array"),
+            ([[1, 1], [1, 1]], 3, r"expected two equal-length index vectors"),
         ],
-        ids=["out-of-range", "non-integer", "q=1", "1-d"],
+        ids=["out-of-range", "non-integer", "q=1", "two-rows"],
     )
     def test_matrix_rejects_bad_input(self, codes, q, message):
+        # point_similarity takes (1, m) code matrices, each a one-point HashedTemplate that checks its codes and q
         with pytest.raises(ValueError, match=message):
-            similarity_matrix(codes, [[1, 1]], q)
+            point_similarity(codes, np.ones_like(codes), q)
         with pytest.raises(ValueError, match=message):
-            similarity_matrix([[1, 1]], codes, q)
+            point_similarity(np.ones_like(codes), codes, q)
+
+    def test_integral_float_codes_accepted(self):
+        assert point_similarity([1.0, 1.0], [2.0, 3.0], q=3) == point_similarity([1, 1], [2, 3], q=3)
 
     @given(codes_strategy(max_rows=4), codes_strategy(max_rows=4))
     def test_matrix_matches_oracle(self, rows_a, rows_b):
-        a = np.array(rows_a)
-        b = np.array(rows_b)
-        got = similarity_matrix(a, b, q=4)
+        got = [[point_similarity(a, b, q=4) for b in rows_b] for a in rows_a]
         expected = oracle_similarity_matrix(rows_a, rows_b, 4)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -290,6 +291,14 @@ def batch_scores(pairs, params):
     return score_pairs(keys, templates, params)
 
 
+def one_point_grid(codes_a, codes_b, q):
+    """score_pairs of each row of codes_a with each row of codes_b as one-point templates, shape (N_A, N_B)."""
+    side_a = {i: hashed([row], q=q) for i, row in enumerate(codes_a)}
+    side_b = {j: hashed([row], q=q) for j, row in enumerate(codes_b)}
+    pairs = [(i, j) for i in side_a for j in side_b]
+    return np.array(score_pairs(pairs, side_a, LgsParams(), hashed_b=side_b)).reshape(len(side_a), len(side_b))
+
+
 def random_templates(rng, count, m, q, rows=(1, 25), fp="k0"):
     return [
         hashed(rng.integers(1, q + 1, size=(int(rng.integers(*rows)), m)), q=q, fp=fp)
@@ -334,11 +343,12 @@ class TestBatchedScorer:
                 assert (score, selected, n_p) == reference_lgs_match_detail(a, b, params)
 
     def test_similarity_matrix_matches_reference(self):
+        # one-point templates are scored on their one pair: the grid is the point similarity matrix
         rng = np.random.default_rng(12)
         for m, q in ((1, 2), (7, 3), (100, 100), (700, 100)):
             a = rng.integers(1, q + 1, size=(23, m))
             b = rng.integers(1, q + 1, size=(17, m))
-            np.testing.assert_array_equal(similarity_matrix(a, b, q), reference_similarity_matrix(a, b, q))
+            np.testing.assert_array_equal(one_point_grid(a, b, q), reference_similarity_matrix(a, b, q))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_edges(self, offset):
@@ -412,7 +422,7 @@ class TestBatchedScorer:
         params = LgsParams(min_np=2, max_np=2)
         assert batch_scores([(low, high)], params) == reference_scores([(low, high)], params)
         np.testing.assert_array_equal(
-            similarity_matrix(low.codes, high.codes, q), reference_similarity_matrix(low.codes, high.codes, q)
+            one_point_grid(low.codes, high.codes, q), reference_similarity_matrix(low.codes, high.codes, q)
         )
         q += 1
         low, high = hashed([[1, 1]], q=q), hashed([[q, q]], q=q)
@@ -421,4 +431,4 @@ class TestBatchedScorer:
         with pytest.raises(ValueError, match="too large for exact scoring"):
             lgs_match(low, high)
         with pytest.raises(ValueError, match="too large for exact scoring"):
-            similarity_matrix(low.codes, high.codes, q)
+            point_similarity([1, 1], [q, q], q)

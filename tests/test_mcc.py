@@ -97,6 +97,18 @@ class TestMccParams:
             MccParams(**change)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sigma_s": -1.0}, "sigma_s must be positive, got -1.0"),
+            ({"sigma_d": 0}, "sigma_d must be positive, got 0.0"),
+        ],
+    )
+    def test_non_positive_spread_named_with_value(self, change, message):
+        with pytest.raises(ValueError) as info:
+            MccParams(**change)
+        assert str(info.value) == message
+
 
 class TestWrappedAngle:
     def test_symmetric_values(self):
@@ -239,6 +251,20 @@ class TestSynthParams:
         ],
     )
     def test_non_real_or_non_finite_values_rejected(self, change, message):
+        with pytest.raises(ValueError) as info:
+            SynthParams(**change)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"jitter_pos": -1.0}, "jitter_pos must be >= 0, got -1.0"),
+            ({"jitter_theta": -0.5}, "jitter_theta must be >= 0, got -0.5"),
+            ({"fingers": 0}, "fingers must be >= 1, got 0"),
+            ({"samples_per_finger": -2}, "samples_per_finger must be >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_value_named_with_value(self, change, message):
         with pytest.raises(ValueError) as info:
             SynthParams(**change)
         assert str(info.value) == message

@@ -89,12 +89,6 @@ class TestInequalitySystem:
         assert system.n_constraints == 0
         assert system.satisfied(np.zeros((5, 3))).all()
 
-    def test_margin_tightens(self):
-        case = get_case(1)
-        system = build_inequalities(case.bank, case.expected_code)
-        assert system.satisfied(case.vector, margin=0.0)[0]
-        assert not system.satisfied(case.vector, margin=10.0)[0]
-
     def test_dimension_mismatch_rejected(self):
         system = InequalitySystem(normals=np.ones((1, 3)), variable_dim=3)
         with pytest.raises(ValueError, match="dimension 2, expected 3"):
