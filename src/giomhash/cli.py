@@ -231,13 +231,14 @@ def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
-    mcc = _mcc_from_args(parser, args)
     if args.case is not None:
+        # a bundled case carries its own bank, so no key or cylinder flag is read
         case = cases.get_case(args.case)
         print(" ".join(str(int(i)) for i in hash_rows(case.vector[None, :], case.bank)[0]))
         return
     if not args.data or args.seed is None or not args.out:
         parser.error("hash requires --data, --seed and --out (or --case)")
+    mcc = _mcc_from_args(parser, args)
     key = _key_from_args(parser, args, args.seed, mcc)
     templates = load_minutiae(args.data)
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
@@ -321,7 +322,7 @@ def _analyze_invert(parser: argparse.ArgumentParser, args) -> None:
             entry["rehash_matches"] = bool(np.array_equal(code, case.expected_code))
         # volume of the cone cut by growing constraint prefixes, fixed sample set
         for prefix in range(system.n_constraints + 1):
-            sub = security.InequalitySystem(system.normals[:prefix], system.variable_dim)
+            sub = security.InequalitySystem(system.normals[:prefix])
             vol = security.preimage_volume_estimate(sub, samples=args.volume_samples, seed=args.seed)
             volume_rows.append((case.name, prefix, vol))
         report[case.name] = entry

@@ -167,21 +167,18 @@ def compute_eer(genuine, impostor) -> tuple[float, list[tuple[float, float, floa
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Scores, ROC table, EER, and the full parameter record of one evaluation."""
+    """Scores and the full parameter record of one evaluation; its EER and ROC table come from compute_eer."""
 
     genuine_scores: tuple[float, ...]
     impostor_scores: tuple[float, ...]
-    roc: tuple[tuple[float, float, float], ...]
-    eer: float
     config: dict
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genuine_scores", tuple(float(s) for s in self.genuine_scores))
         object.__setattr__(self, "impostor_scores", tuple(float(s) for s in self.impostor_scores))
-        object.__setattr__(self, "roc", tuple((float(t), float(a), float(r)) for t, a, r in self.roc))
-        object.__setattr__(self, "eer", float(self.eer))
-        if not 0.0 <= self.eer <= 1.0:
-            raise ValueError(f"eer must lie in [0, 1], got {self.eer}")
+        eer, roc = compute_eer(self.genuine_scores, self.impostor_scores)
+        object.__setattr__(self, "eer", eer)
+        object.__setattr__(self, "roc", tuple(roc))
 
     def to_json(self) -> str:
         payload = {
@@ -211,22 +208,18 @@ class EvalReport:
 
 
 def load_report(path) -> EvalReport:
+    """The report stored at path; raises IntegrityError unless its stored EER and ROC equal those of its scores."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
-        report = EvalReport(
-            genuine_scores=tuple(payload["genuine_scores"]),
-            impostor_scores=tuple(payload["impostor_scores"]),
-            roc=tuple(tuple(row) for row in payload["roc"]),
-            eer=payload["eer"],
-            config=payload["config"],
-        )
+        report = EvalReport(payload["genuine_scores"], payload["impostor_scores"], payload["config"])
+        eer = float(payload["eer"])
+        roc = tuple((float(t), float(a), float(r)) for t, a, r in payload["roc"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"{path.name}: invalid report ({exc})") from None
-    eer, roc = compute_eer(report.genuine_scores, report.impostor_scores)
     if eer != report.eer:
-        raise IntegrityError(f"{path.name}: stored eer {report.eer} inconsistent with scores (expect {eer})")
-    if tuple(roc) != report.roc:
+        raise IntegrityError(f"{path.name}: stored eer {eer} inconsistent with scores (expect {report.eer})")
+    if roc != report.roc:
         raise IntegrityError(f"{path.name}: stored roc table inconsistent with scores")
     return report
 
@@ -330,14 +323,7 @@ def run_evaluation(
     protocol = protocol_pairs(dataset)
     hashed = hash_dataset(encode_dataset(dataset, mcc), key)
     genuine_scores, impostor_scores = protocol_scores(protocol, hashed, lgs)
-    eer, roc = compute_eer(genuine_scores, impostor_scores)
-    return EvalReport(
-        genuine_scores=tuple(genuine_scores),
-        impostor_scores=tuple(impostor_scores),
-        roc=tuple(roc),
-        eer=eer,
-        config=evaluation_config(key, mcc, lgs),
-    )
+    return EvalReport(genuine_scores, impostor_scores, evaluation_config(key, mcc, lgs))
 
 
 @dataclass(frozen=True)

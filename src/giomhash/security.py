@@ -32,16 +32,16 @@ class InequalitySystem:
     """Strict linear constraints <normal, x> > 0 describing a preimage cone."""
 
     normals: np.ndarray
-    variable_dim: int
 
     def __post_init__(self) -> None:
         normals = np.asarray(self.normals, dtype=float)
         if normals.ndim != 2:
             raise ValueError(f"normals must be (k, d), got shape {normals.shape}")
-        object.__setattr__(self, "variable_dim", _integer(self.variable_dim, "variable_dim"))
-        if normals.shape[1] != self.variable_dim:
-            raise ValueError(f"normals have dimension {normals.shape[1]}, expected {self.variable_dim}")
         object.__setattr__(self, "normals", _frozen_array(normals, float))
+
+    @property
+    def variable_dim(self) -> int:
+        return self.normals.shape[1]
 
     @property
     def n_constraints(self) -> int:
@@ -66,14 +66,9 @@ def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:
         raise ValueError(f"expected a code of length m={bank.m}, got shape {code.shape}")
     if code.min() < 1 or code.max() > bank.q:
         raise ValueError(f"code indices must lie in [1, {bank.q}]")
-    rows = []
-    for i, winner in enumerate(code):
-        mat = bank.matrix(i)
-        win_col = mat[:, winner - 1]
-        for j in range(bank.q):
-            if j != winner - 1:
-                rows.append(win_col - mat[:, j])
-    return InequalitySystem(normals=np.array(rows), variable_dim=bank.d)
+    mats = map(bank.matrix, range(bank.m))
+    blocks = [(mat[:, w - 1 : w] - np.delete(mat, w - 1, axis=1)).T for w, mat in zip(code, mats)]
+    return InequalitySystem(np.concatenate(blocks))
 
 
 def _seeded_batches(total: int, batch: int, seed: int):

@@ -313,3 +313,22 @@ def reference_volume_estimate(system, samples, seed, batch_size):
         done += n
         batch_index += 1
     return hits / samples
+
+
+# ---------------------------------------------------------------------------
+# frozen constraint builder
+#
+# build_inequalities as first written, one winner-minus-loser row at a time,
+# kept so the per-matrix blocks can be required to give the same rows, in the
+# same order, bit for bit.
+
+
+def reference_build_inequalities(bank, code):
+    rows = []
+    for i, winner in enumerate(code):
+        mat = bank.matrix(i)
+        win_col = mat[:, winner - 1]
+        for j in range(bank.q):
+            if j != winner - 1:
+                rows.append(win_col - mat[:, j])
+    return np.array(rows)

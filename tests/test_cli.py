@@ -200,14 +200,18 @@ class TestHash:
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
-    @pytest.mark.parametrize(
-        "flag", [["--case", "1", "--ns", "1"], ["--case", "1", "--radius", "0"], ["--q", "1"], ["--sigma-d", "-1"]]
-    )
+    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--q", "1"], ["--sigma-d", "-1"]])
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
         # checked before --data is read, so the missing file is never reached
         out = tmp_path / "x"
         argv = ["hash", "--data", str(tmp_path / "missing"), "--seed", "1", "--out", str(out)] + flag
         assert_usage_error(argv, out, capsys)
+
+    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--radius", "0"]])
+    def test_case_ignores_options_it_never_reads(self, capsys, flag):
+        # a bundled case carries its own bank, so hash --case reads no key or cylinder option
+        assert main(["hash", "--case", "1"] + flag) == 0
+        assert capsys.readouterr().out == "1 2 1\n"
 
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = main(

@@ -18,7 +18,6 @@ import giomhash.evaluation as evaluation
 import giomhash.matching as matching
 from giomhash.evaluation import (
     EncodedDataset,
-    EvalReport,
     compute_eer,
     encode_dataset,
     genuine_pairs,
@@ -435,6 +434,27 @@ class TestEvalReport:
         with pytest.raises(IntegrityError, match="inconsistent"):
             load_report(tmp_path / "bad.json")
 
+    def test_out_of_range_eer_detected(self, eval_setup, tmp_path):
+        dataset, key, mcc = eval_setup
+        payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
+        payload["eer"] = 1.5
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=r"bad\.json: stored eer 1\.5 inconsistent"):
+            load_report(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda payload: payload["roc"].insert(0, ["a", "b", "c"]), lambda payload: payload.pop("eer")],
+        ids=["non-numeric-roc-row", "missing-eer"],
+    )
+    def test_malformed_stored_value_is_invalid(self, eval_setup, tmp_path, edit):
+        dataset, key, mcc = eval_setup
+        payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
+        edit(payload)
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=r"bad\.json: invalid report"):
+            load_report(tmp_path / "bad.json")
+
     def test_tampered_roc_detected(self, eval_setup, tmp_path):
         dataset, key, mcc = eval_setup
         payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
@@ -452,10 +472,6 @@ class TestEvalReport:
         assert rows[0] == ["threshold", "fmr", "fnmr"]
         assert len(rows) == len(report.roc) + 1
         assert float(rows[1][1]) == report.roc[0][1]
-
-    def test_eer_range_validated(self):
-        with pytest.raises(ValueError):
-            EvalReport((0.5,), (0.5,), ((0.5, 0.0, 0.0),), eer=1.5, config={})
 
 
 class TestSweep:

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from giomhash import cli
-from giomhash.evaluation import EvalReport, SweepResult, json_text, write_sweep_csv
+from giomhash.evaluation import EvalReport, SweepResult, compute_eer, json_text, write_sweep_csv
 from giomhash.model import MinutiaeTemplate, load_minutiae, save_minutiae
 
 
@@ -22,8 +22,6 @@ def hand_report():
     return EvalReport(
         genuine_scores=(0.75, 0.5),
         impostor_scores=(0.25, 0.5),
-        roc=((0.25, 1.0, 0.0), (0.5, 0.5, 0.0), (0.75, 0.0, 0.5)),
-        eer=0.25,
         config={"seed": 3, "m": 2, "lgs": {"mu_p": 20.0, "greedy_unique": True}, "data": "x"},
     )
 
@@ -88,21 +86,22 @@ def test_json_text_equals_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@given(st.lists(st.tuples(json_floats, json_floats, json_floats), max_size=30))
-def test_report_files_equal_json_and_csv_writer(tmp_path_factory, roc):
-    report = EvalReport((0.5,), (0.25, 0.5), roc, 0.25, {"seed": 1})
+@given(st.lists(json_floats, min_size=1, max_size=30), st.lists(json_floats, min_size=1, max_size=30))
+def test_report_files_equal_json_and_csv_writer(tmp_path_factory, genuine, impostor):
+    report = EvalReport(genuine, impostor, {"seed": 1})
+    eer, roc = compute_eer(genuine, impostor)
     payload = {
         "config": {"seed": 1},
-        "eer": 0.25,
-        "genuine_scores": [0.5],
-        "impostor_scores": [0.25, 0.5],
+        "eer": eer,
+        "genuine_scores": [float(s) for s in genuine],
+        "impostor_scores": [float(s) for s in impostor],
         "roc": [list(row) for row in roc],
     }
     assert report.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(["threshold", "fmr", "fnmr"])
-    writer.writerows(report.roc)
+    writer.writerows(roc)
     path = tmp_path_factory.mktemp("roc") / "roc.csv"
     report.write_roc_csv(path)
     assert path.read_bytes() == expected.getvalue().encode()

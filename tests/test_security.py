@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import reference_lgs_match_detail, reference_sample_preimage, reference_volume_estimate
+from oracles import (
+    reference_build_inequalities,
+    reference_lgs_match_detail,
+    reference_sample_preimage,
+    reference_volume_estimate,
+)
 
 import giomhash.evaluation as evaluation
 import giomhash.security as security
@@ -82,28 +87,36 @@ class TestBuildInequalities:
         system = build_inequalities(bank, hash_rows(x[None, :], bank)[0])
         assert system.satisfied(x)[0]
 
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 4),
+        st.integers(2, 6),
+        st.integers(1, 6),
+    )
+    def test_normals_equal_row_loop(self, key_seed, code_seed, m, q, d):
+        bank = derive_bank(HashKey(seed=key_seed, m=m, q=q, d=d))
+        code = np.random.default_rng(code_seed).integers(1, q + 1, size=m)
+        got = build_inequalities(bank, code).normals
+        want = reference_build_inequalities(bank, code)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestInequalitySystem:
     def test_empty_system_accepts_everything(self):
-        system = InequalitySystem(normals=np.zeros((0, 3)), variable_dim=3)
+        system = InequalitySystem(normals=np.zeros((0, 3)))
         assert system.n_constraints == 0
         assert system.satisfied(np.zeros((5, 3))).all()
 
     def test_dimension_mismatch_rejected(self):
-        system = InequalitySystem(normals=np.ones((1, 3)), variable_dim=3)
+        system = InequalitySystem(normals=np.ones((1, 3)))
         with pytest.raises(ValueError, match="dimension 2, expected 3"):
             system.satisfied(np.ones((4, 2)))
 
     def test_bad_normals_rejected(self):
         with pytest.raises(ValueError, match="must be"):
-            InequalitySystem(normals=np.ones(3), variable_dim=3)
-        with pytest.raises(ValueError, match="dimension 2, expected 3"):
-            InequalitySystem(normals=np.ones((1, 2)), variable_dim=3)
-
-    def test_non_integer_dimension_rejected(self):
-        with pytest.raises(ValueError) as info:
-            InequalitySystem(np.zeros((1, 3)), 3.2)
-        assert str(info.value) == "variable_dim must be an integer, got 3.2"
+            InequalitySystem(normals=np.ones(3))
 
 
 class TestSamplePreimage:
@@ -123,13 +136,11 @@ class TestSamplePreimage:
         np.testing.assert_array_equal(a, b)
 
     def test_contradictory_system_returns_none(self):
-        system = InequalitySystem(
-            normals=np.array([[1.0, 0.0], [-1.0, 0.0]]), variable_dim=2
-        )
+        system = InequalitySystem(normals=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert sample_preimage(system, attempts=2000, seed=1) is None
 
     def test_attempts_validated(self):
-        system = InequalitySystem(normals=np.zeros((0, 2)), variable_dim=2)
+        system = InequalitySystem(normals=np.zeros((0, 2)))
         with pytest.raises(ValueError, match="attempts"):
             sample_preimage(system, attempts=0, seed=0)
 
@@ -140,8 +151,8 @@ def _boundary_totals(batch):
 
 # only uniform candidates, never standard-normal ones in practice, satisfy all
 # 30 constraints x_i > 0 (a normal candidate does with probability 2^-30)
-ORTHANT = InequalitySystem(np.eye(30), 30)
-CONTRADICTION = InequalitySystem(np.array([[1.0, 0.0], [-1.0, 0.0]]), 2)
+ORTHANT = InequalitySystem(np.eye(30))
+CONTRADICTION = InequalitySystem(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 class TestSamplerBatches:
@@ -154,7 +165,7 @@ class TestSamplerBatches:
         system = {
             "orthant": ORTHANT,
             "contradiction": CONTRADICTION,
-            "case1": InequalitySystem(CASE1_NORMALS, 3),
+            "case1": InequalitySystem(CASE1_NORMALS),
         }[name]
         got = sample_preimage(system, attempts=attempts, seed=17)
         want = reference_sample_preimage(system, attempts, 17, batch_size=4096)
@@ -174,18 +185,18 @@ class TestSamplerBatches:
 
     @pytest.mark.parametrize("samples", _boundary_totals(4096) + _boundary_totals(65536))
     def test_volume_equals_frozen_loop(self, samples):
-        system = InequalitySystem(CASE1_NORMALS, 3)
+        system = InequalitySystem(CASE1_NORMALS)
         got = preimage_volume_estimate(system, samples=samples, seed=3)
         assert got == reference_volume_estimate(system, samples, 3, batch_size=65536)
 
 
 class TestVolumeEstimate:
     def test_empty_system_has_unit_volume(self):
-        system = InequalitySystem(normals=np.zeros((0, 4)), variable_dim=4)
+        system = InequalitySystem(normals=np.zeros((0, 4)))
         assert preimage_volume_estimate(system, samples=100) == 1.0
 
     def test_half_space_near_half(self):
-        system = InequalitySystem(normals=np.array([[1.0, -1.0, 0.0]]), variable_dim=3)
+        system = InequalitySystem(normals=np.array([[1.0, -1.0, 0.0]]))
         vol = preimage_volume_estimate(system, samples=10**5, seed=2)
         assert vol == pytest.approx(0.5, abs=0.01)
 
@@ -196,14 +207,14 @@ class TestVolumeEstimate:
         full = build_inequalities(case.bank, case.expected_code)
         vols = []
         for k in range(full.n_constraints + 1):
-            prefix = InequalitySystem(normals=full.normals[:k], variable_dim=3)
+            prefix = InequalitySystem(normals=full.normals[:k])
             vols.append(preimage_volume_estimate(prefix, samples=20000, seed=5))
         assert vols[0] == 1.0
         assert all(a >= b for a, b in zip(vols, vols[1:]))
         assert vols[-1] > 0.0
 
     def test_samples_validated(self):
-        system = InequalitySystem(normals=np.zeros((0, 2)), variable_dim=2)
+        system = InequalitySystem(normals=np.zeros((0, 2)))
         with pytest.raises(ValueError, match="samples"):
             preimage_volume_estimate(system, samples=0)
 
@@ -366,7 +377,7 @@ def test_protocol_fails_before_encoding(small_dataset, small_mcc, monkeypatch, e
     assert str(info.value) == message
 
 
-EMPTY_SYSTEM = InequalitySystem(np.zeros((0, 3)), 3)
+EMPTY_SYSTEM = InequalitySystem(np.zeros((0, 3)))
 
 COUNTS = {
     "attempts": lambda value, data, mcc: sample_preimage(EMPTY_SYSTEM, attempts=value, seed=0),
