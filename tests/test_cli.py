@@ -200,7 +200,7 @@ class TestHash:
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
-    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--q", "1"], ["--sigma-d", "-1"]])
+    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--q", "1"], ["--sigma-d", "-1"], ["--radius", "0"]])
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
         # checked before --data is read, so the missing file is never reached
         out = tmp_path / "x"
