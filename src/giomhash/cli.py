@@ -338,6 +338,8 @@ def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:
     lgs = _lgs_from_args(parser, args)
     key_a = _key_from_args(parser, args, args.seed_a, mcc)
     key_b = _key_from_args(parser, args, args.seed_b, mcc)
+    with _usage_errors(parser):
+        security.check_key_pair(key_a, key_b)
     dataset = load_minutiae(args.data)
     mated, non_mated = security.unlinkability_experiment(dataset, key_a, key_b, mcc, lgs)
     out = _out_dir(args)

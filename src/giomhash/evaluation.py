@@ -21,7 +21,7 @@ import numpy as np
 from .hashing import hash_rows
 from .matching import LgsParams, check_one_key, pack_templates, packed_scores
 from .mcc import MccParams, encode_cylinders
-from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer
+from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer, stored_file
 from .randomness import child_seed, derive_bank
 
 TemplateKey = tuple[str, int]
@@ -210,18 +210,16 @@ class EvalReport:
 def load_report(path) -> EvalReport:
     """The report stored at path; raises IntegrityError unless its stored EER and ROC equal those of its scores."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
+    with stored_file(path, "invalid report"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
         report = EvalReport(payload["genuine_scores"], payload["impostor_scores"], payload["config"])
         eer = float(payload["eer"])
         roc = tuple((float(t), float(a), float(r)) for t, a, r in payload["roc"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path.name}: invalid report ({exc})") from None
-    if eer != report.eer:
-        raise IntegrityError(f"{path.name}: stored eer {eer} inconsistent with scores (expect {report.eer})")
-    if roc != report.roc:
-        raise IntegrityError(f"{path.name}: stored roc table inconsistent with scores")
-    return report
+        if eer != report.eer:
+            raise IntegrityError(f"{path.name}: stored eer {eer} inconsistent with scores (expect {report.eer})")
+        if roc != report.roc:
+            raise IntegrityError(f"{path.name}: stored roc table inconsistent with scores")
+        return report
 
 
 class EncodedDataset(NamedTuple):

@@ -7,6 +7,7 @@ to the report type).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -279,6 +280,23 @@ class HashedTemplate:
 # ---------------------------------------------------------------------------
 # persistence
 
+
+@contextlib.contextmanager
+def stored_file(path: Path, what: str = "", error: type[ValueError] = IntegrityError):
+    """Raise a defect of the file at path, met in the block, as `error` naming the file.
+
+    A KeyError, TypeError, ValueError, OverflowError or RecursionError (JSON nested too deep) becomes
+    error("<name>: <what> (<exc>)"), or error("<name>: <exc>") without what; an IntegrityError or
+    ParseError already names the file and passes unchanged.
+    """
+    try:
+        yield
+    except (IntegrityError, ParseError):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise error(f"{path.name}: {what} ({exc})" if what else f"{path.name}: {exc}") from None
+
+
 _HEADER_RE = re.compile(r"^#\s*finger=(\S+)\s+sample=(\d+)\s*$")
 
 
@@ -291,38 +309,33 @@ def save_minutiae(template: MinutiaeTemplate, path) -> None:
 
 
 def _parse_minutiae_file(path: Path) -> MinutiaeTemplate:
-    finger_id = None
-    sample_id = None
+    finger_id = sample_id = None
     points = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    with stored_file(path, error=ParseError):
+        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if finger_id is None:
+                match = _HEADER_RE.match(line)
+                if match is None:
+                    raise ParseError(f"{path.name}:{lineno}: expected header '# finger=<id> sample=<int>', got {line!r}")
+                finger_id, sample_id = match.group(1), int(match.group(2))
+                continue
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError(f"{path.name}:{lineno}: expected 'x y theta', got {line!r}")
+            try:
+                x, y, theta = (float(f) for f in fields)
+            except ValueError:
+                raise ParseError(f"{path.name}:{lineno}: non-numeric value in {line!r}") from None
+            if not all(map(math.isfinite, (x, y, theta))):
+                raise ParseError(f"{path.name}:{lineno}: non-finite value in {line!r}")
+            points.append((x, y, theta))
         if finger_id is None:
-            match = _HEADER_RE.match(line)
-            if match is None:
-                raise ParseError(
-                    f"{path.name}:{lineno}: expected header '# finger=<id> sample=<int>', got {line!r}"
-                )
-            finger_id, sample_id = match.group(1), int(match.group(2))
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"{path.name}:{lineno}: expected 'x y theta', got {line!r}")
-        try:
-            x, y, theta = (float(f) for f in fields)
-        except ValueError:
-            raise ParseError(f"{path.name}:{lineno}: non-numeric value in {line!r}") from None
-        if not all(map(math.isfinite, (x, y, theta))):
-            raise ParseError(f"{path.name}:{lineno}: non-finite value in {line!r}")
-        points.append((x, y, theta))
-    if finger_id is None:
-        raise ParseError(f"{path.name}: missing header line")
-    points = np.array(points, dtype=float).reshape(-1, 3)
-    try:
+            raise ParseError(f"{path.name}: missing header line")
+        points = np.array(points, dtype=float).reshape(-1, 3)
         template = MinutiaeTemplate(finger_id, sample_id, points)
-    except ValueError as exc:
-        raise ParseError(f"{path.name}: {exc}") from None
     wrapped = np.count_nonzero((points[:, 2] < 0.0) | (points[:, 2] >= TWO_PI))
     if wrapped:
         warnings.warn(f"{path.name}: wrapped {wrapped} direction(s) into [0, 2*pi)", stacklevel=3)
@@ -359,16 +372,11 @@ def _check_int_fields(payload: dict, names, path: Path) -> None:
 def load_key(path) -> HashKey:
     """Load a hash key; seed, m, q and d must all be JSON integers."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
+    with stored_file(path, "invalid key file"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
         fields = {k: payload[k] for k in ("seed", "m", "q", "d")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"{path.name}: invalid key file ({exc})") from None
-    _check_int_fields(fields, fields, path)
-    try:
+        _check_int_fields(fields, fields, path)
         return HashKey(**fields)
-    except ValueError as exc:
-        raise IntegrityError(f"{path.name}: invalid key file ({exc})") from None
 
 
 def save_hashed(template: HashedTemplate, path) -> None:
@@ -388,25 +396,18 @@ def load_hashed(path) -> HashedTemplate:
     key_fingerprint a JSON string.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-        codes = payload["codes"]
-        q = payload["q"]
-        fingerprint = payload["key_fingerprint"]
-    except (KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"{path.name}: invalid hashed-template file ({exc})") from None
-    _check_int_fields(payload, ("q", "m"), path)
-    if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
-        raise IntegrityError(f"{path.name}: codes must be a list of rows")
-    if not all(type(c) is int for row in codes for c in row):
-        raise IntegrityError(f"{path.name}: codes must be integers")
-    rows = {len(row) for row in codes}
-    if len(rows) > 1:
-        raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
-    try:
+    with stored_file(path, "invalid hashed-template file"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        codes, q, fingerprint = payload["codes"], payload["q"], payload["key_fingerprint"]
+        _check_int_fields(payload, ("q", "m"), path)
+        if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
+            raise IntegrityError(f"{path.name}: codes must be a list of rows")
+        if not all(type(c) is int for row in codes for c in row):
+            raise IntegrityError(f"{path.name}: codes must be integers")
+        rows = {len(row) for row in codes}
+        if len(rows) > 1:
+            raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
         template = HashedTemplate(np.asarray(codes, dtype=np.int64), q, fingerprint)
-    except (ValueError, OverflowError) as exc:
-        raise IntegrityError(f"{path.name}: {exc}") from None
-    if "m" in payload and payload["m"] != template.m:
-        raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
-    return template
+        if "m" in payload and payload["m"] != template.m:
+            raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
+        return template

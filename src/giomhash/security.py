@@ -130,6 +130,14 @@ def histogram_intersection(a, b) -> float:
     return float(np.minimum(score_fractions(a), score_fractions(b)).sum())
 
 
+def check_key_pair(key_a: HashKey, key_b: HashKey) -> None:
+    """Raise ValueError unless the two keys of a cross-key experiment differ in seed and share (m, q, d)."""
+    if key_a.seed == key_b.seed:
+        raise ValueError("keys must have different seeds; identical keys make the experiment meaningless")
+    if (key_a.m, key_a.q, key_a.d) != (key_b.m, key_b.q, key_b.d):
+        raise ValueError("keys must share (m, q, d) so scores are comparable")
+
+
 def unlinkability_experiment(
     dataset,
     key_a: HashKey,
@@ -143,10 +151,7 @@ def unlinkability_experiment(
     non-mated scores compare different-finger templates across the keys. If
     the system is unlinkable the two distributions overlap heavily.
     """
-    if key_a.seed == key_b.seed:
-        raise ValueError("keys must have different seeds; identical keys make the experiment meaningless")
-    if (key_a.m, key_a.q, key_a.d) != (key_b.m, key_b.q, key_b.d):
-        raise ValueError("keys must share (m, q, d) so scores are comparable")
+    check_key_pair(key_a, key_b)
     protocol = protocol_pairs(dataset)
     encoded = encode_dataset(dataset, mcc)
     under_a, under_b = hash_dataset(encoded, key_a), hash_dataset(encoded, key_b)

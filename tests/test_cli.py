@@ -279,6 +279,14 @@ class TestMatch:
         assert code == 2
         assert capsys.readouterr().err == "error: bad.json: q must be an integer, got None\n"
 
+    def test_deeply_nested_file_is_runtime_error(self, hashed_dir, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["match", "--a", str(deep), "--b", str(hashed_dir / "f0000_01.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deep.json: invalid hashed-template file (")
+        assert err.count("\n") == 1
+
 
 class TestEvaluate:
     def run(self, data_dir, out, extra=()):
@@ -371,6 +379,15 @@ class TestEvaluate:
             ["evaluate", "--data", str(tmp_path / "absent"), "--seed", "1", "--out", str(tmp_path / "x")]
         )
         assert code == 2
+
+    def test_undecodable_template_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "a_01.txt").write_bytes(b"# finger=a sample=1\n\xff 2.0 3.0\n")
+        out = tmp_path / "x"
+        assert main(["evaluate", "--data", str(data), "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: a_01.txt: 'utf-8' codec can't decode")
+        assert not out.exists()
 
     def test_out_of_memory_is_runtime_error(self, data_dir, tmp_path, capsys, monkeypatch):
         # stands in for numpy failing to allocate an oversized bank buffer
@@ -498,6 +515,13 @@ class TestAnalyze:
         out = tmp_path / "x"
         argv = ["analyze", "--mode", "unlink", "--data", str(data_dir), "--seed-a", "1", "--out", str(out)]
         assert "requires --data, --seed-a and --seed-b" in assert_usage_error(argv, out, capsys)
+
+    def test_unlink_equal_seeds_is_usage_error(self, data_dir, tmp_path, capsys):
+        # the key pair is checked before --data is read, so a missing dataset gives the same error
+        out = tmp_path / "x"
+        for data in (data_dir, tmp_path / "missing"):
+            argv = ["analyze", "--mode", "unlink", "--data", str(data), "--seed-a", "1", "--seed-b", "1"]
+            assert "keys must have different seeds" in assert_usage_error(argv + ["--out", str(out)], out, capsys)
 
     def test_revoke(self, data_dir, tmp_path):
         out = tmp_path / "revoke"

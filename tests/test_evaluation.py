@@ -444,8 +444,12 @@ class TestEvalReport:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda payload: payload["roc"].insert(0, ["a", "b", "c"]), lambda payload: payload.pop("eer")],
-        ids=["non-numeric-roc-row", "missing-eer"],
+        [
+            lambda payload: payload["roc"].insert(0, ["a", "b", "c"]),
+            lambda payload: payload.pop("eer"),
+            lambda payload: payload["genuine_scores"].append(10**400),
+        ],
+        ids=["non-numeric-roc-row", "missing-eer", "score-too-large-for-float"],
     )
     def test_malformed_stored_value_is_invalid(self, eval_setup, tmp_path, edit):
         dataset, key, mcc = eval_setup
@@ -453,6 +457,14 @@ class TestEvalReport:
         edit(payload)
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         with pytest.raises(IntegrityError, match=r"bad\.json: invalid report"):
+            load_report(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize(
+        "content", [b'\xff\xfe{"eer": 0.5}', b"[" * 200_000 + b"]" * 200_000], ids=["not-utf-8", "nested-too-deep"]
+    )
+    def test_undecodable_file_is_invalid(self, tmp_path, content):
+        (tmp_path / "bad.json").write_bytes(content)
+        with pytest.raises(IntegrityError, match=r"^bad\.json: invalid report \("):
             load_report(tmp_path / "bad.json")
 
     def test_tampered_roc_detected(self, eval_setup, tmp_path):

@@ -26,6 +26,9 @@ from giomhash.model import (
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
+# file contents no loader can decode: bytes that are not UTF-8, and JSON nested past the parser's recursion limit
+UNDECODABLE = [b'\xff\xfe{"q": 5}', b"[" * 200_000 + b"]" * 200_000]
+
 
 def point(x, y, theta) -> np.ndarray:
     """The one stored row of a template built from one Minutia record."""
@@ -411,6 +414,17 @@ class TestMinutiaeIO:
         with pytest.raises(ParseError, match="no .txt templates"):
             load_minutiae(tmp_path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"# finger=f0 sample=1\n\xff 2.0 3.0\n", b"# finger=f0 sample=" + b"9" * 5000 + b"\n1.0 2.0 3.0\n"],
+        ids=["not-utf-8", "sample-id-too-long-for-int"],
+    )
+    def test_unreadable_file_named(self, tmp_path, content):
+        (tmp_path / "a.txt").write_text("# finger=f0 sample=1\n1.0 2.0 3.0\n")
+        (tmp_path / "b_01.txt").write_bytes(content)
+        with pytest.raises(ParseError, match=r"^b_01\.txt: "):
+            load_minutiae(tmp_path)
+
 
 class TestKeyIO:
     def test_round_trip(self, tmp_path):
@@ -449,6 +463,12 @@ class TestKeyIO:
     def test_non_object_rejected(self, tmp_path):
         (tmp_path / "key.json").write_text("[1, 2, 3, 4]")
         with pytest.raises(IntegrityError, match="invalid key file"):
+            load_key(tmp_path / "key.json")
+
+    @pytest.mark.parametrize("content", UNDECODABLE, ids=["not-utf-8", "nested-too-deep"])
+    def test_undecodable_file_rejected(self, tmp_path, content):
+        (tmp_path / "key.json").write_bytes(content)
+        with pytest.raises(IntegrityError, match=r"^key\.json: invalid key file \("):
             load_key(tmp_path / "key.json")
 
 
@@ -519,6 +539,7 @@ class TestHashedIO:
         assert message in str(info.value)
 
     def test_undecodable_file_rejected(self, tmp_path):
-        (tmp_path / "bad.json").write_bytes(b'\xff\xfe{"q": 5}')
-        with pytest.raises(IntegrityError, match=r"^bad\.json: invalid hashed-template file"):
-            load_hashed(tmp_path / "bad.json")
+        for content in UNDECODABLE:
+            (tmp_path / "bad.json").write_bytes(content)
+            with pytest.raises(IntegrityError, match=r"^bad\.json: invalid hashed-template file \("):
+                load_hashed(tmp_path / "bad.json")
