@@ -79,11 +79,6 @@ def _add_lgs_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--max-np", type=_positive_int, default=12, help="maximum pair budget")
     group.add_argument("--mu-p", type=float, default=20.0, help="pair-budget sigmoid midpoint")
     group.add_argument("--tau-p", type=float, default=0.4, help="pair-budget sigmoid slope")
-    group.add_argument(
-        "--flat-topk",
-        action="store_true",
-        help="select the top n_p matrix entries instead of greedy unique pairs",
-    )
 
 
 @contextlib.contextmanager
@@ -102,13 +97,7 @@ def _mcc_from_args(parser: argparse.ArgumentParser, args) -> MccParams:
 
 def _lgs_from_args(parser: argparse.ArgumentParser, args) -> LgsParams:
     with _usage_errors(parser):
-        return LgsParams(
-            min_np=args.min_np,
-            max_np=args.max_np,
-            mu_p=args.mu_p,
-            tau_p=args.tau_p,
-            greedy_unique=not args.flat_topk,
-        )
+        return LgsParams(min_np=args.min_np, max_np=args.max_np, mu_p=args.mu_p, tau_p=args.tau_p)
 
 
 def _key_from_args(parser: argparse.ArgumentParser, args, seed: int, mcc: MccParams) -> HashKey:

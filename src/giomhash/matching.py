@@ -2,8 +2,9 @@
 
 The pair budget n_p follows a sigmoid of the smaller template's point count,
 so small templates are compared on few pairs and large ones on up to max_np.
-Greedy-unique selection repeatedly takes the best remaining pair and retires
-its row and column; flat selection just takes the top n_p matrix entries.
+Pairs are selected greedily, as in MCC's local greedy similarity: each of
+the n_p steps takes the best remaining pair and retires its row and column,
+so every point is used at most once.
 
 One kernel scores every comparison. pack_templates converts a set of
 templates that share one code length m and index range q to float64 once,
@@ -34,17 +35,12 @@ class LgsParams:
     max_np: int = 12
     mu_p: float = 20.0
     tau_p: float = 0.4
-    greedy_unique: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_np", _integer(self.min_np, "min_np"))
         object.__setattr__(self, "max_np", _integer(self.max_np, "max_np"))
         object.__setattr__(self, "mu_p", _real(self.mu_p, "mu_p"))
         object.__setattr__(self, "tau_p", _real(self.tau_p, "tau_p"))
-        # bool() would read any non-empty string, "no" included, as True
-        if not isinstance(self.greedy_unique, (bool, np.bool_)):
-            raise ValueError(f"greedy_unique must be a bool, got {self.greedy_unique!r}")
-        object.__setattr__(self, "greedy_unique", bool(self.greedy_unique))
         if not 1 <= self.min_np <= self.max_np:
             raise ValueError(f"need 1 <= min_np <= max_np, got [{self.min_np}, {self.max_np}]")
 
@@ -122,13 +118,6 @@ def _greedy_picks(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]
         work[index, row] = -1.0
         work[index, :, col] = -1.0
     return rows, cols
-
-
-def _flat_picks(sim: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `steps` largest entries of each (A, B) matrix, first in row-major order among equals."""
-    p, _, b = sim.shape
-    order = np.argsort(-sim.reshape(p, -1), axis=1, kind="stable")[:, :steps]
-    return np.divmod(order, b)
 
 
 def _check_pair(a: HashedTemplate, b: HashedTemplate) -> None:
@@ -222,22 +211,20 @@ def _prepare(packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray) -> tuple[n
     return np.where(swapped, ib, ia), np.where(swapped, ia, ib), swapped
 
 
-def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_p: int, greedy: bool):
+def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_p: int):
     """Score a block of canonical (first, second) template index pairs of one shape.
 
     Every `first` template has one size A and every `second` one size B, so
     each side's codes and norms are gathered from the packed array into a
-    (P, A, m) or (P, B, m) stack. Returns (rows, cols, values, scores): the
-    picked rows of `first`, columns of `second` and their similarities, each
-    (P, n_p) in pick order, and the (P,) mean scores.
+    (P, A, m) or (P, B, m) stack, and n_p pairs are picked greedily from each
+    similarity matrix. Returns (rows, cols, values, scores): the picked rows
+    of `first`, columns of `second` and their similarities, each (P, n_p) in
+    pick order, and the (P,) mean scores.
     """
     rows_a = packed.offsets[first][:, None] + np.arange(packed.sizes[first[0]])
     rows_b = packed.offsets[second][:, None] + np.arange(packed.sizes[second[0]])
     sim = _similarities(packed.codes[rows_a], packed.codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], packed.q)
-    if greedy:
-        rows, cols = _greedy_picks(sim.copy(), n_p)
-    else:
-        rows, cols = _flat_picks(sim, n_p)
+    rows, cols = _greedy_picks(sim.copy(), n_p)
     values = sim[np.arange(len(first))[:, None], rows, cols]
     return rows, cols, values, values.mean(axis=1)
 
@@ -262,7 +249,7 @@ def packed_scores(packed: PackedTemplates, pairs, params: LgsParams = LgsParams(
         step = max(1, _BLOCK_FLOATS // ((n_a + n_b) * packed.codes.shape[1] + 2 * n_a * n_b))
         for start in range(0, len(group), step):
             block = group[start : start + step]
-            scores[block] = _match_block(packed, first[block], second[block], n_p, params.greedy_unique)[3]
+            scores[block] = _match_block(packed, first[block], second[block], n_p)[3]
     return scores.tolist()
 
 
@@ -285,7 +272,7 @@ def lgs_match_detail(
     check_one_key((a, b))
     first, second, swapped = _prepare(packed, np.array([0]), np.array([1]))
     n_p = np_select(a.n_points, b.n_points, params)
-    rows, cols, values, scores = _match_block(packed, first, second, n_p, params.greedy_unique)
+    rows, cols, values, scores = _match_block(packed, first, second, n_p)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
     selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
     return float(scores[0]), selected, n_p

@@ -74,11 +74,6 @@ def oracle_greedy_score_set(sim, n_p):
     return results
 
 
-def oracle_flat_topk_score(sim, n_p):
-    values = sorted((v for row in sim for v in row), reverse=True)
-    return sum(values[:n_p]) / n_p
-
-
 def oracle_eer(genuine, impostor):
     """Brute-force threshold scan; first minimizer of |FMR - FNMR| wins."""
     thresholds = sorted(set(genuine) | set(impostor))
@@ -210,8 +205,8 @@ def oracle_impostor_count(fingers):
 # frozen per-pair scorer
 #
 # An exception to the plain-loop rule above: this is the per-pair
-# scorer the batched one replaced (scipy's cdist, a greedy or flat pick
-# per matrix, np.mean), kept verbatim so the batched scores can be required
+# scorer the batched one replaced (scipy's cdist, a greedy pick per
+# matrix, np.mean), kept verbatim so the batched scores can be required
 # to match it bit for bit, ties and orientation included.
 
 
@@ -240,11 +235,6 @@ def _reference_greedy_pairs(sim, n_p):
     return pairs
 
 
-def _reference_flat_pairs(sim, n_p):
-    order = np.argsort(-sim, axis=None, kind="stable")[:n_p]
-    return [divmod(int(flat), sim.shape[1]) for flat in order]
-
-
 def reference_lgs_match_detail(a, b, params, allow_cross_key=False):
     """(score value, selected (row_in_a, row_in_b, similarity) pairs, n_p) of one pair."""
     from giomhash.matching import np_select
@@ -262,8 +252,7 @@ def reference_lgs_match_detail(a, b, params, allow_cross_key=False):
     first, second = (b, a) if swapped else (a, b)
     sim = reference_similarity_matrix(first.codes, second.codes, a.q)
     n_p = np_select(a.n_points, b.n_points, params)
-    picker = _reference_greedy_pairs if params.greedy_unique else _reference_flat_pairs
-    pairs = picker(sim, n_p)
+    pairs = _reference_greedy_pairs(sim, n_p)
     selected = [(c, r, float(sim[r, c])) if swapped else (r, c, float(sim[r, c])) for r, c in pairs]
     return float(np.mean([s for _, _, s in selected])), selected, n_p
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -12,8 +13,9 @@ import pytest
 
 import giomhash
 from giomhash import cases
-from giomhash.cli import main
+from giomhash.cli import _add_lgs_args, _add_mcc_args, main
 from giomhash.evaluation import encode_dataset, hash_dataset
+from giomhash.matching import LgsParams
 from giomhash.mcc import MccParams
 from giomhash.model import HashKey, load_hashed, load_minutiae
 
@@ -250,7 +252,7 @@ class TestMatch:
         score = float(capsys.readouterr().out.strip())
         assert payload["score"] == score
         assert payload["n_p"] == len(payload["pairs"])
-        assert payload["config"]["greedy_unique"] is True
+        assert payload["config"] == dataclasses.asdict(LgsParams())
 
     def test_cross_key_is_runtime_error(self, data_dir, hashed_dir, tmp_path, capsys):
         other = tmp_path / "other"
@@ -321,11 +323,11 @@ class TestEvaluate:
         "fingers, samples, report_sha256, roc_sha256",
         [
             # criterion 9's seeded 4 x 3 set
-            (4, 3, "68beb37b254604b1772ce2b0a737c759cb91b9829a562d9b794c4a0f1d84f32e",
-             "603704e8084107e11d12d915d1e5a1ad3cc923c3db6d0dbf9656f5eeb29f17ec"),
+            pytest.param(4, 3, "348821f1f32665d40f005381e823341093e9b583a324261481b4747e13b2394a",
+                         "603704e8084107e11d12d915d1e5a1ad3cc923c3db6d0dbf9656f5eeb29f17ec", id="4x3"),
             # 780 impostor scores, so report.json holds thousands of floats
-            (40, 2, "08f12adad66fb988d8e90eaf5891409b5e534c1ba208111fce9b114e189d89b6",
-             "a446d63cf4bce4ce9f501785bbafdfd6e65208c13c40a4b47e58eedd75417460"),
+            pytest.param(40, 2, "506fca63016103b06db0fcaafc00a5d046f4e60fb61b3ed95c930649ed7a4465",
+                         "a446d63cf4bce4ce9f501785bbafdfd6e65208c13c40a4b47e58eedd75417460", id="40x2"),
         ],
     )
     def test_report_bytes_pinned(self, tmp_path, monkeypatch, fingers, samples, report_sha256, roc_sha256):
@@ -594,6 +596,35 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["hash", "--case", "1", "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "--a", "a.json", "--b", "b.json", "--detail"],
+            ["evaluate", "--data", "missing", "--seed", "1", "--out"],
+            ["sweep", "--data", "missing", "--seed", "1", "--out"],
+            ["analyze", "--mode", "unlink", "--data", "missing", "--seed-a", "1", "--seed-b", "2", "--out"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_removed_flat_topk_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + [str(out), "--flat-topk"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: giom ")
+        assert "giom: error: unrecognized arguments: --flat-topk" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "add_args, title, params",
+        [(_add_mcc_args, "cylinder encoding", MccParams), (_add_lgs_args, "matcher", LgsParams)],
+        ids=["mcc", "lgs"],
+    )
+    def test_one_flag_per_parameter_field(self, add_args, title, params):
+        parser = argparse.ArgumentParser()
+        add_args(parser)
+        (group,) = [group for group in parser._action_groups if group.title == title]
+        assert {action.dest for action in group._group_actions} == {f.name for f in dataclasses.fields(params)}
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

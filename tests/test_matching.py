@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
-    oracle_flat_topk_score,
     oracle_greedy_score_set,
     oracle_similarity_matrix,
     reference_lgs_match_detail,
@@ -43,7 +42,7 @@ def codes_strategy(max_rows=5, m=3):
 class TestLgsParams:
     def test_defaults(self):
         p = LgsParams()
-        assert (p.min_np, p.max_np, p.mu_p, p.tau_p, p.greedy_unique) == (4, 12, 20.0, 0.4, True)
+        assert (p.min_np, p.max_np, p.mu_p, p.tau_p) == (4, 12, 20.0, 0.4)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -59,8 +58,6 @@ class TestLgsParams:
             ({"min_np": 4.7}, "min_np must be an integer, got 4.7"),
             ({"max_np": 12.0}, "max_np must be an integer, got 12.0"),
             ({"min_np": True}, "min_np must be an integer, got True"),
-            ({"greedy_unique": "no"}, "greedy_unique must be a bool, got 'no'"),
-            ({"greedy_unique": 0}, "greedy_unique must be a bool, got 0"),
             pytest.param(
                 {"min_np": Fraction(10**5000, 3)},
                 "min_np must be an integer, got <Fraction too large to print>",
@@ -88,9 +85,9 @@ class TestLgsParams:
         assert str(info.value) == message
 
     def test_numpy_values_accepted(self):
-        p = LgsParams(min_np=np.int64(3), max_np=np.int32(5), greedy_unique=np.bool_(False))
-        assert p == LgsParams(min_np=3, max_np=5, greedy_unique=False)
-        assert all(type(v) is int for v in (p.min_np, p.max_np)) and p.greedy_unique is False
+        p = LgsParams(min_np=np.int64(3), max_np=np.int32(5))
+        assert p == LgsParams(min_np=3, max_np=5)
+        assert all(type(v) is int for v in (p.min_np, p.max_np))
 
 
 class TestNpSelect:
@@ -217,15 +214,6 @@ class TestLgsMatch:
         params = LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7)
         assert lgs_match(a, b, params) == lgs_match(b, a, params)
 
-    @given(codes_strategy(max_rows=5), codes_strategy(max_rows=5))
-    def test_flat_topk_matches_oracle(self, rows_a, rows_b):
-        a, b = hashed(rows_a, q=4), hashed(rows_b, q=4)
-        params = LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7, greedy_unique=False)
-        score = lgs_match(a, b, params)
-        sim = oracle_similarity_matrix(rows_a, rows_b, 4)
-        n_p = np_select(len(rows_a), len(rows_b), params)
-        assert score == pytest.approx(oracle_flat_topk_score(sim, n_p), abs=1e-12)
-
     def test_greedy_uses_each_point_once(self):
         # one dominant row in a would otherwise absorb both of b's points
         a = hashed([[1, 1], [3, 3]], q=5)
@@ -306,14 +294,12 @@ def random_templates(rng, count, m, q, rows=(1, 25), fp="k0"):
     ]
 
 
-# greedy and flat selection, with budgets that reach past 8 picks (numpy's
-# pairwise summation unrolls from 8 terms)
+# pair budgets, including ones that reach past 8 picks (numpy's pairwise
+# summation unrolls from 8 terms)
 SELECTIONS = [
     LgsParams(),
-    LgsParams(greedy_unique=False),
     LgsParams(min_np=1, max_np=3, mu_p=2.0, tau_p=0.7),
     LgsParams(min_np=9, max_np=20, mu_p=5.0, tau_p=0.3),
-    LgsParams(min_np=9, max_np=20, mu_p=5.0, tau_p=0.3, greedy_unique=False),
 ]
 
 
