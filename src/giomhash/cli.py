@@ -1,9 +1,10 @@
 """Command-line pipeline: data generation, hashing, matching, evaluation, sweeps,
 and the security analyses.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error. An option value out of
-range is a usage error, whether argparse or a parameter type (MccParams,
-LgsParams, SynthParams, HashKey) rejects it. All randomness flows
+Exit codes: 0 success, 1 usage error, 2 runtime error. A flag that fills a field
+of a parameter type (MccParams, LgsParams, SynthParams, HashKey) is parsed as a
+plain number: an absent one keeps the type's default, and a value out of the
+type's range is a usage error, as is any value argparse rejects. All randomness flows
 from explicit --seed flags and outputs carry no timestamps, so reruns with
 identical arguments are byte-identical.
 """
@@ -59,26 +60,36 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected a non-empty integer list")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected positive integers, got {min(values)}")
     return values
 
 
 def _add_mcc_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("cylinder encoding")
-    group.add_argument("--radius", type=float, default=70.0, help="cylinder radius in pixels")
-    group.add_argument("--ns", type=_positive_int, default=16, help="spatial cells per axis")
-    group.add_argument("--nd", type=_positive_int, default=6, help="directional cells")
-    group.add_argument("--sigma-s", type=float, default=None, help="spatial kernel std-dev (default radius/7.5)")
-    group.add_argument("--sigma-d", type=float, default=np.pi / 9.0, help="angular kernel std-dev")
+    group.add_argument("--radius", type=float, help="cylinder radius in pixels")
+    group.add_argument("--ns", type=int, help="spatial cells per axis")
+    group.add_argument("--nd", type=int, help="directional cells")
+    group.add_argument("--sigma-s", type=float, help="spatial kernel std-dev (default radius/7.5)")
+    group.add_argument("--sigma-d", type=float, help="angular kernel std-dev")
 
 
 def _add_lgs_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("matcher")
-    group.add_argument("--min-np", type=_positive_int, default=4, help="minimum pair budget")
-    group.add_argument("--max-np", type=_positive_int, default=12, help="maximum pair budget")
-    group.add_argument("--mu-p", type=float, default=20.0, help="pair-budget sigmoid midpoint")
-    group.add_argument("--tau-p", type=float, default=0.4, help="pair-budget sigmoid slope")
+    group.add_argument("--min-np", type=int, help="minimum pair budget")
+    group.add_argument("--max-np", type=int, help="maximum pair budget")
+    group.add_argument("--mu-p", type=float, help="pair-budget sigmoid midpoint")
+    group.add_argument("--tau-p", type=float, help="pair-budget sigmoid slope")
+
+
+def _add_synth_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("dataset shape")
+    group.add_argument("--fingers", type=int)
+    group.add_argument("--samples", type=int, dest="samples_per_finger")
+    group.add_argument("--min-minutiae", type=int)
+    group.add_argument("--max-minutiae", type=int)
+    group.add_argument("--jitter-pos", type=float)
+    group.add_argument("--jitter-theta", type=float)
+    group.add_argument("--drop-rate", type=float)
+    group.add_argument("--field-size", type=float)
 
 
 @contextlib.contextmanager
@@ -90,14 +101,11 @@ def _usage_errors(parser: argparse.ArgumentParser):
         parser.error(str(exc))
 
 
-def _mcc_from_args(parser: argparse.ArgumentParser, args) -> MccParams:
+def _params(parser: argparse.ArgumentParser, cls, args, **given):
+    """cls built from given and the flags whose dests are its field names; an absent flag keeps the field's default."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
     with _usage_errors(parser):
-        return MccParams(radius=args.radius, ns=args.ns, nd=args.nd, sigma_s=args.sigma_s, sigma_d=args.sigma_d)
-
-
-def _lgs_from_args(parser: argparse.ArgumentParser, args) -> LgsParams:
-    with _usage_errors(parser):
-        return LgsParams(min_np=args.min_np, max_np=args.max_np, mu_p=args.mu_p, tau_p=args.tau_p)
+        return cls(**{name: value for name, value in flags.items() if value is not None} | given)
 
 
 def _key_from_args(parser: argparse.ArgumentParser, args, seed: int, mcc: MccParams) -> HashKey:
@@ -114,24 +122,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic minutiae dataset")
     p.set_defaults(run=functools.partial(_cmd_gen_data, p))
-    p.add_argument("--fingers", type=_positive_int, default=10)
-    p.add_argument("--samples", type=_positive_int, default=8)
-    p.add_argument("--min-minutiae", type=_positive_int, default=15)
-    p.add_argument("--max-minutiae", type=_positive_int, default=30)
-    p.add_argument("--jitter-pos", type=float, default=5.0)
-    p.add_argument("--jitter-theta", type=float, default=0.1)
-    p.add_argument("--drop-rate", type=float, default=0.05)
-    p.add_argument("--field-size", type=float, default=500.0)
     p.add_argument("--seed", type=_nonneg_int, required=True)
     p.add_argument("--out", required=True, help="output directory for template text files")
+    _add_synth_args(p)
 
     p = sub.add_parser("hash", help="hash minutiae templates into protected index codes")
     p.set_defaults(run=functools.partial(_cmd_hash, p))
     p.add_argument("--case", type=int, choices=sorted(cases.CASES), help="print the code of a bundled worked example and exit")
     p.add_argument("--data", help="template file or directory")
-    p.add_argument("--seed", type=_nonneg_int)
-    p.add_argument("--m", type=_positive_int, default=DEFAULT_M)
-    p.add_argument("--q", type=_positive_int, default=DEFAULT_Q)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--q", type=int, default=DEFAULT_Q)
     p.add_argument("--out", help="output directory for hashed templates and the key")
     _add_mcc_args(p)
 
@@ -145,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the genuine/impostor protocol and report EER")
     p.set_defaults(run=functools.partial(_cmd_evaluate, p))
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=_nonneg_int, required=True)
-    p.add_argument("--m", type=_positive_int, default=DEFAULT_M)
-    p.add_argument("--q", type=_positive_int, default=DEFAULT_Q)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--q", type=int, default=DEFAULT_Q)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     _add_mcc_args(p)
@@ -156,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="mean EER over a grid of (m, q)")
     p.set_defaults(run=functools.partial(_cmd_sweep, p))
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=_nonneg_int, required=True)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=_int_list, default=_int_list(DEFAULT_M_GRID))
     p.add_argument("--q", type=_int_list, default=_int_list(DEFAULT_Q_GRID))
     p.add_argument("--trials", type=_positive_int, default=3)
-    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
     p.add_argument("--out", required=True)
     _add_mcc_args(p)
     _add_lgs_args(p)
@@ -173,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset directory (unlink and revoke modes)")
     p.add_argument("--attempts", type=_positive_int, default=1_000_000, help="rejection-sampling budget (invert)")
     p.add_argument("--volume-samples", type=_positive_int, default=200_000, help="Monte-Carlo volume samples (invert)")
-    p.add_argument("--seed-a", type=_nonneg_int, help="first key seed (unlink)")
-    p.add_argument("--seed-b", type=_nonneg_int, help="second key seed (unlink)")
-    p.add_argument("--base-seed", type=_nonneg_int, help="base key seed (revoke)")
+    p.add_argument("--seed-a", type=int, help="first key seed (unlink)")
+    p.add_argument("--seed-b", type=int, help="second key seed (unlink)")
+    p.add_argument("--base-seed", type=int, help="base key seed (revoke)")
     p.add_argument("--n-keys", type=_positive_int, default=50, help="fresh keys per finger (revoke)")
-    p.add_argument("--m", type=_positive_int, default=DEFAULT_M)
-    p.add_argument("--q", type=_positive_int, default=DEFAULT_Q)
+    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--q", type=int, default=DEFAULT_Q)
     _add_mcc_args(p)
     _add_lgs_args(p)
 
@@ -204,16 +204,10 @@ def _write_hist_csv(path: Path, columns: dict[str, list[float]]) -> None:
 
 
 def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
-    with _usage_errors(parser):
-        params = SynthParams(
-            fingers=args.fingers,
-            samples_per_finger=args.samples,
-            minutiae_range=(args.min_minutiae, args.max_minutiae),
-            jitter_pos=args.jitter_pos,
-            jitter_theta=args.jitter_theta,
-            drop_rate=args.drop_rate,
-            field_size=args.field_size,
-        )
+    # the one field built from two flags; an absent flag keeps its end of the default range
+    ends = zip((args.min_minutiae, args.max_minutiae), SynthParams.minutiae_range)
+    minutiae_range = tuple(default if flag is None else flag for flag, default in ends)
+    params = _params(parser, SynthParams, args, minutiae_range=minutiae_range)
     dataset = synth_dataset(args.seed, params)
     paths = write_dataset(dataset, args.out)
     print(f"wrote {len(paths)} templates to {args.out}")
@@ -227,7 +221,7 @@ def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
         return
     if not args.data or args.seed is None or not args.out:
         parser.error("hash requires --data, --seed and --out (or --case)")
-    mcc = _mcc_from_args(parser, args)
+    mcc = _params(parser, MccParams, args)
     key = _key_from_args(parser, args, args.seed, mcc)
     templates = load_minutiae(args.data)
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
@@ -239,7 +233,7 @@ def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _cmd_match(parser: argparse.ArgumentParser, args) -> None:
-    lgs = _lgs_from_args(parser, args)
+    lgs = _params(parser, LgsParams, args)
     a = load_hashed(args.a)
     b = load_hashed(args.b)
     score, selected, n_p = lgs_match_detail(a, b, lgs)
@@ -257,8 +251,8 @@ def _cmd_match(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
-    mcc = _mcc_from_args(parser, args)
-    lgs = _lgs_from_args(parser, args)
+    mcc = _params(parser, MccParams, args)
+    lgs = _params(parser, LgsParams, args)
     key = _key_from_args(parser, args, args.seed, mcc)
     dataset = load_minutiae(args.data)
     report = run_evaluation(dataset, key, mcc, lgs)
@@ -271,8 +265,8 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
-    mcc = _mcc_from_args(parser, args)
-    lgs = _lgs_from_args(parser, args)
+    mcc = _params(parser, MccParams, args)
+    lgs = _params(parser, LgsParams, args)
     # every grid cell's key is checked before the dataset is read
     with _usage_errors(parser):
         for m in args.m:
@@ -323,8 +317,8 @@ def _analyze_invert(parser: argparse.ArgumentParser, args) -> None:
 def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:
     if not args.data or args.seed_a is None or args.seed_b is None:
         parser.error("analyze --mode unlink requires --data, --seed-a and --seed-b")
-    mcc = _mcc_from_args(parser, args)
-    lgs = _lgs_from_args(parser, args)
+    mcc = _params(parser, MccParams, args)
+    lgs = _params(parser, LgsParams, args)
     key_a = _key_from_args(parser, args, args.seed_a, mcc)
     key_b = _key_from_args(parser, args, args.seed_b, mcc)
     with _usage_errors(parser):
@@ -350,8 +344,8 @@ def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:
 def _analyze_revoke(parser: argparse.ArgumentParser, args) -> None:
     if not args.data or args.base_seed is None:
         parser.error("analyze --mode revoke requires --data and --base-seed")
-    mcc = _mcc_from_args(parser, args)
-    lgs = _lgs_from_args(parser, args)
+    mcc = _params(parser, MccParams, args)
+    lgs = _params(parser, LgsParams, args)
     base_key = _key_from_args(parser, args, args.base_seed, mcc)
     dataset = load_minutiae(args.data)
     mated, genuine, impostor = security.revocability_experiment(
@@ -388,7 +382,10 @@ def _cmd_analyze(parser: argparse.ArgumentParser, args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            # run is functools.partial(handler, subcommand parser), so the subcommand reports its own options
+            args.run.args[0].error(f"unrecognized arguments: {' '.join(unknown)}")
         args.run(args)
     except SystemExit as exc:  # argparse's exit, also from parser.error inside a handler
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

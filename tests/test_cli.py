@@ -13,10 +13,10 @@ import pytest
 
 import giomhash
 from giomhash import cases
-from giomhash.cli import _add_lgs_args, _add_mcc_args, main
+from giomhash.cli import _add_lgs_args, _add_mcc_args, _add_synth_args, main
 from giomhash.evaluation import encode_dataset, hash_dataset
 from giomhash.matching import LgsParams
-from giomhash.mcc import MccParams
+from giomhash.mcc import MccParams, SynthParams
 from giomhash.model import HashKey, load_hashed, load_minutiae
 
 SMALL_MCC = ["--radius", "100", "--ns", "6", "--nd", "4"]
@@ -118,19 +118,22 @@ class TestGenData:
         assert "must be a finite real number" in err
 
     @pytest.mark.parametrize(
-        "flag",
+        "flag, message",
         [
-            ["--min-minutiae", "30", "--max-minutiae", "10"],
-            ["--jitter-pos", "-1"],
-            ["--jitter-theta", "-1"],
-            ["--drop-rate", "-1"],
-            ["--field-size", "0"],
+            (["--min-minutiae", "30", "--max-minutiae", "10"], "minutiae_range min 30 > max 10"),
+            (["--jitter-pos", "-1"], "jitter_pos must be >= 0, got -1.0"),
+            (["--jitter-theta", "-1"], "jitter_theta must be >= 0, got -1.0"),
+            (["--drop-rate", "-1"], "drop_rate must lie in [0, 1]"),
+            (["--field-size", "0"], "field_size must be positive"),
+            (["--fingers", "0"], "fingers must be >= 1, got 0"),
         ],
+        # ids as in the flag-only form, so each case keeps its name
+        ids=[f"flag{i}" for i in range(6)],
     )
-    def test_value_rejected_by_synth_params_is_usage_error(self, tmp_path, capsys, flag):
+    def test_value_rejected_by_synth_params_is_usage_error(self, tmp_path, capsys, flag, message):
         # SynthParams owns these ranges; the CLI parses plain numbers
         out = tmp_path / "x"
-        assert_usage_error(["gen-data", "--seed", "1", "--out", str(out)] + flag, out, capsys)
+        assert message in assert_usage_error(["gen-data", "--seed", "1", "--out", str(out)] + flag, out, capsys)
 
 
 class TestHash:
@@ -202,7 +205,13 @@ class TestHash:
     def test_missing_data_arguments_is_usage_error(self):
         assert main(["hash"]) == 1
 
-    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--q", "1"], ["--sigma-d", "-1"], ["--radius", "0"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--ns", "1"], ["--q", "1"], ["--sigma-d", "-1"], ["--radius", "0"],
+            ["--ns", "0"], ["--m", "0"], ["--seed", "-1"],
+        ],
+    )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
         # checked before --data is read, so the missing file is never reached
         out = tmp_path / "x"
@@ -368,6 +377,10 @@ class TestEvaluate:
             (["--max-np", "2"], "need 1 <= min_np <= max_np, got [4, 2]"),
             (["--radius", "0"], "radius must be positive"),
             (["--sigma-s", "-1"], "sigma_s must be positive, got -1.0"),
+            (["--ns", "0"], "ns must be >= 2"),
+            (["--m", "0"], "m must be >= 1"),
+            (["--seed", "-1"], "seed must be non-negative"),
+            (["--min-np", "0"], "need 1 <= min_np <= max_np, got [0, 12]"),
         ],
     )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag, message):
@@ -432,14 +445,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag", [["--m", "0"], ["--m", "-3"], ["--m", "4,0"], ["--q", "0"]])
     def test_non_positive_grid_value_is_usage_error(self, tmp_path, capsys, flag):
-        # the grid is checked at parse time, before any template is read
-        code = main(["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(tmp_path / "x")] + flag)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"argument {flag[0]}: expected positive integers" in err
-        assert not (tmp_path / "x").exists()
+        # every grid cell's HashKey is built before any template is read
+        out = tmp_path / "x"
+        argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
+        message = {"--m": "m must be >= 1", "--q": "q must be >= 2"}[flag[0]]
+        assert message in assert_usage_error(argv, out, capsys)
 
-    @pytest.mark.parametrize("flag", [["--radius", "0"], ["--nd", "1", "--sigma-d", "0"], ["--min-np", "13"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--radius", "0"], ["--nd", "1", "--sigma-d", "0"], ["--min-np", "13"],
+            ["--ns", "0"], ["--seed", "-1"], ["--min-np", "0"],
+        ],
+    )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
         out = tmp_path / "x"
         argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
@@ -562,6 +580,11 @@ class TestAnalyze:
             ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--radius", "nan"],
             ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--q", "1"],
             ["--mode", "revoke", "--base-seed", "1", "--tau-p", "-inf"],
+            ["--mode", "unlink", "--seed-a", "1", "--seed-b", "2", "--ns", "0"],
+            ["--mode", "revoke", "--base-seed", "1", "--m", "0"],
+            ["--mode", "unlink", "--seed-a", "-1", "--seed-b", "2"],
+            ["--mode", "revoke", "--base-seed", "-1"],
+            ["--mode", "revoke", "--base-seed", "1", "--min-np", "0"],
         ],
     )
     def test_value_rejected_by_parameter_type_is_usage_error(self, tmp_path, capsys, flag):
@@ -598,36 +621,77 @@ class TestTopLevel:
         assert main(["hash", "--case", "1", "--bogus"]) == 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, removed",
         [
-            ["match", "--a", "a.json", "--b", "b.json", "--detail"],
-            ["evaluate", "--data", "missing", "--seed", "1", "--out"],
-            ["sweep", "--data", "missing", "--seed", "1", "--out"],
-            ["analyze", "--mode", "unlink", "--data", "missing", "--seed-a", "1", "--seed-b", "2", "--out"],
+            pytest.param(["match", "--a", "a.json", "--b", "b.json", "--detail"], ["--flat-topk"], id="match"),
+            pytest.param(["evaluate", "--data", "missing", "--seed", "1", "--out"], ["--flat-topk"], id="evaluate"),
+            pytest.param(["sweep", "--data", "missing", "--seed", "1", "--out"], ["--flat-topk"], id="sweep"),
+            pytest.param(
+                ["analyze", "--mode", "unlink", "--data", "missing", "--seed-a", "1", "--seed-b", "2", "--out"],
+                ["--flat-topk"],
+                id="analyze",
+            ),
+            pytest.param(["sweep", "--data", "missing", "--seed", "1", "--out"], ["--threads", "2"], id="sweep-threads"),
         ],
-        ids=lambda argv: argv[0],
     )
-    def test_removed_flat_topk_flag_is_usage_error(self, tmp_path, capsys, argv):
+    def test_removed_flat_topk_flag_is_usage_error(self, tmp_path, capsys, argv, removed):
+        # a removed option is an unrecognized argument, reported by the subcommand's own parser
         out = tmp_path / "x"
-        assert main(argv + [str(out), "--flat-topk"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: giom ")
-        assert "giom: error: unrecognized arguments: --flat-topk" in err
-        assert not out.exists()
+        err = assert_usage_error(argv + [str(out)] + removed, out, capsys)
+        assert f"giom {argv[0]}: error: unrecognized arguments: {' '.join(removed)}" in err
 
     @pytest.mark.parametrize(
         "add_args, title, params",
-        [(_add_mcc_args, "cylinder encoding", MccParams), (_add_lgs_args, "matcher", LgsParams)],
-        ids=["mcc", "lgs"],
+        [
+            (_add_mcc_args, "cylinder encoding", MccParams),
+            (_add_lgs_args, "matcher", LgsParams),
+            (_add_synth_args, "dataset shape", SynthParams),
+        ],
+        ids=["mcc", "lgs", "synth"],
     )
     def test_one_flag_per_parameter_field(self, add_args, title, params):
         parser = argparse.ArgumentParser()
         add_args(parser)
         (group,) = [group for group in parser._action_groups if group.title == title]
-        assert {action.dest for action in group._group_actions} == {f.name for f in dataclasses.fields(params)}
+        # minutiae_range is the one field given by two flags
+        fields = {"min_minutiae": "minutiae_range", "max_minutiae": "minutiae_range"}
+        assert {fields.get(action.dest, action.dest) for action in group._group_actions} == {
+            f.name for f in dataclasses.fields(params)
+        }
 
-    def test_help_exits_zero(self):
-        assert main(["--help"]) == 0
+    @pytest.mark.parametrize(
+        "argv, library, params",
+        [
+            (["gen-data", "--seed", "1"], "giomhash.cli.synth_dataset", [SynthParams()]),
+            (["evaluate", "--seed", "1"], "giomhash.cli.run_evaluation", [MccParams(), LgsParams()]),
+            (["sweep", "--seed", "1"], "giomhash.cli.sweep", [MccParams(), LgsParams()]),
+            (
+                ["analyze", "--mode", "revoke", "--base-seed", "1"],
+                "giomhash.security.revocability_experiment",
+                [MccParams(), LgsParams()],
+            ),
+        ],
+        ids=["gen-data", "evaluate", "sweep", "analyze-revoke"],
+    )
+    def test_absent_parameter_flags_take_the_type_defaults(self, data_dir, tmp_path, monkeypatch, argv, library, params):
+        class Called(Exception):
+            pass
+
+        def capture(*args, **kwargs):
+            types = (SynthParams, MccParams, LgsParams)
+            raise Called([value for value in (*args, *kwargs.values()) if isinstance(value, types)])
+
+        monkeypatch.setattr(library, capture)
+        data = [] if argv[0] == "gen-data" else ["--data", str(data_dir)]
+        with pytest.raises(Called) as called:
+            main(argv + data + ["--out", str(tmp_path / "x")])
+        assert called.value.args[0] == params
+
+    @pytest.mark.parametrize("command", ["giom", "gen-data", "hash", "match", "evaluate", "sweep", "analyze"])
+    def test_help_exits_zero(self, command, capsys):
+        argv = [] if command == "giom" else [command]
+        assert main(argv + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['giom'] + argv)} ")
 
     def test_console_script_runs(self):
         # Runs the entry point that pyproject.toml declares the way pip's

@@ -5,8 +5,9 @@ module. A backticked token is checked when it is a plain name or a dotted
 attribute path (`GaussianBank.of`); tokens with other punctuation (`(N, d)`,
 `matrix(i)`) and builtins (`float`, `repr`) are skipped.
 
-Every `giom` line of the "Command line" block parses with the CLI's parser.
-Lines are split as CI's step that runs the block splits them, and none is run.
+Every `giom` line of the "Command line" block parses with the CLI's parser;
+none is run here. CI's step that runs the block takes its lines from
+`command_lines`, so both see the same argv lists.
 """
 
 import builtins
