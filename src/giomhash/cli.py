@@ -381,11 +381,13 @@ def _cmd_analyze(parser: argparse.ArgumentParser, args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, unknown = parser.parse_known_args(argv)
         if unknown:
-            # run is functools.partial(handler, subcommand parser), so the subcommand reports its own options
-            args.run.args[0].error(f"unrecognized arguments: {' '.join(unknown)}")
+            # leftovers before the subcommand's name are the top-level parser's and come first; run's parser reports the rest
+            leading = unknown[: argv.index(args.command)]
+            (parser if leading else args.run.args[0]).error(f"unrecognized arguments: {' '.join(leading or unknown)}")
         args.run(args)
     except SystemExit as exc:  # argparse's exit, also from parser.error inside a handler
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

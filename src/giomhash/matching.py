@@ -6,11 +6,11 @@ Pairs are selected greedily, as in MCC's local greedy similarity: each of
 the n_p steps takes the best remaining pair and retires its row and column,
 so every point is used at most once.
 
-One kernel scores every comparison. pack_templates converts a set of
-templates that share one code length m and index range q to float64 once,
-with row norms; packed_scores reads its pairs of template indices once,
-groups them by the sizes of their two templates and scores each group in
-blocks, each gathered from the packed array by index with no padding.
+One kernel scores every comparison. pack_templates concatenates the integer
+codes of templates that share one code length m and index range q;
+packed_scores reads its pairs of template indices once, groups them by the
+sizes of their two templates and scores each group in blocks, each gathered
+from the pack by index, converted to float64 and never padded.
 evaluation.score_pairs packs a keyed set of templates for a batch of pairs,
 and lgs_match_detail a pair's two templates. point_similarity is the score
 of two one-point templates: their pair budget is 1, so it is the one point
@@ -73,15 +73,14 @@ def np_select(n_a: int, n_b: int, params: LgsParams = LgsParams()) -> int:
 _BLOCK_FLOATS = 1 << 18
 
 
-def _similarities(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray, q: int) -> np.ndarray:
+def _similarities(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Point similarities of float64 code stacks a (P, A, m) and b (P, B, m), shape (P, A, B).
 
-    norms_a (P, A) and norms_b (P, B) are the rows' squared norms. Squared
-    distances come from ||a||^2 + ||b||^2 - 2 a.b with batched matmuls. For
-    integer codes in [1, q] every partial sum is an integer below 4*m*q^2,
-    so while that bound is under 2^53 the result is the exact sum of squared
-    differences, and the similarities are bit-identical to those of a direct
-    distance computation.
+    Squared distances come from ||a||^2 + ||b||^2 - 2 a.b with batched
+    matmuls and einsum row norms. For integer codes in [1, q] every partial
+    sum is an integer below 4*m*q^2, so while that bound is under 2^53 the
+    result is the exact sum of squared differences, and the similarities are
+    bit-identical to those of a direct distance computation.
     """
     m, q = int(a.shape[-1]), int(q)
     # float64 holds every integer below 2^53 exactly
@@ -91,8 +90,8 @@ def _similarities(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray, norms_b: np
         )
     sq = np.matmul(a, b.transpose(0, 2, 1))
     sq *= -2.0
-    sq += norms_a[:, :, None]
-    sq += norms_b[:, None, :]
+    sq += np.einsum("pam,pam->pa", a, a)[:, :, None]
+    sq += np.einsum("pbm,pbm->pb", b, b)[:, None, :]
     # only non-integer input can round below zero
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
@@ -141,10 +140,10 @@ def check_one_key(templates) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PackedTemplates:
-    """Templates of one code length m and index range q, each code row converted to float64 once.
+    """Templates of one code length m and index range q, their integer codes concatenated.
 
-    `codes` (rows, m) holds every template's rows back to back, `norms`
-    their squared norms and `q` the shared index range. Per template:
+    `codes` (rows, m) holds every template's rows back to back, in the type
+    np.concatenate gives them, and `q` the shared index range. Per template:
     `offsets` and `sizes` locate its rows, and `ranks` is its place in the
     canonical (n_points, code bytes) order, equal ones sharing a rank. A
     pack holds no key fingerprints; its callers decide whether keys must
@@ -152,24 +151,23 @@ class PackedTemplates:
     """
 
     codes: np.ndarray
-    norms: np.ndarray
     q: int
     offsets: np.ndarray
     sizes: np.ndarray
     ranks: np.ndarray
 
 
-def _canonical_ranks(templates, sizes: np.ndarray) -> np.ndarray:
-    """Dense ranks of the templates by (n_points, code bytes).
+def _canonical_ranks(codes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Dense ranks of the templates by (n_points, code bytes), one size at a time.
 
-    Templates are ranked one size at a time, so at most one size's code
-    bytes are held at once.
+    The bytes are the pack's rows, all of one integer type; for codes below
+    2^8 or 2^16 they sort as int64 bytes do. One size's bytes are held at once.
     """
-    ranks = np.empty(len(templates), dtype=np.intp)
+    ranks = np.empty(len(sizes), dtype=np.intp)
     rank = -1
     for size in np.unique(sizes).tolist():
         previous = None
-        for key, i in sorted((templates[i].codes.tobytes(), i) for i in np.flatnonzero(sizes == size).tolist()):
+        for key, i in sorted((codes[offsets[i] : offsets[i] + size].tobytes(), i) for i in np.flatnonzero(sizes == size).tolist()):
             if key != previous:
                 rank, previous = rank + 1, key
             ranks[i] = rank
@@ -185,20 +183,15 @@ def pack_templates(templates) -> PackedTemplates:
     templates = tuple(templates)
     for template in templates[1:]:
         _check_pair(templates[0], template)
-    width, q = (templates[0].m, templates[0].q) if templates else (1, 2)
     sizes = np.array([t.n_points for t in templates], dtype=np.intp)
-    codes = np.zeros((int(sizes.sum()), width))
-    offsets = np.zeros(len(templates), dtype=np.intp)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    for template, offset in zip(templates, offsets.tolist()):
-        codes[offset : offset + template.n_points] = template.codes
+    codes = np.concatenate([t.codes for t in templates]) if templates else np.zeros((0, 1), dtype=np.uint8)
+    offsets = np.cumsum(sizes) - sizes
     return PackedTemplates(
         codes=codes,
-        norms=np.einsum("rm,rm->r", codes, codes),
-        q=q,
+        q=templates[0].q if templates else 2,
         offsets=offsets,
         sizes=sizes,
-        ranks=_canonical_ranks(templates, sizes),
+        ranks=_canonical_ranks(codes, offsets, sizes),
     )
 
 
@@ -215,7 +208,7 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
     """Score a block of canonical (first, second) template index pairs of one shape.
 
     Every `first` template has one size A and every `second` one size B, so
-    each side's codes and norms are gathered from the packed array into a
+    each side's codes are gathered from the pack and converted to a float64
     (P, A, m) or (P, B, m) stack, and n_p pairs are picked greedily from each
     similarity matrix. Returns (rows, cols, values, scores): the picked rows
     of `first`, columns of `second` and their similarities, each (P, n_p) in
@@ -223,7 +216,7 @@ def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray,
     """
     rows_a = packed.offsets[first][:, None] + np.arange(packed.sizes[first[0]])
     rows_b = packed.offsets[second][:, None] + np.arange(packed.sizes[second[0]])
-    sim = _similarities(packed.codes[rows_a], packed.codes[rows_b], packed.norms[rows_a], packed.norms[rows_b], packed.q)
+    sim = _similarities(packed.codes[rows_a].astype(float), packed.codes[rows_b].astype(float), packed.q)
     rows, cols = _greedy_picks(sim.copy(), n_p)
     values = sim[np.arange(len(first))[:, None], rows, cols]
     return rows, cols, values, values.mean(axis=1)

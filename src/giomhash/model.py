@@ -229,9 +229,9 @@ class GaussianBank:
 class HashedTemplate:
     """Protected template: one row of 1-based winning-column indices per point.
 
-    Codes that are already int64 and frozen (read-only, viewing only
-    read-only arrays) are kept as given, so templates can share one frozen
-    code array; any other input is copied into a new read-only array.
+    Frozen integer codes (read-only, viewing only read-only arrays) are kept
+    as given, so templates can share one frozen code array; other integer
+    codes are copied read-only in their own type, and other input in int64.
     """
 
     codes: np.ndarray
@@ -247,7 +247,8 @@ class HashedTemplate:
             raise ValueError(f"codes must be a non-empty 2-d array, got shape {codes.shape}")
         if not np.issubdtype(codes.dtype, np.integer):
             as_int = np.asarray(codes, dtype=np.int64)
-            if not np.array_equal(as_int, codes):
+            # True would pass as code 1
+            if codes.dtype == bool or not np.array_equal(as_int, codes):
                 raise ValueError("codes must be integers")
             codes = as_int
         object.__setattr__(self, "q", _integer(self.q, "q"))
@@ -255,8 +256,8 @@ class HashedTemplate:
             raise ValueError("q must be >= 2")
         if codes.min() < 1 or codes.max() > self.q:
             raise ValueError(f"code indices must lie in [1, {self.q}]")
-        if codes.dtype != np.int64 or not _is_frozen(codes):
-            codes = _frozen_array(codes, np.int64)
+        if not _is_frozen(codes):
+            codes = _frozen_array(codes, codes.dtype)
         object.__setattr__(self, "codes", codes)
 
     @property

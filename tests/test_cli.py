@@ -620,6 +620,13 @@ class TestTopLevel:
     def test_unknown_flag_is_usage_error(self):
         assert main(["hash", "--case", "1", "--bogus"]) == 1
 
+    def test_unknown_flag_before_subcommand_reported_by_top_level_parser(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["--bogus", "evaluate", "--data", "missing", "--seed", "1", "--out", str(out), "--later"]) == 1
+        err = capsys.readouterr().err
+        assert "giom: error: unrecognized arguments: --bogus\n" in err
+        assert "giom evaluate:" not in err and not out.exists()
+
     @pytest.mark.parametrize(
         "argv, removed",
         [

@@ -241,21 +241,22 @@ class TestRunEvaluation:
             assert template.codes.base is base and not template.codes.flags.writeable
 
     def test_hash_dataset_holds_codes_once(self):
-        # m=256, q=2, d=4: the codes (4.2 MB) dwarf the bank (16 KiB) and the
-        # rows (66 KB); copying them per template would double them
+        # m=2048, q=2, d=4: the uint8 codes (4.2 MB) dwarf the bank (128 KiB)
+        # and the rows (66 KB); copying them per template would double them
         rng = np.random.default_rng(3)
-        key = HashKey(seed=1, m=256, q=2, d=4)
+        key = HashKey(seed=1, m=2048, q=2, d=4)
         rows = rng.random((128 * 16, 4))
         encoded = EncodedDataset(rows, {("f", i): slice(16 * i, 16 * (i + 1)) for i in range(128)})
-        codes_bytes = 128 * 16 * key.m * 8
+        codes_bytes = 128 * 16 * key.m
         tracemalloc.start()
         try:
             hash_dataset(encoded, key)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one projection block of hash_rows is 2 MiB; allow 1 MiB more
-        assert peak <= codes_bytes + (3 << 20)
+        # one projection block of hash_rows is 2 MiB and its argmax indices
+        # 1 MiB (1,024 matrices per block at q=2); allow 1 MiB more
+        assert peak <= codes_bytes + (4 << 20)
 
     def test_hash_dataset_holds_rows_once(self, small_dataset):
         # default encoder d=1536 with m=1, q=2: the rows (about 4 MB) dwarf
@@ -271,6 +272,36 @@ class TestRunEvaluation:
         finally:
             tracemalloc.stop()
         assert peak - codes_bytes < encoded.rows.nbytes / 4
+
+    def test_hash_dataset_peak_below_one_float64_copy_of_codes(self):
+        # paper width (m=700, q=100) at d=8: the 4,000 rows' uint8 codes are
+        # 2.8 MB, and int64 codes alone would reach the bound
+        encoded = paper_width_rows()
+        key = HashKey(seed=1, m=700, q=100, d=8)
+        tracemalloc.start()
+        try:
+            hash_dataset(encoded, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < encoded.rows.shape[0] * key.m * 8
+
+    def test_score_pairs_peak_below_one_float64_copy_of_codes(self):
+        # each block converts only its own rows, so no float64 copy of the codes is held
+        encoded = paper_width_rows()
+        key = HashKey(seed=1, m=700, q=100, d=8)
+        hashed = hash_dataset(encoded, key)
+        keys = list(hashed)
+        pairs = [(a, keys[(i * 7 + 3) % len(keys)]) for i, a in enumerate(keys)]
+        # the first call imports what the scorer needs
+        score_pairs(pairs[:2], hashed, LgsParams())
+        tracemalloc.start()
+        try:
+            score_pairs(pairs, hashed, LgsParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < encoded.rows.shape[0] * key.m * 8
 
     def test_score_pairs_matches_reference(self, eval_setup):
         dataset, key, mcc = eval_setup
@@ -340,6 +371,12 @@ class TestRunEvaluation:
         assert peak <= 8 << 20
 
 
+def paper_width_rows():
+    """200 templates of 20 random rows each at d=8: 4,000 rows."""
+    rows = np.random.default_rng(8).random((4000, 8))
+    return EncodedDataset(rows, {("f", i): slice(20 * i, 20 * (i + 1)) for i in range(200)})
+
+
 def tie_heavy_gallery():
     """q=2, m=64 templates, each built on its own array, with heavy ties.
 
@@ -380,9 +417,9 @@ class TestPackedScoring:
         stacks = []
         original = matching._similarities
 
-        def recording(a, b, norms_a, norms_b, q):
+        def recording(a, b, q):
             stacks.extend((a, b))
-            return original(a, b, norms_a, norms_b, q)
+            return original(a, b, q)
 
         monkeypatch.setattr(matching, "_similarities", recording)
         score_pairs([(a, b) for a in hashed for b in hashed], hashed, LgsParams())

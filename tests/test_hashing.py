@@ -122,11 +122,21 @@ class TestBlockedKernel:
         bank = GaussianBank.of(rng.standard_normal((m, 6, q)))
         rows = rng.random((n, 6))
         codes = hash_rows(rows, bank)
-        assert codes.shape == (n, m) and codes.dtype == np.int64
+        assert codes.shape == (n, m) and codes.dtype == np.uint8
         np.testing.assert_array_equal(codes, _per_matrix_codes(rows, bank))
         if n * m * q <= 20_000:
             expected = [oracle_hash(row, bank.matrices.tolist()) for row in rows]
             np.testing.assert_array_equal(codes, expected)
+
+    @pytest.mark.parametrize("q, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_codes_take_the_narrowest_type_that_holds_q(self, q, dtype):
+        # the last column always wins, so every code is q itself: codes are
+        # 1-based, and a type sized for q - 1 would wrap at q=256
+        mats = np.zeros((3, 2, q))
+        mats[:, :, -1] = 1.0
+        codes = hash_rows(np.ones((4, 2)), GaussianBank.of(mats))
+        assert codes.dtype == dtype
+        np.testing.assert_array_equal(codes, np.full((4, 3), q))
 
     def test_ties_at_block_edge_break_to_smallest_index(self):
         # dyadic rows and integer columns make every projection exact, so the
@@ -158,7 +168,8 @@ class TestBlockedKernel:
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        output_growth = (4096 - 512) * bank.m * 8
+        # uint8 codes at q=100
+        output_growth = (4096 - 512) * bank.m
         assert peaks[4096] - peaks[512] <= output_growth + (1 << 20)
 
     def test_finiteness_check_holds_no_row_mask(self):

@@ -22,7 +22,7 @@ from giomhash.matching import (
     np_select,
     point_similarity,
 )
-from giomhash.model import HashKey, HashedTemplate
+from giomhash.model import GaussianBank, HashKey, HashedTemplate, load_hashed, save_hashed
 from giomhash.randomness import derive_bank
 
 
@@ -381,6 +381,26 @@ class TestBatchedScorer:
         got = score_pairs(keys, dict(enumerate(under_a)), LgsParams(), hashed_b=dict(enumerate(under_b)))
         assert got == reference_scores(pairs, LgsParams(), allow_cross_key=True)
         assert score_pairs([], {}, LgsParams()) == []
+
+    def test_hashed_and_loaded_codes_in_one_pack_score_as_int64(self, tmp_path):
+        # hash_rows' uint8 codes beside load_hashed's int64 copies: equal sizes
+        # and heavy ties leave orientation and picks to the code bytes
+        rng = np.random.default_rng(24)
+        bank = GaussianBank.of(rng.standard_normal((4, 3, 2)))
+        narrow = [HashedTemplate(hash_rows(rng.random((5, 3)), bank), 2, "k0") for _ in range(8)]
+        for i, t in enumerate(narrow):
+            save_hashed(t, tmp_path / f"{i}.json")
+        wide = [load_hashed(tmp_path / f"{i}.json") for i in range(len(narrow))]
+        assert narrow[0].codes.dtype == np.uint8 and wide[0].codes.dtype == np.int64
+        mixed = {**{("n", i): t for i, t in enumerate(narrow)}, **{("w", i): t for i, t in enumerate(wide)}}
+        int64 = {**{("n", i): t for i, t in enumerate(wide)}, **{("w", i): t for i, t in enumerate(wide)}}
+        pairs = [p for a in range(8) for b in range(8) for p in ((("n", a), ("w", b)), (("w", b), ("n", a)))]
+        assert score_pairs(pairs, mixed, LgsParams()) == score_pairs(pairs, int64, LgsParams())
+        for a in range(8):
+            for b in range(8):
+                want = lgs_match_detail(wide[a], wide[b])
+                assert lgs_match_detail(narrow[a], wide[b]) == want
+                assert lgs_match_detail(wide[a], narrow[b]) == want
 
     @pytest.mark.parametrize(
         "bad",

@@ -279,6 +279,11 @@ class TestHashedTemplate:
         with pytest.raises(ValueError, match="integers"):
             HashedTemplate(np.array([[1.5]]), q=3, key_fingerprint="ab")
 
+    def test_bool_codes_rejected(self):
+        # True would pass as code 1
+        with pytest.raises(ValueError, match="codes must be integers"):
+            HashedTemplate(np.array([[True, True]]), 2, "k")
+
     @pytest.mark.parametrize("q", [5.9, 5.0, True, "5"])
     def test_non_integer_q_rejected(self, q):
         with pytest.raises(ValueError) as info:
@@ -320,10 +325,24 @@ class TestHashedTemplate:
         assert not np.shares_memory(t.codes, codes)
 
     def test_frozen_codes_of_another_dtype_copied(self):
-        codes = np.array([[1, 2]], dtype=np.int32)
+        # integer-valued floats are the one input converted, to int64
+        codes = np.array([[1.0, 2.0]])
         codes.flags.writeable = False
         t = HashedTemplate(codes, q=3, key_fingerprint="ab")
         assert t.codes.dtype == np.int64 and not np.shares_memory(t.codes, codes)
+        assert not t.codes.flags.writeable
+
+    def test_frozen_narrow_codes_kept_without_copy(self):
+        codes = np.array([[1, 2]], dtype=np.uint8)
+        codes.flags.writeable = False
+        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
+        assert t.codes.dtype == np.uint8 and np.shares_memory(t.codes, codes)
+
+    def test_writable_codes_copied_in_their_own_dtype(self):
+        codes = np.array([[1, 2]], dtype=np.int32)
+        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
+        assert t.codes.dtype == np.int32 and not np.shares_memory(t.codes, codes)
+        assert not t.codes.flags.writeable
 
 
 class TestMinutiaeIO:
@@ -502,6 +521,13 @@ class TestHashedIO:
         assert (tmp_path / "h.json").read_text() == (
             '{"q": 5, "m": 2, "key_fingerprint": "feed", "codes": [[1, 5], [3, 2]]}\n'
         )
+
+    def test_narrow_codes_written_as_int64_codes(self, tmp_path):
+        # hash_rows gives uint8 codes up to q=255; the file must not depend on the type
+        codes = np.array([[1, 200], [255, 2]], dtype=np.uint8)
+        save_hashed(HashedTemplate(codes, q=255, key_fingerprint="feed"), tmp_path / "narrow.json")
+        save_hashed(HashedTemplate(codes.astype(np.int64), q=255, key_fingerprint="feed"), tmp_path / "wide.json")
+        assert (tmp_path / "narrow.json").read_bytes() == (tmp_path / "wide.json").read_bytes()
 
     def test_indented_layout_still_loads(self, tmp_path):
         t = HashedTemplate(np.array([[1, 5], [3, 2]]), q=5, key_fingerprint="feed")
