@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("expected a non-empty integer list")
+    for value, count in Counter(values).items():
+        if count > 1:
+            raise argparse.ArgumentTypeError(f"expected distinct integers, got {value} more than once in {text!r}")
     return values
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, asdict
-from functools import cached_property
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
@@ -85,18 +85,10 @@ def json_text(payload) -> str:
     """The JSON text of every report file: indent 2, sorted keys, trailing newline.
 
     It is json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte for byte.
-    A list or tuple of floats is written as one run of float reprs, and a
-    report's spelled ROC rows as they stand, so each float is formatted once;
-    every other value is spelled by json.
+    A list or tuple of floats is written as one run of float reprs, so each
+    float is formatted once; every other value is spelled by json.
     """
     return _json(payload, "\n") + "\n"
-
-
-class _SpelledRows(tuple):
-    """Rows of floats already spelled, each row its float reprs joined by ",".
-
-    json_text writes them as json writes the rows' floats: an array of arrays.
-    """
 
 
 def _json_numbers(text: str) -> str:
@@ -115,16 +107,10 @@ def _json(value, nl: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if isinstance(value, _SpelledRows):
-            cell = inner + "  "
-            # float reprs hold neither "," nor ";", so rows joined by ";" split back exactly
-            rows = ";".join(value).replace(",", "," + cell).replace(";", f"{inner}],{inner}[{cell}")
-            items = f"[{cell}{_json_numbers(rows)}{inner}]"
-        else:
-            try:
-                items = _json_numbers(("," + inner).join(map(float.__repr__, value)))
-            except TypeError:  # an item is not a float
-                items = ("," + inner).join(_json(item, inner) for item in value)
+        try:
+            items = _json_numbers(("," + inner).join(map(float.__repr__, value)))
+        except TypeError:  # an item is not a float
+            items = ("," + inner).join(_json(item, inner) for item in value)
         return f"[{inner}{items}{nl}]"
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in sorted(value.items()))
@@ -186,39 +172,31 @@ class EvalReport:
             "eer": self.eer,
             "genuine_scores": self.genuine_scores,
             "impostor_scores": self.impostor_scores,
-            "roc": self._roc_rows,
         }
         return json_text(payload)
-
-    @cached_property
-    def _roc_rows(self) -> _SpelledRows:
-        """The ROC table spelled once and kept with the report, each row "threshold,fmr,fnmr".
-
-        They are report.json's rows and roc.csv's lines.
-        """
-        spelled = map(float.__repr__, chain.from_iterable(self.roc))
-        return _SpelledRows(map(",".join, zip(spelled, spelled, spelled)))
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json())
 
     def write_roc_csv(self, path) -> None:
-        """A header and one line per ROC row, with \\r\\n line ends: what csv.writer writes for these rows."""
-        Path(path).write_text("\r\n".join(("threshold,fmr,fnmr", *self._roc_rows, "")), newline="")
+        """A header and one line per ROC row, floats spelled by repr and \\r\\n line ends: what csv.writer writes."""
+        spelled = map(float.__repr__, chain.from_iterable(self.roc))
+        lines = map(",".join, zip(spelled, spelled, spelled))
+        Path(path).write_text("\r\n".join(("threshold,fmr,fnmr", *lines, "")), newline="")
 
 
 def load_report(path) -> EvalReport:
-    """The report stored at path; raises IntegrityError unless its stored EER and ROC equal those of its scores."""
+    """The report stored at path; raises IntegrityError unless its stored EER equals that of its scores.
+
+    Its ROC table comes from the scores: an older report's "roc" member is not read.
+    """
     path = Path(path)
     with stored_file(path, "invalid report"):
         payload = json.loads(path.read_text(encoding="utf-8"))
         report = EvalReport(payload["genuine_scores"], payload["impostor_scores"], payload["config"])
         eer = float(payload["eer"])
-        roc = tuple((float(t), float(a), float(r)) for t, a, r in payload["roc"])
         if eer != report.eer:
             raise IntegrityError(f"{path.name}: stored eer {eer} inconsistent with scores (expect {report.eer})")
-        if roc != report.roc:
-            raise IntegrityError(f"{path.name}: stored roc table inconsistent with scores")
         return report
 
 
@@ -344,14 +322,20 @@ def sweep(
     """Mean EER per (m, q) over `trials` evaluations with fresh derived seeds.
 
     Trial seeds derive from (base_seed, m, q, trial), so every grid cell is
-    reproducible in isolation. Every cell's key and the protocol are checked
-    before the dataset is encoded once for the whole grid.
+    reproducible in isolation. A repeated m or q raises ValueError. Every
+    cell's key and the protocol are checked before the dataset is encoded
+    once for the whole grid.
     """
     # checked before child_seed sees them, so the error names the grid field
     m_list = [_integer(m, "m") for m in m_list]
     q_list = [_integer(q, "q") for q in q_list]
     if not m_list or not q_list:
         raise ValueError("m_list and q_list must be non-empty")
+    # a repeated value would hash and score one cell twice under the same seeds
+    for name, values in (("m_list", m_list), ("q_list", q_list)):
+        for value, count in Counter(values).items():
+            if count > 1:
+                raise ValueError(f"{name} repeats {value}; each grid value must appear once")
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GaussianBank
+from .model import GaussianBank, code_dtype
 
 
 # Rows are hashed 128 at a time against blocks of whole matrices, so one
@@ -30,8 +30,9 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
     Ties resolve to the smallest column index (numpy argmax convention).
     The bank goes through in blocks of k whole matrices, written side by
     side into one reused (d, k*q) buffer that every 128-row chunk is
-    projected against. Beyond the (N, m) np.min_scalar_type(q) result the
-    working memory is that buffer and one chunk's projection (about 2 MiB),
+    projected against. Beyond the (N, m) code_dtype(q) result the working
+    memory is that buffer, one chunk's projection (about 2 MiB) and the
+    (chunk, k) intp index array np.argmax casts into the codes (up to 1 MiB),
     independent of N and m. A block never splits a matrix, which keeps the
     first-wins tie rule. Every call reads all m matrices (see GaussianBank),
     so hash a whole row stack in one call rather than a call per template.
@@ -47,7 +48,7 @@ def hash_rows(rows, bank: GaussianBank) -> np.ndarray:
         raise ValueError("features must be finite")
     step = min(_block_matrices(q), m)
     buf = np.empty((bank.d, step * q))
-    codes = np.empty((n, m), dtype=np.min_scalar_type(q))  # 1-based, so it must hold q itself
+    codes = np.empty((n, m), dtype=code_dtype(q))  # 1-based, so it must hold q itself
     for j in range(0, m, step):
         k = min(step, m - j)
         for i in range(k):

@@ -142,8 +142,8 @@ def check_one_key(templates) -> None:
 class PackedTemplates:
     """Templates of one code length m and index range q, their integer codes concatenated.
 
-    `codes` (rows, m) holds every template's rows back to back, in the type
-    np.concatenate gives them, and `q` the shared index range. Per template:
+    `codes` (rows, m) holds every template's rows back to back, in their one
+    type code_dtype(q), and `q` the shared index range. Per template:
     `offsets` and `sizes` locate its rows, and `ranks` is its place in the
     canonical (n_points, code bytes) order, equal ones sharing a rank. A
     pack holds no key fingerprints; its callers decide whether keys must
@@ -160,8 +160,7 @@ class PackedTemplates:
 def _canonical_ranks(codes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Dense ranks of the templates by (n_points, code bytes), one size at a time.
 
-    The bytes are the pack's rows, all of one integer type; for codes below
-    2^8 or 2^16 they sort as int64 bytes do. One size's bytes are held at once.
+    The bytes are the pack's rows in code_dtype(q). One size's bytes are held at once.
     """
     ranks = np.empty(len(sizes), dtype=np.intp)
     rank = -1

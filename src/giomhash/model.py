@@ -225,13 +225,21 @@ class GaussianBank:
         return _frozen_array([self.matrix(i) for i in range(self.m)], float)
 
 
+def code_dtype(q: int) -> np.dtype:
+    """The one type of every code array under index range q >= 2, np.min_scalar_type(q); q >= 2^64 raises ValueError."""
+    dtype = np.min_scalar_type(q)
+    if dtype.kind != "u":
+        raise ValueError(f"q must be below 2^64, got {_shown(q)}")
+    return dtype
+
+
 @dataclass(frozen=True, eq=False)
 class HashedTemplate:
     """Protected template: one row of 1-based winning-column indices per point.
 
-    Frozen integer codes (read-only, viewing only read-only arrays) are kept
-    as given, so templates can share one frozen code array; other integer
-    codes are copied read-only in their own type, and other input in int64.
+    Integer-typed codes are range-checked as given and held in code_dtype(q):
+    frozen codes of that type (read-only, viewing only read-only arrays) are
+    kept, so templates can share one frozen code array; others are copied once.
     """
 
     codes: np.ndarray
@@ -245,19 +253,17 @@ class HashedTemplate:
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise ValueError(f"codes must be a non-empty 2-d array, got shape {codes.shape}")
+        # bool is not an integer type here, or True would pass as code 1
         if not np.issubdtype(codes.dtype, np.integer):
-            as_int = np.asarray(codes, dtype=np.int64)
-            # True would pass as code 1
-            if codes.dtype == bool or not np.array_equal(as_int, codes):
-                raise ValueError("codes must be integers")
-            codes = as_int
+            raise ValueError("codes must be integers")
         object.__setattr__(self, "q", _integer(self.q, "q"))
         if self.q < 2:
             raise ValueError("q must be >= 2")
+        dtype = code_dtype(self.q)
         if codes.min() < 1 or codes.max() > self.q:
             raise ValueError(f"code indices must lie in [1, {self.q}]")
-        if not _is_frozen(codes):
-            codes = _frozen_array(codes, codes.dtype)
+        if codes.dtype != dtype or not _is_frozen(codes):
+            codes = _frozen_array(codes, dtype)
         object.__setattr__(self, "codes", codes)
 
     @property

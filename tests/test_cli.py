@@ -332,10 +332,10 @@ class TestEvaluate:
         "fingers, samples, report_sha256, roc_sha256",
         [
             # criterion 9's seeded 4 x 3 set
-            pytest.param(4, 3, "348821f1f32665d40f005381e823341093e9b583a324261481b4747e13b2394a",
+            pytest.param(4, 3, "ff508f87da86e6caf138ea2858dee69f38c6abccc0a457242cdb724c58c9dccc",
                          "603704e8084107e11d12d915d1e5a1ad3cc923c3db6d0dbf9656f5eeb29f17ec", id="4x3"),
             # 780 impostor scores, so report.json holds thousands of floats
-            pytest.param(40, 2, "506fca63016103b06db0fcaafc00a5d046f4e60fb61b3ed95c930649ed7a4465",
+            pytest.param(40, 2, "a7a4f80da195751f5884f668299b3d4e2dea28a0b98d5d9e0e20b41a5811c679",
                          "a446d63cf4bce4ce9f501785bbafdfd6e65208c13c40a4b47e58eedd75417460", id="40x2"),
         ],
     )
@@ -462,6 +462,14 @@ class TestSweep:
         out = tmp_path / "x"
         argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
         assert_usage_error(argv, out, capsys)
+
+    @pytest.mark.parametrize("flag, value", [(["--m", "4,4"], "4"), (["--q", "6,7,06"], "6")])
+    def test_repeated_grid_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        # a repeated value would score one cell twice; the missing --data is never read
+        out = tmp_path / "x"
+        argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
+        err = assert_usage_error(argv, out, capsys)
+        assert f"argument {flag[0]}: expected distinct integers, got {value} more than once" in err
 
     def test_grid_value_rejected_by_hash_key_is_usage_error(self, tmp_path, capsys):
         # every grid cell's HashKey is built before the missing --data is read

@@ -25,6 +25,7 @@ from giomhash.evaluation import (
     genuine_pairs,
     hash_dataset,
     impostor_pairs,
+    json_text,
     load_report,
     run_evaluation,
     score_pairs,
@@ -34,7 +35,7 @@ from giomhash.evaluation import (
 from giomhash.hashing import hash_rows
 from giomhash.matching import _BLOCK_FLOATS, LgsParams, pack_templates
 from giomhash.mcc import MccParams, SynthParams, encode_cylinders, synth_dataset
-from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate
+from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate, code_dtype
 from giomhash.randomness import derive_bank
 
 
@@ -258,6 +259,13 @@ class TestRunEvaluation:
         # 1 MiB (1,024 matrices per block at q=2); allow 1 MiB more
         assert peak <= codes_bytes + (4 << 20)
 
+    @pytest.mark.parametrize("q", [100, 300])
+    def test_hash_dataset_codes_in_code_dtype(self, q):
+        rows = np.random.default_rng(5).random((6, 4))
+        encoded = EncodedDataset(rows, {("f", 1): slice(0, 2), ("f", 2): slice(2, 6)})
+        for template in hash_dataset(encoded, HashKey(seed=2, m=3, q=q, d=4)).values():
+            assert template.codes.dtype == code_dtype(q) == np.min_scalar_type(q)
+
     def test_hash_dataset_holds_rows_once(self, small_dataset):
         # default encoder d=1536 with m=1, q=2: the rows (about 4 MB) dwarf
         # the codes and hash_rows' block, so a copy of the rows would dominate
@@ -473,7 +481,21 @@ class TestEvalReport:
         assert stored["config"]["lgs"]["greedy_unique"] is True
         assert report.eer == stored["eer"] == 0.125
         assert report.config == stored["config"]
-        assert report.to_json() == text
+        # the report is written again without its stored roc member
+        assert text == json_text(stored)
+        assert report.to_json() == json_text({k: v for k, v in stored.items() if k != "roc"})
+
+    def test_stored_roc_of_an_older_report_is_ignored(self, tmp_path):
+        # reports used to store their ROC table too; it is the scores' table, derived again on load
+        path = Path(__file__).parent / "data" / "report_with_greedy_unique.json"
+        stored = json.loads(path.read_text())
+        report = load_report(path)
+        assert len(stored["roc"]) == 18
+        assert report.roc == tuple(compute_eer(stored["genuine_scores"], stored["impostor_scores"])[1])
+        assert report.roc == tuple(tuple(row) for row in stored["roc"])
+        stored["roc"] = [[0.5, 0.1, 0.2]]
+        (tmp_path / "wrong_roc.json").write_text(json.dumps(stored))
+        assert load_report(tmp_path / "wrong_roc.json") == report
 
     def test_tampered_eer_detected(self, eval_setup, tmp_path):
         dataset, key, mcc = eval_setup
@@ -494,11 +516,10 @@ class TestEvalReport:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda payload: payload["roc"].insert(0, ["a", "b", "c"]),
             lambda payload: payload.pop("eer"),
             lambda payload: payload["genuine_scores"].append(10**400),
         ],
-        ids=["non-numeric-roc-row", "missing-eer", "score-too-large-for-float"],
+        ids=["missing-eer", "score-too-large-for-float"],
     )
     def test_malformed_stored_value_is_invalid(self, eval_setup, tmp_path, edit):
         dataset, key, mcc = eval_setup
@@ -514,14 +535,6 @@ class TestEvalReport:
     def test_undecodable_file_is_invalid(self, tmp_path, content):
         (tmp_path / "bad.json").write_bytes(content)
         with pytest.raises(IntegrityError, match=r"^bad\.json: invalid report \("):
-            load_report(tmp_path / "bad.json")
-
-    def test_tampered_roc_detected(self, eval_setup, tmp_path):
-        dataset, key, mcc = eval_setup
-        payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
-        payload["roc"] = [[0.5, 0.1, 0.2]]
-        (tmp_path / "bad.json").write_text(json.dumps(payload))
-        with pytest.raises(IntegrityError, match=r"bad\.json: stored roc table inconsistent"):
             load_report(tmp_path / "bad.json")
 
     def test_roc_csv(self, eval_setup, tmp_path):
@@ -564,6 +577,19 @@ class TestSweep:
             sweep(dataset, [], [5], trials=1, base_seed=0, mcc=mcc)
         with pytest.raises(ValueError, match="trials"):
             sweep(dataset, [4], [5], trials=0, base_seed=0, mcc=mcc)
+
+    def test_repeated_grid_value_rejected_before_encoding(self, eval_setup, monkeypatch):
+        dataset, _, mcc = eval_setup
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a sweep with a repeated grid value reached encoding or hashing")
+
+        monkeypatch.setattr(evaluation, "encode_dataset", unreachable)
+        monkeypatch.setattr(evaluation, "hash_dataset", unreachable)
+        with pytest.raises(ValueError, match="^m_list repeats 4; each grid value must appear once$"):
+            sweep(dataset, [4, 6, 4], [5], trials=1, base_seed=0, mcc=mcc)
+        with pytest.raises(ValueError, match="^q_list repeats 5; each grid value must appear once$"):
+            sweep(dataset, [4], [5, np.int64(5)], trials=1, base_seed=0, mcc=mcc)
 
     def test_non_integer_grid_rejected(self, eval_setup):
         dataset, _, mcc = eval_setup

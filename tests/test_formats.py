@@ -46,11 +46,6 @@ def test_report_json_text():
         '  "impostor_scores": [\n'
         "    0.25,\n"
         "    0.5\n"
-        "  ],\n"
-        '  "roc": [\n'
-        "    [\n      0.25,\n      1.0,\n      0.0\n    ],\n"
-        "    [\n      0.5,\n      0.5,\n      0.0\n    ],\n"
-        "    [\n      0.75,\n      0.0,\n      0.5\n    ]\n"
         "  ]\n"
         "}\n"
     )
@@ -95,7 +90,6 @@ def test_report_files_equal_json_and_csv_writer(tmp_path_factory, genuine, impos
         "eer": eer,
         "genuine_scores": [float(s) for s in genuine],
         "impostor_scores": [float(s) for s in impostor],
-        "roc": [list(row) for row in roc],
     }
     assert report.to_json() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     expected = io.StringIO()

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     oracle_greedy_score_set,
     oracle_similarity_matrix,
     reference_lgs_match_detail,
+    reference_score_pairs,
     reference_similarity_matrix,
 )
 
@@ -157,10 +159,11 @@ class TestPointSimilarity:
         [
             ([[0, 9]], 3, r"code indices must lie in \[1, 3\]"),
             ([[1.5, 2]], 3, "codes must be integers"),
+            ([[1.0, 2.0]], 3, "codes must be integers"),
             ([[1, 1]], 1, "q must be >= 2"),
             ([[1, 1], [1, 1]], 3, r"expected two equal-length index vectors"),
         ],
-        ids=["out-of-range", "non-integer", "q=1", "two-rows"],
+        ids=["out-of-range", "non-integer", "integral-float", "q=1", "two-rows"],
     )
     def test_matrix_rejects_bad_input(self, codes, q, message):
         # point_similarity takes (1, m) code matrices, each a one-point HashedTemplate that checks its codes and q
@@ -168,9 +171,6 @@ class TestPointSimilarity:
             point_similarity(codes, np.ones_like(codes), q)
         with pytest.raises(ValueError, match=message):
             point_similarity(np.ones_like(codes), codes, q)
-
-    def test_integral_float_codes_accepted(self):
-        assert point_similarity([1.0, 1.0], [2.0, 3.0], q=3) == point_similarity([1, 1], [2, 3], q=3)
 
     @given(codes_strategy(max_rows=4), codes_strategy(max_rows=4))
     def test_matrix_matches_oracle(self, rows_a, rows_b):
@@ -383,24 +383,29 @@ class TestBatchedScorer:
         assert score_pairs([], {}, LgsParams()) == []
 
     def test_hashed_and_loaded_codes_in_one_pack_score_as_int64(self, tmp_path):
-        # hash_rows' uint8 codes beside load_hashed's int64 copies: equal sizes
-        # and heavy ties leave orientation and picks to the code bytes
+        # hash_rows' codes beside load_hashed's, both uint8, against the frozen
+        # reference on int64 copies: equal sizes and heavy ties leave
+        # orientation and picks to the code bytes
         rng = np.random.default_rng(24)
         bank = GaussianBank.of(rng.standard_normal((4, 3, 2)))
-        narrow = [HashedTemplate(hash_rows(rng.random((5, 3)), bank), 2, "k0") for _ in range(8)]
-        for i, t in enumerate(narrow):
+        hashed = [HashedTemplate(hash_rows(rng.random((5, 3)), bank), 2, "k0") for _ in range(8)]
+        for i, t in enumerate(hashed):
             save_hashed(t, tmp_path / f"{i}.json")
-        wide = [load_hashed(tmp_path / f"{i}.json") for i in range(len(narrow))]
-        assert narrow[0].codes.dtype == np.uint8 and wide[0].codes.dtype == np.int64
-        mixed = {**{("n", i): t for i, t in enumerate(narrow)}, **{("w", i): t for i, t in enumerate(wide)}}
+        loaded = [load_hashed(tmp_path / f"{i}.json") for i in range(len(hashed))]
+        assert {t.codes.dtype for t in hashed + loaded} == {np.dtype(np.uint8)}
+        wide = [
+            SimpleNamespace(codes=t.codes.astype(np.int64), n_points=t.n_points, m=t.m, q=t.q, key_fingerprint="k0")
+            for t in loaded
+        ]
+        pack = {**{("n", i): t for i, t in enumerate(hashed)}, **{("w", i): t for i, t in enumerate(loaded)}}
         int64 = {**{("n", i): t for i, t in enumerate(wide)}, **{("w", i): t for i, t in enumerate(wide)}}
         pairs = [p for a in range(8) for b in range(8) for p in ((("n", a), ("w", b)), (("w", b), ("n", a)))]
-        assert score_pairs(pairs, mixed, LgsParams()) == score_pairs(pairs, int64, LgsParams())
+        assert score_pairs(pairs, pack, LgsParams()) == reference_score_pairs(pairs, int64, LgsParams())
         for a in range(8):
             for b in range(8):
-                want = lgs_match_detail(wide[a], wide[b])
-                assert lgs_match_detail(narrow[a], wide[b]) == want
-                assert lgs_match_detail(wide[a], narrow[b]) == want
+                want = reference_lgs_match_detail(wide[a], wide[b], LgsParams())
+                assert lgs_match_detail(hashed[a], loaded[b]) == want
+                assert lgs_match_detail(loaded[a], hashed[b]) == want
 
     @pytest.mark.parametrize(
         "bad",

@@ -16,6 +16,7 @@ from giomhash.model import (
     Minutia,
     MinutiaeTemplate,
     ParseError,
+    code_dtype,
     load_hashed,
     load_key,
     load_minutiae,
@@ -303,16 +304,10 @@ class TestHashedTemplate:
         c = HashedTemplate(np.array([[1, 2]]), q=3, key_fingerprint="cd")
         assert a == b and a != c
 
-    def test_frozen_int64_codes_kept_without_copy(self):
-        codes = np.array([[1, 2], [3, 1], [2, 2]], dtype=np.int64)
-        codes.flags.writeable = False
-        t = HashedTemplate(codes[1:], q=3, key_fingerprint="ab")
-        assert np.shares_memory(t.codes, codes)
-        assert not t.codes.flags.writeable
-
     def test_writable_codes_copied(self):
         codes = np.array([[1, 2]], dtype=np.int64)
         t = HashedTemplate(codes, q=3, key_fingerprint="ab")
+        assert t.codes.dtype == np.uint8
         assert not np.shares_memory(t.codes, codes) and not t.codes.flags.writeable
         codes[0, 0] = 3
         assert t.codes[0, 0] == 1
@@ -325,24 +320,62 @@ class TestHashedTemplate:
         assert not np.shares_memory(t.codes, codes)
 
     def test_frozen_codes_of_another_dtype_copied(self):
-        # integer-valued floats are the one input converted, to int64
-        codes = np.array([[1.0, 2.0]])
+        # frozen unsigned codes too wide or too narrow for q are copied into code_dtype(q)
+        for dtype, q, held in [(np.uint16, 3, np.uint8), (np.uint8, 300, np.uint16)]:
+            codes = np.array([[1, 2], [3, 1]], dtype=dtype)
+            codes.flags.writeable = False
+            t = HashedTemplate(codes, q=q, key_fingerprint="ab")
+            assert t.codes.dtype == held == code_dtype(q) and not np.shares_memory(t.codes, codes)
+            assert not t.codes.flags.writeable and t.codes.tolist() == [[1, 2], [3, 1]]
+
+    def test_frozen_int64_view_copied_into_code_dtype(self):
+        # a frozen int64 view is range-checked as it is, then copied once into uint8
+        codes = np.array([[1, 2], [3, 1], [2, 2]], dtype=np.int64)
         codes.flags.writeable = False
-        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
-        assert t.codes.dtype == np.int64 and not np.shares_memory(t.codes, codes)
+        t = HashedTemplate(codes[1:], q=3, key_fingerprint="ab")
+        assert t.codes.dtype == np.uint8 and not np.shares_memory(t.codes, codes)
         assert not t.codes.flags.writeable
+        assert t.codes.tolist() == [[3, 1], [2, 2]]
 
     def test_frozen_narrow_codes_kept_without_copy(self):
-        codes = np.array([[1, 2]], dtype=np.uint8)
+        codes = np.array([[1, 2], [3, 1]], dtype=np.uint8)
         codes.flags.writeable = False
-        t = HashedTemplate(codes, q=3, key_fingerprint="ab")
-        assert t.codes.dtype == np.uint8 and np.shares_memory(t.codes, codes)
+        for view in (codes, codes[1:]):
+            t = HashedTemplate(view, q=3, key_fingerprint="ab")
+            assert t.codes is view and not t.codes.flags.writeable
 
     def test_writable_codes_copied_in_their_own_dtype(self):
-        codes = np.array([[1, 2]], dtype=np.int32)
+        codes = np.array([[1, 2]], dtype=np.uint8)
         t = HashedTemplate(codes, q=3, key_fingerprint="ab")
-        assert t.codes.dtype == np.int32 and not np.shares_memory(t.codes, codes)
+        assert t.codes.dtype == np.uint8 and not np.shares_memory(t.codes, codes)
         assert not t.codes.flags.writeable
+
+    @pytest.mark.parametrize("q", [2, 255, 256, 65_535, 65_536, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "make", [list, np.array, lambda rows: np.array(rows, dtype=np.uint64)], ids=["list", "int64", "uint64"]
+    )
+    def test_codes_held_in_code_dtype(self, q, make):
+        rows = [[1, q], [q, 1]]
+        t = HashedTemplate(make(rows), q=q, key_fingerprint="ab")
+        assert t.codes.dtype == code_dtype(q) == np.min_scalar_type(q)
+        assert t.codes.tolist() == rows
+
+    def test_largest_q_held_in_uint64(self):
+        q = 2**64 - 1
+        t = HashedTemplate(np.array([[1, q]], dtype=np.uint64), q=q, key_fingerprint="ab")
+        assert t.codes.dtype == code_dtype(q) == np.uint64 and t.codes.tolist() == [[1, q]]
+
+    @pytest.mark.parametrize("codes", [np.array([[1.0, 2.0]]), [[1.0, 2.0]], np.array([[1, 2]], dtype=np.float32)])
+    def test_float_codes_rejected(self, codes):
+        # an integral float is not converted: codes come as integers or not at all
+        with pytest.raises(ValueError, match="^codes must be integers$"):
+            HashedTemplate(codes, q=3, key_fingerprint="ab")
+
+    def test_q_without_an_unsigned_type_rejected(self):
+        with pytest.raises(ValueError, match=r"^q must be below 2\^64, got 18446744073709551616$"):
+            HashedTemplate([[1, 2]], q=2**64, key_fingerprint="ab")
+        with pytest.raises(ValueError, match=r"^q must be below 2\^64"):
+            code_dtype(2**64)
 
 
 class TestMinutiaeIO:
@@ -528,6 +561,13 @@ class TestHashedIO:
         save_hashed(HashedTemplate(codes, q=255, key_fingerprint="feed"), tmp_path / "narrow.json")
         save_hashed(HashedTemplate(codes.astype(np.int64), q=255, key_fingerprint="feed"), tmp_path / "wide.json")
         assert (tmp_path / "narrow.json").read_bytes() == (tmp_path / "wide.json").read_bytes()
+
+    @pytest.mark.parametrize("q", [5, 300])
+    def test_loaded_codes_in_code_dtype(self, tmp_path, q):
+        t = HashedTemplate([[1, q], [q, 2]], q=q, key_fingerprint="feed")
+        save_hashed(t, tmp_path / "h.json")
+        loaded = load_hashed(tmp_path / "h.json")
+        assert loaded == t and loaded.codes.dtype == t.codes.dtype == code_dtype(q)
 
     def test_indented_layout_still_loads(self, tmp_path):
         t = HashedTemplate(np.array([[1, 5], [3, 2]]), q=5, key_fingerprint="feed")
