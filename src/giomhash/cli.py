@@ -16,13 +16,12 @@ import contextlib
 import dataclasses
 import functools
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import cases, security
-from .evaluation import encode_dataset, evaluation_config, hash_dataset, json_text, run_evaluation, sweep, write_csv, write_sweep_csv
+from .evaluation import encode_dataset, evaluation_config, hash_dataset, json_text, run_evaluation, sweep, sweep_grid, write_csv, write_sweep_csv
 from .hashing import hash_rows
 from .matching import LgsParams, lgs_match_detail
 from .mcc import MccParams, SynthParams, synth_dataset, write_dataset
@@ -56,15 +55,9 @@ def _nonneg_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected a non-empty integer list")
-    for value, count in Counter(values).items():
-        if count > 1:
-            raise argparse.ArgumentTypeError(f"expected distinct integers, got {value} more than once in {text!r}")
-    return values
 
 
 def _add_mcc_args(parser: argparse.ArgumentParser) -> None:
@@ -164,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=_int_list, default=_int_list(DEFAULT_M_GRID))
     p.add_argument("--q", type=_int_list, default=_int_list(DEFAULT_Q_GRID))
-    p.add_argument("--trials", type=_positive_int, default=3)
+    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--out", required=True)
     _add_mcc_args(p)
     _add_lgs_args(p)
@@ -271,11 +264,9 @@ def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
 def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
     mcc = _params(parser, MccParams, args)
     lgs = _params(parser, LgsParams, args)
-    # every grid cell's key is checked before the dataset is read
+    # the grid and every cell's keys are checked before the dataset is read
     with _usage_errors(parser):
-        for m in args.m:
-            for q in args.q:
-                HashKey(seed=args.seed, m=m, q=q, d=mcc.dim)
+        sweep_grid(args.m, args.q, args.trials, args.seed, mcc.dim)
     dataset = load_minutiae(args.data)
     result = sweep(dataset, args.m, args.q, args.trials, args.seed, mcc, lgs)
     out = _out_dir(args)

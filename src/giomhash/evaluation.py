@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, asdict
-from itertools import accumulate, chain
+from dataclasses import asdict, dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,40 +82,8 @@ def protocol_pairs(dataset) -> tuple[list[Pair], list[Pair]]:
 
 
 def json_text(payload) -> str:
-    """The JSON text of every report file: indent 2, sorted keys, trailing newline.
-
-    It is json.dumps(payload, indent=2, sort_keys=True) + "\\n", byte for byte.
-    A list or tuple of floats is written as one run of float reprs, so each
-    float is formatted once; every other value is spelled by json.
-    """
-    return _json(payload, "\n") + "\n"
-
-
-def _json_numbers(text: str) -> str:
-    """A run of float reprs in JSON's spelling: nan, inf and -inf become NaN, Infinity and -Infinity.
-
-    No finite float's repr holds the letter n, so only the non-finite ones change.
-    """
-    if "n" in text:
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
-def _json(value, nl: str) -> str:
-    """value's JSON text in json_text's layout, where nl is a newline and the indent of value's line."""
-    inner = nl + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            items = _json_numbers(("," + inner).join(map(float.__repr__, value)))
-        except TypeError:  # an item is not a float
-            items = ("," + inner).join(_json(item, inner) for item in value)
-        return f"[{inner}{items}{nl}]"
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        items = (f"{json.dumps(key)}: {_json(item, inner)}" for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+    """The JSON text of every report file: json.dumps(payload, indent=2, sort_keys=True) and a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_csv(path, header, rows) -> None:
@@ -179,10 +147,7 @@ class EvalReport:
         Path(path).write_text(self.to_json())
 
     def write_roc_csv(self, path) -> None:
-        """A header and one line per ROC row, floats spelled by repr and \\r\\n line ends: what csv.writer writes."""
-        spelled = map(float.__repr__, chain.from_iterable(self.roc))
-        lines = map(",".join, zip(spelled, spelled, spelled))
-        Path(path).write_text("\r\n".join(("threshold,fmr,fnmr", *lines, "")), newline="")
+        write_csv(path, ["threshold", "fmr", "fnmr"], self.roc)
 
 
 def load_report(path) -> EvalReport:
@@ -310,6 +275,34 @@ class SweepResult:
     means: tuple[tuple[int, int, float], ...]  # (m, q, mean eer)
 
 
+def sweep_grid(m_list, q_list, trials: int, base_seed: int, d: int) -> list[tuple[int, int, list[HashKey]]]:
+    """Each (m, q) cell of a sweep grid, m-major, with the keys of its `trials` trials.
+
+    Trial seeds derive from (base_seed, m, q, trial), so every cell is
+    reproducible in isolation. Raises ValueError for an empty grid, a
+    non-integer or repeated m or q, trials below 1, a negative base_seed, or
+    a cell whose key HashKey rejects.
+    """
+    # checked first, so the repeat rule compares plain ints (True is not taken for 1)
+    m_list = [_integer(m, "m") for m in m_list]
+    q_list = [_integer(q, "q") for q in q_list]
+    if not m_list or not q_list:
+        raise ValueError("m_list and q_list must be non-empty")
+    # a repeated value would hash and score one cell twice under the same seeds
+    for name, values in (("m_list", m_list), ("q_list", q_list)):
+        for value, count in Counter(values).items():
+            if count > 1:
+                raise ValueError(f"{name} repeats {value}; each grid value must appear once")
+    if _integer(trials, "trials") < 1:
+        raise ValueError("trials must be >= 1")
+    # HashKey checks the base seed and each cell's m, q and d before child_seed sees them
+    cells = [HashKey(seed=base_seed, m=m, q=q, d=d) for m in m_list for q in q_list]
+    return [
+        (cell.m, cell.q, [replace(cell, seed=child_seed(base_seed, cell.m, cell.q, trial)) for trial in range(trials)])
+        for cell in cells
+    ]
+
+
 def sweep(
     dataset,
     m_list,
@@ -321,29 +314,10 @@ def sweep(
 ) -> SweepResult:
     """Mean EER per (m, q) over `trials` evaluations with fresh derived seeds.
 
-    Trial seeds derive from (base_seed, m, q, trial), so every grid cell is
-    reproducible in isolation. A repeated m or q raises ValueError. Every
-    cell's key and the protocol are checked before the dataset is encoded
-    once for the whole grid.
+    sweep_grid checks the grid and makes every cell's keys, and the protocol
+    is checked, before the dataset is encoded once for the whole grid.
     """
-    # checked before child_seed sees them, so the error names the grid field
-    m_list = [_integer(m, "m") for m in m_list]
-    q_list = [_integer(q, "q") for q in q_list]
-    if not m_list or not q_list:
-        raise ValueError("m_list and q_list must be non-empty")
-    # a repeated value would hash and score one cell twice under the same seeds
-    for name, values in (("m_list", m_list), ("q_list", q_list)):
-        for value, count in Counter(values).items():
-            if count > 1:
-                raise ValueError(f"{name} repeats {value}; each grid value must appear once")
-    trials = _integer(trials, "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    cells = [
-        (m, q, [HashKey(seed=child_seed(base_seed, m, q, trial), m=m, q=q, d=mcc.dim) for trial in range(trials)])
-        for m in m_list
-        for q in q_list
-    ]
+    cells = sweep_grid(m_list, q_list, trials, base_seed, mcc.dim)
     protocol = protocol_pairs(dataset)
     encoded = encode_dataset(dataset, mcc)
     records = []

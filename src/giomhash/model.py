@@ -226,7 +226,9 @@ class GaussianBank:
 
 
 def code_dtype(q: int) -> np.dtype:
-    """The one type of every code array under index range q >= 2, np.min_scalar_type(q); q >= 2^64 raises ValueError."""
+    """The one type of every code array under index range q, np.min_scalar_type(q); q < 2 or q >= 2^64 raises ValueError."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
     dtype = np.min_scalar_type(q)
     if dtype.kind != "u":
         raise ValueError(f"q must be below 2^64, got {_shown(q)}")
@@ -257,8 +259,6 @@ class HashedTemplate:
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("codes must be integers")
         object.__setattr__(self, "q", _integer(self.q, "q"))
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
         dtype = code_dtype(self.q)
         if codes.min() < 1 or codes.max() > self.q:
             raise ValueError(f"code indices must lie in [1, {self.q}]")
@@ -414,7 +414,12 @@ def load_hashed(path) -> HashedTemplate:
         rows = {len(row) for row in codes}
         if len(rows) > 1:
             raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
-        template = HashedTemplate(np.asarray(codes, dtype=np.int64), q, fingerprint)
+        try:
+            codes = np.array(codes, dtype=code_dtype(q))
+        except OverflowError:  # a code outside code_dtype(q) is outside [1, q] too
+            raise ValueError(f"code indices must lie in [1, {q}]") from None
+        codes.flags.writeable = False  # frozen codes of code_dtype(q) are kept, not copied
+        template = HashedTemplate(codes, q, fingerprint)
         if "m" in payload and payload["m"] != template.m:
             raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
         return template

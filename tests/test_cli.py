@@ -469,7 +469,14 @@ class TestSweep:
         out = tmp_path / "x"
         argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--out", str(out)] + flag
         err = assert_usage_error(argv, out, capsys)
-        assert f"argument {flag[0]}: expected distinct integers, got {value} more than once" in err
+        assert f"{flag[0][2:]}_list repeats {value}; each grid value must appear once" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_non_positive_trials_is_usage_error(self, tmp_path, capsys, trials):
+        # sweep_grid checks trials with the grid, before the missing --data is read
+        out = tmp_path / "x"
+        argv = ["sweep", "--data", str(tmp_path / "missing"), "--seed", "5", "--trials", trials, "--out", str(out)]
+        assert "trials must be >= 1" in assert_usage_error(argv, out, capsys)
 
     def test_grid_value_rejected_by_hash_key_is_usage_error(self, tmp_path, capsys):
         # every grid cell's HashKey is built before the missing --data is read

@@ -30,13 +30,14 @@ from giomhash.evaluation import (
     run_evaluation,
     score_pairs,
     sweep,
+    sweep_grid,
     write_sweep_csv,
 )
 from giomhash.hashing import hash_rows
 from giomhash.matching import _BLOCK_FLOATS, LgsParams, pack_templates
 from giomhash.mcc import MccParams, SynthParams, encode_cylinders, synth_dataset
 from giomhash.model import HashKey, HashedTemplate, IntegrityError, Minutia, MinutiaeTemplate, code_dtype
-from giomhash.randomness import derive_bank
+from giomhash.randomness import child_seed, derive_bank
 
 
 def flat_dataset(fingers, samples):
@@ -613,6 +614,16 @@ class TestSweep:
             sweep(dataset, [0], [10], trials=1, base_seed=0, mcc=mcc)
         with pytest.raises(ValueError, match="protocol needs >= 2 fingers for impostor comparisons"):
             sweep(one_finger, [5], [10], trials=1, base_seed=0, mcc=mcc)
+
+    def test_grid_cells_hold_each_trial_key(self):
+        cells = sweep_grid([4, 6], [5, 7], trials=2, base_seed=3, d=10)
+        assert [(m, q) for m, q, _ in cells] == [(4, 5), (4, 7), (6, 5), (6, 7)]
+        for m, q, keys in cells:
+            assert keys == [HashKey(seed=child_seed(3, m, q, t), m=m, q=q, d=10) for t in range(2)]
+
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            sweep_grid([4], [5], trials=1, base_seed=-1, d=10)
 
     def test_csv_round_trip(self, eval_setup, tmp_path):
         dataset, _, mcc = eval_setup

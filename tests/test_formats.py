@@ -67,7 +67,7 @@ json_scalars = st.none() | st.booleans() | st.integers() | st.text() | json_floa
 
 def json_containers(children):
     return (
-        st.lists(json_floats)  # all floats: json_text's one-run path
+        st.lists(json_floats)
         | st.lists(json_floats).map(tuple)
         | st.lists(children)
         | st.lists(children).map(tuple)

@@ -536,6 +536,13 @@ class TestHashedIO:
         with pytest.raises(IntegrityError, match=r"\[1, 3\]"):
             load_hashed(tmp_path / "h.json")
 
+    def test_uint64_codes_beyond_int64_round_trip(self, tmp_path):
+        t = HashedTemplate(np.array([[1, 2**63 + 5]], dtype=np.uint64), q=2**63 + 5, key_fingerprint="feed")
+        save_hashed(t, tmp_path / "h.json")
+        loaded = load_hashed(tmp_path / "h.json")
+        assert loaded == t and loaded.codes.dtype == np.uint64
+        assert loaded.codes.tolist() == [[1, 2**63 + 5]]
+
     def test_ragged_rows_rejected(self, tmp_path):
         payload = {"q": 3, "m": 2, "key_fingerprint": "x", "codes": [[1, 2], [1]]}
         (tmp_path / "h.json").write_text(json.dumps(payload))
@@ -591,10 +598,16 @@ class TestHashedIO:
             ({"codes": [[1, None]]}, "codes must be integers"),
             ({"codes": [1, 2]}, "codes must be a list of rows"),
             ({"codes": {"a": 1}}, "codes must be a list of rows"),
-            ({"codes": [[1, 2**70]]}, "too large"),
-            ({"q": 2**64, "codes": [[1, 2**63]]}, "too large"),
+            ({"codes": [[1, 2**70]]}, "code indices must lie in [1, 5]"),
+            ({"q": 2**64, "codes": [[1, 2**63]]}, "q must be below 2^64"),
             ({"key_fingerprint": 123}, "key_fingerprint must be a str, got 123"),
             ({"key_fingerprint": None}, "key_fingerprint must be a str, got None"),
+            # a code that does not fit code_dtype(q) breaks the index rule, not NumPy's conversion
+            ({"codes": [[1, 300]]}, "code indices must lie in [1, 5]"),
+            ({"codes": [[1, -1]]}, "code indices must lie in [1, 5]"),
+            ({"q": 300, "codes": [[1, 2**64]]}, "code indices must lie in [1, 300]"),
+            ({"q": 2**63 + 5, "codes": [[1, 2**63 + 6]]}, f"code indices must lie in [1, {2**63 + 5}]"),
+            ({"q": -1}, "q must be >= 2"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, change, message):
