@@ -21,7 +21,7 @@ import numpy as np
 from .hashing import hash_rows
 from .matching import LgsParams, check_one_key, pack_templates, packed_scores
 from .mcc import MccParams, encode_cylinders
-from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer, stored_file
+from .model import HashKey, HashedTemplate, IntegrityError, MinutiaeTemplate, _integer, _real, stored_file
 from .randomness import child_seed, derive_bank
 
 TemplateKey = tuple[str, int]
@@ -128,8 +128,12 @@ class EvalReport:
     config: dict
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "genuine_scores", tuple(float(s) for s in self.genuine_scores))
-        object.__setattr__(self, "impostor_scores", tuple(float(s) for s in self.impostor_scores))
+        for name in ("genuine_scores", "impostor_scores"):
+            scores = tuple(getattr(self, name))
+            # built-in floats take one finite test over all of them; any other score goes through _real's rule
+            if not (set(map(type, scores)) <= {float} and np.isfinite(np.fromiter(scores, float, len(scores))).all()):
+                scores = tuple(_real(s, name) for s in scores)
+            object.__setattr__(self, name, scores)
         eer, roc = compute_eer(self.genuine_scores, self.impostor_scores)
         object.__setattr__(self, "eer", eer)
         object.__setattr__(self, "roc", tuple(roc))
@@ -159,7 +163,7 @@ def load_report(path) -> EvalReport:
     with stored_file(path, "invalid report"):
         payload = json.loads(path.read_text(encoding="utf-8"))
         report = EvalReport(payload["genuine_scores"], payload["impostor_scores"], payload["config"])
-        eer = float(payload["eer"])
+        eer = _real(payload["eer"], "eer")
         if eer != report.eer:
             raise IntegrityError(f"{path.name}: stored eer {eer} inconsistent with scores (expect {report.eer})")
         return report

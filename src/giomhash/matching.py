@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HashedTemplate, _integer, _real
+from .model import HashedTemplate, _integer, _one_point, _real
 
 
 @dataclass(frozen=True)
@@ -275,10 +275,10 @@ def point_similarity(a, b, q: int) -> float:
 
     The maximum distance is (q - 1) * sqrt(m), attained by codes all-1 vs
     all-q, so the result lies in [0, 1]. It is lgs_match of a and b taken
-    as one-point templates, whose pair budget is 1.
+    as one-point templates, whose pair budget is 1. a and b are each a
+    length-m vector or a (1, m) matrix: an integer array or a list of ints.
     """
-    a = np.atleast_2d(np.asarray(a))
-    b = np.atleast_2d(np.asarray(b))
-    if a.shape != b.shape or a.shape[0] != 1:
-        raise ValueError(f"expected two equal-length index vectors, got {a.shape} and {b.shape}")
-    return lgs_match(HashedTemplate(a, q, ""), HashedTemplate(b, q, ""))
+    a, b = _one_point(a, q), _one_point(b, q)
+    if a.codes.shape != b.codes.shape or a.n_points != 1:
+        raise ValueError(f"expected two equal-length index vectors, got {a.codes.shape} and {b.codes.shape}")
+    return lgs_match(a, b)

@@ -14,7 +14,7 @@ import math
 import numbers
 import re
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -239,9 +239,10 @@ def code_dtype(q: int) -> np.dtype:
 class HashedTemplate:
     """Protected template: one row of 1-based winning-column indices per point.
 
-    Integer-typed codes are range-checked as given and held in code_dtype(q):
-    frozen codes of that type (read-only, viewing only read-only arrays) are
-    kept, so templates can share one frozen code array; others are copied once.
+    Codes, an integer array or a list of rows of Python ints, are held in
+    code_dtype(q). A list is converted once, straight into it; frozen arrays of
+    that type (read-only, viewing only read-only arrays) are kept, so templates
+    can share one frozen code array; other arrays are copied once.
     """
 
     codes: np.ndarray
@@ -252,14 +253,28 @@ class HashedTemplate:
         # == and the scorers compare fingerprints as given, so 123 and "123" would be different keys
         if not isinstance(self.key_fingerprint, str):
             raise ValueError(f"key_fingerprint must be a str, got {self.key_fingerprint!r}")
-        codes = np.asarray(self.codes)
+        object.__setattr__(self, "q", _integer(self.q, "q"))
+        dtype = code_dtype(self.q)
+        codes = self.codes
+        if not isinstance(codes, np.ndarray):
+            # each code is checked by its concrete type, so neither True nor a NumPy integer scalar passes
+            if not isinstance(codes, Sequence) or not all(isinstance(row, Sequence) for row in codes):
+                raise ValueError("codes must be a list of rows")
+            if not all(set(map(type, row)) <= {int} for row in codes):
+                raise ValueError("codes must be integers")
+            lengths = {len(row) for row in codes}
+            if len(lengths) > 1:
+                raise ValueError(f"ragged code rows {sorted(lengths)}")
+            # the distinct values are range-checked as Python ints, so the conversion is exact on every NumPy
+            values = set().union(*codes)
+            if values and (min(values) < 1 or max(values) > self.q):
+                raise ValueError(f"code indices must lie in [1, {self.q}]")
+            codes = _frozen_array(codes, dtype)
         if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
             raise ValueError(f"codes must be a non-empty 2-d array, got shape {codes.shape}")
         # bool is not an integer type here, or True would pass as code 1
         if not np.issubdtype(codes.dtype, np.integer):
             raise ValueError("codes must be integers")
-        object.__setattr__(self, "q", _integer(self.q, "q"))
-        dtype = code_dtype(self.q)
         if codes.min() < 1 or codes.max() > self.q:
             raise ValueError(f"code indices must lie in [1, {self.q}]")
         if codes.dtype != dtype or not _is_frozen(codes):
@@ -282,6 +297,15 @@ class HashedTemplate:
             and self.key_fingerprint == other.key_fingerprint
             and np.array_equal(self.codes, other.codes)
         )
+
+
+def _one_point(codes, q: int) -> HashedTemplate:
+    """The template of one point's codes: a 1-d array or a flat list is its one row, anything else is its rows."""
+    if isinstance(codes, np.ndarray):
+        codes = np.atleast_2d(codes)
+    elif not (isinstance(codes, Sequence) and codes and isinstance(codes[0], Sequence)):
+        codes = [codes]
+    return HashedTemplate(codes, q, "")
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +393,12 @@ def save_key(key: HashKey, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _check_int_fields(payload: dict, names, path: Path) -> None:
-    """Raise IntegrityError naming path unless each named field present is a JSON int, not a bool."""
-    for name in names:
-        if name in payload and type(payload[name]) is not int:
-            raise IntegrityError(f"{path.name}: {name} must be an integer, got {payload[name]!r}")
-
-
 def load_key(path) -> HashKey:
-    """Load a hash key; seed, m, q and d must all be JSON integers."""
+    """Load a hash key; HashKey checks its seed, m, q and d."""
     path = Path(path)
     with stored_file(path, "invalid key file"):
         payload = json.loads(path.read_text(encoding="utf-8"))
-        fields = {k: payload[k] for k in ("seed", "m", "q", "d")}
-        _check_int_fields(fields, fields, path)
-        return HashKey(**fields)
+        return HashKey(**{k: payload[k] for k in ("seed", "m", "q", "d")})
 
 
 def save_hashed(template: HashedTemplate, path) -> None:
@@ -397,29 +412,11 @@ def save_hashed(template: HashedTemplate, path) -> None:
 
 
 def load_hashed(path) -> HashedTemplate:
-    """Load a hashed template, validating types, index ranges and row lengths.
-
-    q, m and every code must be JSON integers (true and false are not), and
-    key_fingerprint a JSON string.
-    """
+    """Load a hashed template; HashedTemplate checks q, the codes and key_fingerprint, and m may be omitted."""
     path = Path(path)
     with stored_file(path, "invalid hashed-template file"):
         payload = json.loads(path.read_text(encoding="utf-8"))
-        codes, q, fingerprint = payload["codes"], payload["q"], payload["key_fingerprint"]
-        _check_int_fields(payload, ("q", "m"), path)
-        if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
-            raise IntegrityError(f"{path.name}: codes must be a list of rows")
-        if not all(type(c) is int for row in codes for c in row):
-            raise IntegrityError(f"{path.name}: codes must be integers")
-        rows = {len(row) for row in codes}
-        if len(rows) > 1:
-            raise IntegrityError(f"{path.name}: ragged code rows {sorted(rows)}")
-        try:
-            codes = np.array(codes, dtype=code_dtype(q))
-        except OverflowError:  # a code outside code_dtype(q) is outside [1, q] too
-            raise ValueError(f"code indices must lie in [1, {q}]") from None
-        codes.flags.writeable = False  # frozen codes of code_dtype(q) are kept, not copied
-        template = HashedTemplate(codes, q, fingerprint)
-        if "m" in payload and payload["m"] != template.m:
+        template = HashedTemplate(payload["codes"], payload["q"], payload["key_fingerprint"])
+        if "m" in payload and _integer(payload["m"], "m") != template.m:
             raise IntegrityError(f"{path.name}: declared m={payload['m']} but rows have {template.m} entries")
         return template

@@ -15,7 +15,7 @@ import numpy as np
 from .evaluation import EncodedDataset, encode_dataset, first_samples, hash_dataset, protocol_pairs, protocol_scores, score_pairs
 from .matching import LgsParams
 from .mcc import MccParams
-from .model import GaussianBank, HashKey, _frozen_array, _integer
+from .model import GaussianBank, HashKey, _frozen_array, _integer, _one_point
 from .randomness import child_seed, stream
 
 # Candidate batch sizes. They fix which stream each candidate comes from, so
@@ -61,13 +61,11 @@ def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:
     Position i with winner j* contributes w_{j*} - w_j for every losing
     column j of matrix i.
     """
-    code = np.asarray(code)
-    if code.shape != (bank.m,):
-        raise ValueError(f"expected a code of length m={bank.m}, got shape {code.shape}")
-    if code.min() < 1 or code.max() > bank.q:
-        raise ValueError(f"code indices must lie in [1, {bank.q}]")
+    if np.shape(code) != (bank.m,):
+        raise ValueError(f"expected a code of length m={bank.m}, got shape {np.shape(code)}")
+    code = _one_point(code, bank.q).codes[0]
     mats = map(bank.matrix, range(bank.m))
-    blocks = [(mat[:, w - 1 : w] - np.delete(mat, w - 1, axis=1)).T for w, mat in zip(code, mats)]
+    blocks = [(mat[:, w - 1 : w] - np.delete(mat, w - 1, axis=1)).T for w, mat in zip(code.tolist(), mats)]
     return InequalitySystem(np.concatenate(blocks))
 
 

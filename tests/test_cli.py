@@ -288,7 +288,8 @@ class TestMatch:
         bad.write_text(json.dumps(payload | {"q": None}))
         code = main(["match", "--a", str(bad), "--b", str(hashed_dir / "f0000_01.json")])
         assert code == 2
-        assert capsys.readouterr().err == "error: bad.json: q must be an integer, got None\n"
+        err = capsys.readouterr().err
+        assert err == "error: bad.json: invalid hashed-template file (q must be an integer, got None)\n"
 
     def test_deeply_nested_file_is_runtime_error(self, hashed_dir, tmp_path, capsys):
         deep = tmp_path / "deep.json"

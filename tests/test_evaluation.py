@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -515,20 +516,50 @@ class TestEvalReport:
             load_report(tmp_path / "bad.json")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda payload: payload.pop("eer"),
-            lambda payload: payload["genuine_scores"].append(10**400),
+            (lambda payload: payload.pop("eer"), "'eer'"),
+            (lambda payload: payload["genuine_scores"].append(10**400), "genuine_scores must be a finite real number"),
+            (
+                lambda payload: payload.update(genuine_scores=["0.9", True]),
+                "genuine_scores must be a finite real number, got '0.9'",
+            ),
+            (
+                lambda payload: payload["genuine_scores"].append(True),
+                "genuine_scores must be a finite real number, got True",
+            ),
+            (
+                lambda payload: payload["impostor_scores"].append(math.nan),
+                "impostor_scores must be a finite real number, got nan",
+            ),
+            (
+                lambda payload: payload["impostor_scores"].append(-math.inf),
+                "impostor_scores must be a finite real number, got -inf",
+            ),
+            (lambda payload: payload.update(eer=str(payload["eer"])), "eer must be a finite real number, got '"),
+            (lambda payload: payload.update(eer=True), "eer must be a finite real number, got True"),
+            (lambda payload: payload.update(eer=math.nan), "eer must be a finite real number, got nan"),
         ],
-        ids=["missing-eer", "score-too-large-for-float"],
+        ids=[
+            "missing-eer",
+            "score-too-large-for-float",
+            "score-str",
+            "score-bool",
+            "score-nan",
+            "score-inf",
+            "eer-str",
+            "eer-bool",
+            "eer-nan",
+        ],
     )
-    def test_malformed_stored_value_is_invalid(self, eval_setup, tmp_path, edit):
+    def test_malformed_stored_value_is_invalid(self, eval_setup, tmp_path, edit, message):
         dataset, key, mcc = eval_setup
         payload = json.loads(run_evaluation(dataset, key, mcc).to_json())
         edit(payload)
         (tmp_path / "bad.json").write_text(json.dumps(payload))
-        with pytest.raises(IntegrityError, match=r"bad\.json: invalid report"):
+        with pytest.raises(IntegrityError, match=r"^bad\.json: invalid report \(") as info:
             load_report(tmp_path / "bad.json")
+        assert message in str(info.value)
 
     @pytest.mark.parametrize(
         "content", [b'\xff\xfe{"eer": 0.5}', b"[" * 200_000 + b"]" * 200_000], ids=["not-utf-8", "nested-too-deep"]

@@ -9,8 +9,10 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from giomhash import cli
@@ -81,7 +83,15 @@ def test_json_text_equals_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@given(st.lists(json_floats, min_size=1, max_size=30), st.lists(json_floats, min_size=1, max_size=30))
+# a report's scores are finite: -0.0, subnormals and np.float64 values, but no NaN or infinity
+score_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@given(st.lists(score_floats, min_size=1, max_size=30), st.lists(score_floats, min_size=1, max_size=30))
 def test_report_files_equal_json_and_csv_writer(tmp_path_factory, genuine, impostor):
     report = EvalReport(genuine, impostor, {"seed": 1})
     eer, roc = compute_eer(genuine, impostor)
@@ -99,6 +109,30 @@ def test_report_files_equal_json_and_csv_writer(tmp_path_factory, genuine, impos
     path = tmp_path_factory.mktemp("roc") / "roc.csv"
     report.write_roc_csv(path)
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "genuine, impostor, message",
+    [
+        (["0.9", True], [0.5], "genuine_scores must be a finite real number, got '0.9'"),
+        ([0.9, True], [0.5], "genuine_scores must be a finite real number, got True"),
+        ([0.9], [0.5, math.nan], "impostor_scores must be a finite real number, got nan"),
+        ([math.inf], [0.5], "genuine_scores must be a finite real number, got inf"),
+        ([0.9], [np.float64(-np.inf)], "impostor_scores must be a finite real number, got "),
+        ([0.9], [None], "impostor_scores must be a finite real number, got None"),
+    ],
+    ids=["str", "bool", "nan", "inf", "numpy-inf", "none"],
+)
+def test_report_rejects_non_real_scores(genuine, impostor, message):
+    # float() would read "0.9" as 0.9 and True as 1.0, and pass NaN on to the EER
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        EvalReport(genuine, impostor, {"seed": 1})
+
+
+def test_report_takes_integer_and_numpy_scores_as_floats():
+    report = EvalReport([1, np.float64(0.5)], [np.float32(0.25)], {"seed": 1})
+    assert report.genuine_scores == (1.0, 0.5) and report.impostor_scores == (0.25,)
+    assert all(type(s) is float for s in report.genuine_scores + report.impostor_scores)
 
 
 def test_roc_csv_bytes(tmp_path):

@@ -162,15 +162,29 @@ class TestPointSimilarity:
             ([[1.0, 2.0]], 3, "codes must be integers"),
             ([[1, 1]], 1, "q must be >= 2"),
             ([[1, 1], [1, 1]], 3, r"expected two equal-length index vectors"),
+            ([[True, 1]], 3, "codes must be integers"),
+            ([[np.int64(1), 2]], 3, "codes must be integers"),
+            ([[1, 2], [1]], 3, r"ragged code rows \[1, 2\]"),
         ],
-        ids=["out-of-range", "non-integer", "integral-float", "q=1", "two-rows"],
+        ids=["out-of-range", "non-integer", "integral-float", "q=1", "two-rows", "bool", "numpy-int64", "ragged"],
     )
     def test_matrix_rejects_bad_input(self, codes, q, message):
         # point_similarity takes (1, m) code matrices, each a one-point HashedTemplate that checks its codes and q
+        # the valid partner has as many rows as codes, so two rows meet two rows and only the one-row rule refuses them
+        ones = np.ones((len(codes), 2), dtype=np.int64)
         with pytest.raises(ValueError, match=message):
-            point_similarity(codes, np.ones_like(codes), q)
+            point_similarity(codes, ones, q)
         with pytest.raises(ValueError, match=message):
-            point_similarity(np.ones_like(codes), codes, q)
+            point_similarity(ones, codes, q)
+
+    def test_flat_list_checked_as_one_row(self):
+        # a flat list is the one row of a one-point template: True is not code 1
+        with pytest.raises(ValueError, match="^codes must be integers$"):
+            point_similarity([True, 1], [1, 1], q=3)
+        with pytest.raises(ValueError, match="^codes must be integers$"):
+            point_similarity([1, 1], [np.int64(1), 1], q=3)
+        expected = point_similarity(np.array([1, 3]), np.array([[2, 3]], dtype=np.uint8), q=3)
+        assert point_similarity([1, 3], [[2, 3]], q=3) == point_similarity([[1, 3]], (2, 3), q=3) == expected
 
     @given(codes_strategy(max_rows=4), codes_strategy(max_rows=4))
     def test_matrix_matches_oracle(self, rows_a, rows_b):

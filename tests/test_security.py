@@ -69,10 +69,30 @@ class TestBuildInequalities:
         with pytest.raises(ValueError, match="length m=3"):
             build_inequalities(case.bank, [1, 2])
 
+    @pytest.mark.parametrize(
+        "code, shape", [([1, 2], r"\(2,\)"), ([[1, 2, 1]], r"\(1, 3\)"), (np.array([[1, 2, 1]]), r"\(1, 3\)")]
+    )
+    def test_code_is_one_vector(self, code, shape):
+        # one length-m code only: a (1, m) matrix is refused, and the shape is reported as given
+        with pytest.raises(ValueError, match=rf"^expected a code of length m=3, got shape {shape}$"):
+            build_inequalities(get_case(1).bank, code)
+
     def test_code_range_rejected(self):
         case = get_case(1)
         with pytest.raises(ValueError, match=r"lie in \[1, 2\]"):
             build_inequalities(case.bank, [1, 3, 1])
+
+    @pytest.mark.parametrize("code", [[True, 2, 1], [1.5, 2, 1], [np.int64(1), 2, 1], np.array([1.0, 2.0, 1.0])])
+    def test_code_type_rejected(self, code):
+        # HashedTemplate's rule: True is not code 1, and a float code is refused, not used as a slice bound
+        with pytest.raises(ValueError, match="^codes must be integers$"):
+            build_inequalities(get_case(1).bank, code)
+
+    def test_list_code_equals_array_code(self):
+        case = get_case(1)
+        np.testing.assert_array_equal(
+            build_inequalities(case.bank, [1, 2, 1]).normals, build_inequalities(case.bank, case.expected_code).normals
+        )
 
     @given(
         st.integers(0, 2**31 - 1),
