@@ -57,7 +57,6 @@ from .security import (
     InequalitySystem,
     build_inequalities,
     sample_preimage,
-    preimage_volume_estimate,
     histogram_intersection,
     unlinkability_experiment,
     revocability_experiment,

@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--data", help="dataset directory (unlink and revoke modes)")
     p.add_argument("--attempts", type=_positive_int, default=1_000_000, help="rejection-sampling budget (invert)")
-    p.add_argument("--volume-samples", type=_positive_int, default=200_000, help="Monte-Carlo volume samples (invert)")
     p.add_argument("--seed-a", type=int, help="first key seed (unlink)")
     p.add_argument("--seed-b", type=int, help="second key seed (unlink)")
     p.add_argument("--base-seed", type=int, help="base key seed (revoke)")
@@ -276,13 +275,7 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> None:
 
 def _analyze_invert(parser: argparse.ArgumentParser, args) -> None:
     # the bundled cases carry their own banks, so no key, cylinder or matcher flag is read
-    report = {
-        "mode": "invert",
-        "seed": args.seed,
-        "attempts": args.attempts,
-        "volume_samples": args.volume_samples,
-    }
-    volume_rows = []
+    report = {"mode": "invert", "seed": args.seed, "attempts": args.attempts}
     for number in sorted(cases.CASES):
         case = cases.get_case(number)
         system = security.build_inequalities(case.bank, case.expected_code)
@@ -298,15 +291,9 @@ def _analyze_invert(parser: argparse.ArgumentParser, args) -> None:
             code = hash_rows(forged[None, :], case.bank)[0]
             entry["forged"] = [float(v) for v in forged]
             entry["rehash_matches"] = bool(np.array_equal(code, case.expected_code))
-        # volume of the cone cut by growing constraint prefixes, fixed sample set
-        for prefix in range(system.n_constraints + 1):
-            sub = security.InequalitySystem(system.normals[:prefix])
-            vol = security.preimage_volume_estimate(sub, samples=args.volume_samples, seed=args.seed)
-            volume_rows.append((case.name, prefix, vol))
         report[case.name] = entry
     out = _out_dir(args)
     _write_json(out / "invert.json", report)
-    write_csv(out / "invert_volume.csv", ["case", "constraints", "volume_estimate"], volume_rows)
 
 
 def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:

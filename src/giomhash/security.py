@@ -1,9 +1,9 @@
 """Security and privacy experiments: inversion, unlinkability, revocability.
 
 A protected code pins its preimage to an intersection of half-spaces through
-the origin (winner column beats every loser column). The experiments probe
-that cone by rejection sampling and Monte-Carlo volume, and measure score
-distribution overlap for the unlinkability and revocability claims.
+the origin (winner column beats every loser column). The inversion experiment
+rejection-samples that cone for a forged preimage; the unlinkability and
+revocability experiments measure score distribution overlap.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from .mcc import MccParams
 from .model import GaussianBank, HashKey, _frozen_array, _integer, _one_point
 from .randomness import child_seed, stream
 
-# Candidate batch sizes. They fix which stream each candidate comes from, so
-# changing one changes every result drawn with it.
+# Candidate batch size. It fixes which stream each candidate comes from, so
+# changing it changes every preimage drawn with it.
 PREIMAGE_BATCH = 4096
-VOLUME_BATCH = 65536
 
 # 100 equal score bins over [0, 1]
 HIST_EDGES = np.linspace(0.0, 1.0, 101)
@@ -69,48 +68,25 @@ def build_inequalities(bank: GaussianBank, code) -> InequalitySystem:
     return InequalitySystem(np.concatenate(blocks))
 
 
-def _seeded_batches(total: int, batch: int, seed: int):
-    """(index, generator, size) for consecutive batches covering `total` draws.
-
-    Batch i draws from stream(seed, i).
-    """
-    for index, start in enumerate(range(0, total, batch)):
-        yield index, stream(seed, index), min(batch, total - start)
-
-
 def sample_preimage(system: InequalitySystem, attempts: int, seed: int) -> np.ndarray | None:
     """Rejection-sample a vector satisfying every constraint strictly.
 
     Candidate batches of PREIMAGE_BATCH alternate standard-normal draws with
-    uniform draws over [0, 1]^d (the cylinder-value domain). Returns the
-    first hit, or None once `attempts` candidates are exhausted.
-    Reproducible from (seed, attempts).
+    uniform draws over [0, 1]^d (the cylinder-value domain); batch i draws
+    from stream(seed, i). Returns the first hit, or None once `attempts`
+    candidates are exhausted. Reproducible from (seed, attempts).
     """
     attempts = _integer(attempts, "attempts")
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    for index, rng, n in _seeded_batches(attempts, PREIMAGE_BATCH, seed):
-        shape = (n, system.variable_dim)
+    for index, start in enumerate(range(0, attempts, PREIMAGE_BATCH)):
+        rng = stream(seed, index)
+        shape = (min(PREIMAGE_BATCH, attempts - start), system.variable_dim)
         candidates = rng.random(shape) if index % 2 else rng.standard_normal(shape)
         hits = system.satisfied(candidates)
         if hits.any():
             return candidates[int(np.argmax(hits))].copy()
     return None
-
-
-def preimage_volume_estimate(system: InequalitySystem, samples: int, seed: int = 0) -> float:
-    """Fraction of uniform-[0, 1]^d samples inside the cone, drawn in batches of VOLUME_BATCH.
-
-    A larger fraction at fixed q and smaller m means the code constrains the
-    input more weakly. An empty constraint set gives exactly 1.0.
-    """
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    hits = 0
-    for _, rng, n in _seeded_batches(samples, VOLUME_BATCH, seed):
-        hits += int(system.satisfied(rng.random((n, system.variable_dim))).sum())
-    return hits / samples
 
 
 def score_fractions(scores) -> np.ndarray:

@@ -265,11 +265,11 @@ def reference_score_pairs(pairs, hashed, params, allow_cross_key=False, hashed_b
 
 
 # ---------------------------------------------------------------------------
-# frozen preimage samplers
+# frozen preimage sampler
 #
-# The rejection sampler and volume estimate as first written, each with its
-# own batch loop and its own seeding, kept so the shared batch loop can be
-# required to draw exactly the same candidates at every batch boundary.
+# The rejection sampler as first written, with its own batch loop and its own
+# seeding, kept so sample_preimage can be required to draw exactly the same
+# candidates at every batch boundary.
 
 
 def reference_sample_preimage(system, attempts, seed, batch_size):
@@ -288,20 +288,6 @@ def reference_sample_preimage(system, attempts, seed, batch_size):
         remaining -= n
         batch_index += 1
     return None
-
-
-def reference_volume_estimate(system, samples, seed, batch_size):
-    hits = 0
-    done = 0
-    batch_index = 0
-    while done < samples:
-        n = min(batch_size, samples - done)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), batch_index]))
-        candidates = rng.random((n, system.variable_dim))
-        hits += int(system.satisfied(candidates).sum())
-        done += n
-        batch_index += 1
-    return hits / samples
 
 
 # ---------------------------------------------------------------------------

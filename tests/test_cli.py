@@ -489,28 +489,20 @@ class TestSweep:
 
 
 class TestAnalyze:
-    def test_invert(self, tmp_path):
+    def test_invert(self, tmp_path, capsys):
         out = tmp_path / "invert"
-        code = main(
-            [
-                "analyze",
-                "--mode", "invert",
-                "--seed", "0",
-                "--attempts", "20000",
-                "--volume-samples", "20000",
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["analyze", "--mode", "invert", "--seed", "0", "--attempts", "20000", "--out"]
+        assert main(argv + [str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["invert.json"]
         report = json.loads((out / "invert.json").read_text())
         for name in ("square", "underdetermined"):
             assert report[name]["found"] is True
             assert report[name]["rehash_matches"] is True
-        assert "guess_space" not in report
-        rows = (out / "invert_volume.csv").read_text().splitlines()
-        assert rows[0] == "case,constraints,volume_estimate"
-        # 3 constraints for the square case, 2 for the underdetermined one
-        assert len(rows) == 1 + 4 + 3
+        assert "guess_space" not in report and "volume_samples" not in report
+        # a removed option is an unrecognized argument
+        gone = tmp_path / "gone"
+        err = assert_usage_error(argv + [str(gone), "--volume-samples", "10"], gone, capsys)
+        assert "giom analyze: error: unrecognized arguments: --volume-samples 10" in err
 
     def test_unlink(self, data_dir, tmp_path):
         out = tmp_path / "unlink"
@@ -613,15 +605,12 @@ class TestAnalyze:
     def test_invert_ignores_options_it_never_reads(self, tmp_path, flag):
         # the bundled cases carry their own banks, so invert reads no key, cylinder or matcher option
         out = tmp_path / "x"
-        argv = ["analyze", "--mode", "invert", "--attempts", "10", "--volume-samples", "10", "--out", str(out)]
+        argv = ["analyze", "--mode", "invert", "--attempts", "10", "--out", str(out)]
         assert main(argv + flag) == 0
         assert (out / "invert.json").exists()
 
     def test_analyze_rerun_is_byte_identical(self, tmp_path):
-        args = [
-            "analyze", "--mode", "invert", "--seed", "0",
-            "--attempts", "5000", "--volume-samples", "5000",
-        ]
+        args = ["analyze", "--mode", "invert", "--seed", "0", "--attempts", "5000"]
         first = tmp_path / "one"
         second = tmp_path / "two"
         main(args + ["--out", str(first)])

@@ -1,7 +1,6 @@
 """Byte-for-byte pins of the text files: report JSON, CSV line ends, float spelling and minutiae text.
 
-Every input is built from literals (or, for invert_volume.csv, is a fraction
-of a handful of samples), so no BLAS rounding enters the expected text.
+Every input is built from literals, so no BLAS rounding enters the expected text.
 """
 
 import csv
@@ -167,18 +166,6 @@ def test_hist_csv_bytes(tmp_path):
     assert lines[100] == b"0.99,1.0,0.25,0.0"
     # the whole file, every bin edge spelled as repr spells it
     assert hashlib.sha256(text).hexdigest() == "a3b9693eb751174385c3c3255d6d57c1696e0cc492e4d65eb5abc22f5a2167a4"
-
-
-def test_invert_volume_csv_bytes(tmp_path):
-    out = tmp_path / "invert"
-    argv = ["analyze", "--mode", "invert", "--seed", "0", "--attempts", "50", "--volume-samples", "8"]
-    assert cli.main(argv + ["--out", str(out)]) == 0
-    # eight samples per estimate, so every estimate is an exact multiple of 1/8
-    assert (out / "invert_volume.csv").read_bytes() == (
-        b"case,constraints,volume_estimate\r\n"
-        b"square,0,1.0\r\nsquare,1,0.375\r\nsquare,2,0.25\r\nsquare,3,0.25\r\n"
-        b"underdetermined,0,1.0\r\nunderdetermined,1,0.625\r\nunderdetermined,2,0.5\r\n"
-    )
 
 
 def test_minutiae_text_bytes(tmp_path):

@@ -6,7 +6,6 @@ from oracles import (
     reference_build_inequalities,
     reference_lgs_match_detail,
     reference_sample_preimage,
-    reference_volume_estimate,
 )
 
 import giomhash.evaluation as evaluation
@@ -19,11 +18,9 @@ from giomhash.model import HashKey
 from giomhash.randomness import child_seed, derive_bank
 from giomhash.security import (
     PREIMAGE_BATCH,
-    VOLUME_BATCH,
     InequalitySystem,
     build_inequalities,
     histogram_intersection,
-    preimage_volume_estimate,
     revocability_experiment,
     sample_preimage,
     unlinkability_experiment,
@@ -177,7 +174,7 @@ CONTRADICTION = InequalitySystem(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 class TestSamplerBatches:
     def test_batch_sizes(self):
-        assert (PREIMAGE_BATCH, VOLUME_BATCH) == (4096, 65536)
+        assert PREIMAGE_BATCH == 4096
 
     @pytest.mark.parametrize("attempts", _boundary_totals(4096))
     @pytest.mark.parametrize("name", ["orthant", "contradiction", "case1"])
@@ -202,41 +199,6 @@ class TestSamplerBatches:
         else:
             first_uniform = np.random.default_rng(np.random.SeedSequence([17, 1])).random(30)
             np.testing.assert_array_equal(got, first_uniform)
-
-    @pytest.mark.parametrize("samples", _boundary_totals(4096) + _boundary_totals(65536))
-    def test_volume_equals_frozen_loop(self, samples):
-        system = InequalitySystem(CASE1_NORMALS)
-        got = preimage_volume_estimate(system, samples=samples, seed=3)
-        assert got == reference_volume_estimate(system, samples, 3, batch_size=65536)
-
-
-class TestVolumeEstimate:
-    def test_empty_system_has_unit_volume(self):
-        system = InequalitySystem(normals=np.zeros((0, 4)))
-        assert preimage_volume_estimate(system, samples=100) == 1.0
-
-    def test_half_space_near_half(self):
-        system = InequalitySystem(normals=np.array([[1.0, -1.0, 0.0]]))
-        vol = preimage_volume_estimate(system, samples=10**5, seed=2)
-        assert vol == pytest.approx(0.5, abs=0.01)
-
-    def test_volume_shrinks_as_constraints_accumulate(self):
-        # constraint prefixes under the same sample stream: each added row can
-        # only remove candidates, so the estimates are non-increasing exactly
-        case = get_case(1)
-        full = build_inequalities(case.bank, case.expected_code)
-        vols = []
-        for k in range(full.n_constraints + 1):
-            prefix = InequalitySystem(normals=full.normals[:k])
-            vols.append(preimage_volume_estimate(prefix, samples=20000, seed=5))
-        assert vols[0] == 1.0
-        assert all(a >= b for a, b in zip(vols, vols[1:]))
-        assert vols[-1] > 0.0
-
-    def test_samples_validated(self):
-        system = InequalitySystem(normals=np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="samples"):
-            preimage_volume_estimate(system, samples=0)
 
 
 class TestHistogramIntersection:
@@ -401,7 +363,6 @@ EMPTY_SYSTEM = InequalitySystem(np.zeros((0, 3)))
 
 COUNTS = {
     "attempts": lambda value, data, mcc: sample_preimage(EMPTY_SYSTEM, attempts=value, seed=0),
-    "samples": lambda value, data, mcc: preimage_volume_estimate(EMPTY_SYSTEM, samples=value),
     "trials": lambda value, data, mcc: sweep(data, [8], [6], trials=value, base_seed=0, mcc=mcc),
     "n_keys": lambda value, data, mcc: revocability_experiment(data, _key(mcc), n_keys=value, seed=0, mcc=mcc),
 }
@@ -410,7 +371,7 @@ COUNTS = {
 @pytest.mark.parametrize("value", [2.5, 1.5, True])
 @pytest.mark.parametrize("field", sorted(COUNTS))
 def test_counts_must_be_integers(small_dataset, small_mcc, field, value):
-    # int() would truncate 2.5 to 2: the volume estimate read 2 hits / 2.5 = 0.8 for a cone of volume 1
+    # int() would truncate 2.5 to 2, so the run would quietly use a budget the caller never asked for
     with pytest.raises(ValueError) as info:
         COUNTS[field](value, small_dataset, small_mcc)
     assert str(info.value) == f"{field} must be an integer, got {value!r}"
