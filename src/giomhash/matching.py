@@ -16,7 +16,9 @@ and lgs_match_detail a pair's two templates. point_similarity is the score
 of two one-point templates: their pair budget is 1, so it is the one point
 similarity. Distances come from gram matrices of the integer codes, which is
 exact, so scores are bit-identical to a direct per-pair distance computation.
-Every score is a built-in float, from lgs_match and packed_scores alike.
+Every score is a built-in float, from lgs_match and packed_scores alike, and
+does not depend on argument order: greedy selection takes the same values
+from a similarity matrix and from its transpose (_greedy_picks).
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def _greedy_picks(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]
     Each step takes every matrix's first maximum in row-major order and
     retires its row and column with -1. Modifies `work`.
     """
+    # Why scores are symmetric: whether a cell is picked depends only on
+    # earlier cells in its own row or column, and two such cells compare by
+    # value, then by the coordinate they do not share, alike in the matrix
+    # and its transpose. So, run to min(A, B) picks, both orientations pick
+    # the same cells in non-increasing value order, and the first n_p picks
+    # have the same values and a bit-identical mean. The (b, a) stack is
+    # exactly the transpose of the (a, b) one: every gram entry is an
+    # integer below the 2^53 bound _similarities enforces.
     p, _, b = work.shape
     flat = work.reshape(p, -1)
     index = np.arange(p)
@@ -143,34 +153,15 @@ class PackedTemplates:
     """Templates of one code length m and index range q, their integer codes concatenated.
 
     `codes` (rows, m) holds every template's rows back to back, in their one
-    type code_dtype(q), and `q` the shared index range. Per template:
-    `offsets` and `sizes` locate its rows, and `ranks` is its place in the
-    canonical (n_points, code bytes) order, equal ones sharing a rank. A
-    pack holds no key fingerprints; its callers decide whether keys must
-    agree (check_one_key).
+    type code_dtype(q), and `q` the shared index range; `offsets` and
+    `sizes` locate each template's rows. A pack holds no key fingerprints;
+    its callers decide whether keys must agree (check_one_key).
     """
 
     codes: np.ndarray
     q: int
     offsets: np.ndarray
     sizes: np.ndarray
-    ranks: np.ndarray
-
-
-def _canonical_ranks(codes: np.ndarray, offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Dense ranks of the templates by (n_points, code bytes), one size at a time.
-
-    The bytes are the pack's rows in code_dtype(q). One size's bytes are held at once.
-    """
-    ranks = np.empty(len(sizes), dtype=np.intp)
-    rank = -1
-    for size in np.unique(sizes).tolist():
-        previous = None
-        for key, i in sorted((codes[offsets[i] : offsets[i] + size].tobytes(), i) for i in np.flatnonzero(sizes == size).tolist()):
-            if key != previous:
-                rank, previous = rank + 1, key
-            ranks[i] = rank
-    return ranks
 
 
 def pack_templates(templates) -> PackedTemplates:
@@ -185,26 +176,11 @@ def pack_templates(templates) -> PackedTemplates:
     sizes = np.array([t.n_points for t in templates], dtype=np.intp)
     codes = np.concatenate([t.codes for t in templates]) if templates else np.zeros((0, 1), dtype=np.uint8)
     offsets = np.cumsum(sizes) - sizes
-    return PackedTemplates(
-        codes=codes,
-        q=templates[0].q if templates else 2,
-        offsets=offsets,
-        sizes=sizes,
-        ranks=_canonical_ranks(codes, offsets, sizes),
-    )
-
-
-def _prepare(packed: PackedTemplates, ia: np.ndarray, ib: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Put each index pair in canonical order: (first, second, swapped) arrays.
-
-    Canonical orientation makes greedy tie-breaking symmetric in (a, b).
-    """
-    swapped = packed.ranks[ib] < packed.ranks[ia]
-    return np.where(swapped, ib, ia), np.where(swapped, ia, ib), swapped
+    return PackedTemplates(codes=codes, q=templates[0].q if templates else 2, offsets=offsets, sizes=sizes)
 
 
 def _match_block(packed: PackedTemplates, first: np.ndarray, second: np.ndarray, n_p: int):
-    """Score a block of canonical (first, second) template index pairs of one shape.
+    """Score a block of (first, second) template index pairs of one shape.
 
     Every `first` template has one size A and every `second` one size B, so
     each side's codes are gathered from the pack and converted to a float64
@@ -225,12 +201,14 @@ def packed_scores(packed: PackedTemplates, pairs, params: LgsParams = LgsParams(
     """lgs_match of the packed templates i and j, for every (i, j) in `pairs`, in order.
 
     `pairs` may be any iterable of index pairs. It is read once into index
-    arrays, a few dozen bytes per pair. Pairs are then grouped by shape, the
-    sizes of their canonical first and second templates, and each shape is
-    scored with its one n_p in blocks whose stacks stay within _BLOCK_FLOATS.
+    arrays, a few dozen bytes per pair. Each pair puts its smaller template
+    first, so a shape and its transpose share blocks; pairs are then grouped
+    by shape, the sizes of their first and second templates, and each shape
+    is scored with its one n_p in blocks whose stacks stay within _BLOCK_FLOATS.
     """
-    flat = np.fromiter((i for pair in pairs for i in pair), dtype=np.intp)
-    first, second, _ = _prepare(packed, flat[0::2], flat[1::2])
+    ia, ib = np.fromiter((i for pair in pairs for i in pair), dtype=np.intp).reshape(-1, 2).T
+    swapped = packed.sizes[ib] < packed.sizes[ia]
+    first, second = np.where(swapped, ib, ia), np.where(swapped, ia, ib)
     sizes_a, sizes_b = packed.sizes[first], packed.sizes[second]
     shapes = sizes_a * (int(packed.sizes.max(initial=0)) + 1) + sizes_b
     order = np.argsort(shapes, kind="stable")
@@ -262,11 +240,13 @@ def lgs_match_detail(
     """lgs_match plus the selected (row_in_a, row_in_b, similarity) pairs and n_p."""
     packed = pack_templates((a, b))
     check_one_key((a, b))
-    first, second, swapped = _prepare(packed, np.array([0]), np.array([1]))
+    # the (n_points, code bytes) orientation fixes which cells are listed, and in what order
+    swapped = (b.n_points, b.codes.tobytes()) < (a.n_points, a.codes.tobytes())
+    first, second = np.array([[1], [0]] if swapped else [[0], [1]])
     n_p = np_select(a.n_points, b.n_points, params)
     rows, cols, values, scores = _match_block(packed, first, second, n_p)
     picks = zip(rows[0].tolist(), cols[0].tolist(), values[0].tolist())
-    selected = [(c, r, s) if swapped[0] else (r, c, s) for r, c, s in picks]
+    selected = [(c, r, s) if swapped else (r, c, s) for r, c, s in picks]
     return float(scores[0]), selected, n_p
 
 

@@ -57,6 +57,9 @@ class MinutiaeTemplate:
         if not isinstance(self.finger_id, str) or not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", self.finger_id):
             raise ValueError(f"finger id must match [A-Za-z0-9][A-Za-z0-9_.-]*, got {self.finger_id!r}")
         object.__setattr__(self, "sample_id", _integer(self.sample_id, "sample_id"))
+        # sample ids name output files and are read back as sample=<digits>
+        if self.sample_id < 0:
+            raise ValueError(f"sample_id must be >= 0, got {self.sample_id}")
         points = self.points
         if not isinstance(points, np.ndarray):
             points = [tuple(row) for row in points]

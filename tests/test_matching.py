@@ -19,6 +19,7 @@ from giomhash.hashing import hash_rows
 from giomhash.matching import (
     _BLOCK_FLOATS,
     LgsParams,
+    _greedy_picks,
     lgs_match,
     lgs_match_detail,
     np_select,
@@ -39,6 +40,14 @@ def codes_strategy(max_rows=5, m=3):
     return st.lists(
         st.lists(small_codes, min_size=m, max_size=m), min_size=1, max_size=max_rows
     )
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """(P, A, B) similarity stacks on four levels, A and B up to 13 so n_p can pass 8."""
+    p, a, b = draw(st.integers(1, 3)), draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    levels = draw(st.lists(st.integers(0, 3), min_size=p * a * b, max_size=p * a * b))
+    return np.array(levels, dtype=float).reshape(p, a, b) / 3
 
 
 class TestLgsParams:
@@ -239,6 +248,22 @@ class TestLgsMatch:
         cols = [j for _, j, _ in selected]
         assert len(set(rows)) == 2 and len(set(cols)) == 2
 
+    @given(tie_heavy_stacks())
+    def test_greedy_picks_agree_with_the_transpose(self, stack):
+        # the scorers orient a pair by size alone, so a score may not depend on it
+        steps = min(stack.shape[1:])
+        transposed = stack.transpose(0, 2, 1).copy()
+        rows, cols = _greedy_picks(stack.copy(), steps)
+        rows_t, cols_t = _greedy_picks(transposed.copy(), steps)
+        index = np.arange(len(stack))[:, None]
+        values, values_t = stack[index, rows, cols], transposed[index, rows_t, cols_t]
+        for n_p in range(1, steps + 1):
+            assert values[:, :n_p].tobytes() == values_t[:, :n_p].tobytes()
+            assert values[:, :n_p].mean(axis=1).tobytes() == values_t[:, :n_p].mean(axis=1).tobytes()
+        # below min(A, B) picks, equal values at the cut may sit in other cells
+        for k in range(len(stack)):
+            assert set(zip(rows[k].tolist(), cols[k].tolist())) == set(zip(cols_t[k].tolist(), rows_t[k].tolist()))
+
     def test_detail_reports_caller_orientation(self):
         a = hashed([[1, 1], [4, 4], [2, 2]], q=5)
         b = hashed([[4, 4]], q=5)
@@ -341,6 +366,17 @@ class TestBatchedScorer:
                 score, selected, n_p = lgs_match_detail(a, b, params)
                 assert type(score) is float and type(lgs_match(a, b, params)) is float
                 assert (score, selected, n_p) == reference_lgs_match_detail(a, b, params)
+
+    @pytest.mark.parametrize("params", SELECTIONS)
+    def test_detail_lists_one_pick_order_for_both_orientations(self, params):
+        # equal sizes and q=2: only the code bytes orient the pair, and ties abound
+        rng = np.random.default_rng(25)
+        templates = random_templates(rng, 8, m=3, q=2, rows=(9, 10))
+        for a in templates:
+            for b in templates:
+                if a.codes.tobytes() != b.codes.tobytes():
+                    score, selected, n_p = lgs_match_detail(a, b, params)
+                    assert lgs_match_detail(b, a, params) == (score, [(j, i, s) for i, j, s in selected], n_p)
 
     def test_similarity_matrix_matches_reference(self):
         # one-point templates are scored on their one pair: the grid is the point similarity matrix

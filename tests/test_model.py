@@ -91,6 +91,15 @@ class TestMinutiaeTemplate:
         assert str(info.value) == "sample_id must be an integer, got 1.5"
         assert type(MinutiaeTemplate("f0", np.int64(2), (Minutia(1, 2, 0.5),)).sample_id) is int
 
+    def test_negative_sample_id_rejected(self, tmp_path):
+        # the file header and file name hold sample=<digits>, so -3 would save a file no loader reads
+        with pytest.raises(ValueError) as info:
+            MinutiaeTemplate("f1", -3, [(1.0, 2.0, 0.5)])
+        assert str(info.value) == "sample_id must be >= 0, got -3"
+        first = MinutiaeTemplate("f1", 0, [(1.0, 2.0, 0.5)])
+        save_minutiae(first, tmp_path / "t.txt")
+        assert load_minutiae(tmp_path / "t.txt") == [first]
+
     @pytest.mark.parametrize("finger", ["../x", "a/b", "..", ".x", "", "-f", "f 0", "a\\b", 7])
     def test_finger_id_beyond_one_file_name_component_rejected(self, finger):
         with pytest.raises(ValueError, match="finger id must match"):
