@@ -3,7 +3,7 @@
 Two small hand-checkable fixtures: a square case (m equals the feature
 dimension) whose preimage cone has a known closed-form description, and an
 underdetermined case (m below the feature dimension). Both are used by exact
-regression tests and by the CLI's demo mode.
+regression tests and by `giom analyze --mode invert`.
 """
 
 from __future__ import annotations

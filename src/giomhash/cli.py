@@ -125,12 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hash", help="hash minutiae templates into protected index codes")
     p.set_defaults(run=functools.partial(_cmd_hash, p))
-    p.add_argument("--case", type=int, choices=sorted(cases.CASES), help="print the code of a bundled worked example and exit")
-    p.add_argument("--data", help="template file or directory")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--data", required=True, help="template file or directory")
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=int, default=DEFAULT_M)
     p.add_argument("--q", type=int, default=DEFAULT_Q)
-    p.add_argument("--out", help="output directory for hashed templates and the key")
+    p.add_argument("--out", required=True, help="output directory for hashed templates and the key")
     _add_mcc_args(p)
 
     p = sub.add_parser("match", help="score two hashed templates")
@@ -210,13 +209,6 @@ def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
-    if args.case is not None:
-        # a bundled case carries its own bank, so no key or cylinder flag is read
-        case = cases.get_case(args.case)
-        print(" ".join(str(int(i)) for i in hash_rows(case.vector[None, :], case.bank)[0]))
-        return
-    if not args.data or args.seed is None or not args.out:
-        parser.error("hash requires --data, --seed and --out (or --case)")
     mcc = _params(parser, MccParams, args)
     key = _key_from_args(parser, args, args.seed, mcc)
     templates = load_minutiae(args.data)

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import giomhash
@@ -37,6 +36,15 @@ def assert_usage_error(argv, out, capsys):
     assert f"giom {argv[0]}: error:" in err
     assert not out.exists()
     return err
+
+
+def assert_invert_ran(proc, out):
+    """proc ran `giom analyze --mode invert` into out, and every forged preimage hashed back to its case's code."""
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote invert analysis to {out}\n"
+    report = json.loads((out / "invert.json").read_text())
+    assert report["square"]["target_code"] == [1, 2, 1]
+    assert [report[case.name]["rehash_matches"] for case in cases.CASES.values()] == [True, True]
 
 
 def read_bytes(directory):
@@ -137,23 +145,6 @@ class TestGenData:
 
 
 class TestHash:
-    def test_case_one_prints_code(self, capsys):
-        assert main(["hash", "--case", "1"]) == 0
-        assert capsys.readouterr().out == "1 2 1\n"
-
-    def test_case_two_prints_code(self, capsys):
-        assert main(["hash", "--case", "2"]) == 0
-        assert capsys.readouterr().out == "1 2\n"
-
-    def test_unknown_case_is_usage_error(self):
-        assert main(["hash", "--case", "9"]) == 1
-
-    def test_case_code_is_hashed_not_read(self, capsys, monkeypatch):
-        wrong = dataclasses.replace(cases.get_case(1), expected_code=np.array([2, 1, 2]))
-        monkeypatch.setitem(cases.CASES, 1, wrong)
-        assert main(["hash", "--case", "1"]) == 0
-        assert capsys.readouterr().out == "1 2 1\n"
-
     def test_writes_key_and_templates(self, hashed_dir):
         names = sorted(p.name for p in hashed_dir.iterdir())
         assert "key.json" in names
@@ -202,8 +193,13 @@ class TestHash:
         assert not out.exists()
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "f0000_01.txt", "f0000_02.txt", "f0001_01.txt"]
 
-    def test_missing_data_arguments_is_usage_error(self):
-        assert main(["hash"]) == 1
+    @pytest.mark.parametrize("dropped", ["--data", "--seed", "--out"])
+    def test_missing_data_arguments_is_usage_error(self, data_dir, tmp_path, capsys, dropped):
+        out = tmp_path / "x"
+        given = {"--data": str(data_dir), "--seed": "3", "--out": str(out)}
+        argv = ["hash"] + [part for flag, value in given.items() if flag != dropped for part in (flag, value)]
+        err = assert_usage_error(argv, out, capsys)
+        assert f"the following arguments are required: {dropped}\n" in err
 
     @pytest.mark.parametrize(
         "flag",
@@ -217,12 +213,6 @@ class TestHash:
         out = tmp_path / "x"
         argv = ["hash", "--data", str(tmp_path / "missing"), "--seed", "1", "--out", str(out)] + flag
         assert_usage_error(argv, out, capsys)
-
-    @pytest.mark.parametrize("flag", [["--ns", "1"], ["--radius", "0"]])
-    def test_case_ignores_options_it_never_reads(self, capsys, flag):
-        # a bundled case carries its own bank, so hash --case reads no key or cylinder option
-        assert main(["hash", "--case", "1"] + flag) == 0
-        assert capsys.readouterr().out == "1 2 1\n"
 
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = main(
@@ -622,8 +612,10 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
-    def test_unknown_flag_is_usage_error(self):
-        assert main(["hash", "--case", "1", "--bogus"]) == 1
+    def test_unknown_flag_is_usage_error(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["analyze", "--mode", "invert", "--out", str(out), "--bogus"]) == 1
+        assert not out.exists()
 
     def test_unknown_flag_before_subcommand_reported_by_top_level_parser(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -705,7 +697,7 @@ class TestTopLevel:
         assert main(argv + ["--help"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: {' '.join(['giom'] + argv)} ")
 
-    def test_console_script_runs(self):
+    def test_console_script_runs(self, tmp_path):
         # Runs the entry point that pyproject.toml declares the way pip's
         # generated launcher does, so no installed package is needed.
         tomllib = pytest.importorskip("tomllib")
@@ -718,14 +710,14 @@ class TestTopLevel:
             "sys.argv[0] = 'giom'\n"
             "sys.exit(entry())\n"
         )
+        out = tmp_path / "inv"
         proc = subprocess.run(
-            [sys.executable, "-c", launcher, "hash", "--case", "1"],
+            [sys.executable, "-c", launcher, "analyze", "--mode", "invert", "--out", str(out)],
             capture_output=True,
             text=True,
             env=child_env(),
         )
-        assert proc.returncode == 0
-        assert proc.stdout == "1 2 1\n"
+        assert_invert_ran(proc, out)
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test dependency only; importing it cost the CLI ~0.4 s
@@ -739,12 +731,12 @@ class TestTopLevel:
     @pytest.mark.skipif(
         shutil.which("giom") is None, reason="giom console script is not installed"
     )
-    def test_installed_console_script_runs(self):
+    def test_installed_console_script_runs(self, tmp_path):
+        out = tmp_path / "inv"
         proc = subprocess.run(
-            ["giom", "hash", "--case", "1"], capture_output=True, text=True
+            ["giom", "analyze", "--mode", "invert", "--out", str(out)], capture_output=True, text=True
         )
-        assert proc.returncode == 0
-        assert proc.stdout == "1 2 1\n"
+        assert_invert_ran(proc, out)
 
     def test_readme_library_example_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
