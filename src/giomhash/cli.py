@@ -33,11 +33,6 @@ EXIT_RUNTIME = 2
 
 THREADS_HELP = "accepted for compatibility; scoring is batched, so it changes neither results nor speed"
 
-DEFAULT_M = 700
-DEFAULT_Q = 100
-DEFAULT_M_GRID = "5,10,50,100,150,200,250,300,500,700"
-DEFAULT_Q_GRID = "5,10,50,100,150,200,250,300"
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -53,11 +48,24 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    # an empty path would name the working directory
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty path")
+    return text
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _add_key_args(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("hash key")
+    group.add_argument("--m", type=int, help="projection matrices, one code entry each")
+    group.add_argument("--q", type=int, help="columns per matrix, the code alphabet")
 
 
 def _add_mcc_args(parser: argparse.ArgumentParser) -> None:
@@ -105,11 +113,6 @@ def _params(parser: argparse.ArgumentParser, cls, args, **given):
         return cls(**{name: value for name, value in flags.items() if value is not None} | given)
 
 
-def _key_from_args(parser: argparse.ArgumentParser, args, seed: int, mcc: MccParams) -> HashKey:
-    with _usage_errors(parser):
-        return HashKey(seed=seed, m=args.m, q=args.q, d=mcc.dim)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="giom",
@@ -120,60 +123,57 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic minutiae dataset")
     p.set_defaults(run=functools.partial(_cmd_gen_data, p))
     p.add_argument("--seed", type=_nonneg_int, required=True)
-    p.add_argument("--out", required=True, help="output directory for template text files")
+    p.add_argument("--out", type=_path, required=True, help="output directory for template text files")
     _add_synth_args(p)
 
     p = sub.add_parser("hash", help="hash minutiae templates into protected index codes")
     p.set_defaults(run=functools.partial(_cmd_hash, p))
-    p.add_argument("--data", required=True, help="template file or directory")
+    p.add_argument("--data", type=_path, required=True, help="template file or directory")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=DEFAULT_M)
-    p.add_argument("--q", type=int, default=DEFAULT_Q)
-    p.add_argument("--out", required=True, help="output directory for hashed templates and the key")
+    p.add_argument("--out", type=_path, required=True, help="output directory for hashed templates and the key")
+    _add_key_args(p)
     _add_mcc_args(p)
 
     p = sub.add_parser("match", help="score two hashed templates")
     p.set_defaults(run=functools.partial(_cmd_match, p))
-    p.add_argument("--a", required=True, help="first hashed template (JSON)")
-    p.add_argument("--b", required=True, help="second hashed template (JSON)")
-    p.add_argument("--detail", help="write selected pairs and n_p as JSON")
+    p.add_argument("--a", type=_path, required=True, help="first hashed template (JSON)")
+    p.add_argument("--b", type=_path, required=True, help="second hashed template (JSON)")
+    p.add_argument("--detail", type=_path, help="write selected pairs and n_p as JSON")
     _add_lgs_args(p)
 
     p = sub.add_parser("evaluate", help="run the genuine/impostor protocol and report EER")
     p.set_defaults(run=functools.partial(_cmd_evaluate, p))
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=_path, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=DEFAULT_M)
-    p.add_argument("--q", type=int, default=DEFAULT_Q)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
+    _add_key_args(p)
     _add_mcc_args(p)
     _add_lgs_args(p)
 
     p = sub.add_parser("sweep", help="mean EER over a grid of (m, q)")
     p.set_defaults(run=functools.partial(_cmd_sweep, p))
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", type=_path, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=_int_list, default=_int_list(DEFAULT_M_GRID))
-    p.add_argument("--q", type=_int_list, default=_int_list(DEFAULT_Q_GRID))
+    p.add_argument("--m", type=_int_list, default=[5, 10, 50, 100, 150, 200, 250, 300, 500, 700])
+    p.add_argument("--q", type=_int_list, default=[5, 10, 50, 100, 150, 200, 250, 300])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     _add_mcc_args(p)
     _add_lgs_args(p)
 
     p = sub.add_parser("analyze", help="security experiments: invert, unlink, revoke")
     p.set_defaults(run=functools.partial(_cmd_analyze, p))
     p.add_argument("--mode", choices=list(_ANALYSES), required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--data", help="dataset directory (unlink and revoke modes)")
+    p.add_argument("--data", type=_path, help="dataset directory (unlink and revoke modes)")
     p.add_argument("--attempts", type=_positive_int, default=1_000_000, help="rejection-sampling budget (invert)")
     p.add_argument("--seed-a", type=int, help="first key seed (unlink)")
     p.add_argument("--seed-b", type=int, help="second key seed (unlink)")
     p.add_argument("--base-seed", type=int, help="base key seed (revoke)")
     p.add_argument("--n-keys", type=_positive_int, default=50, help="fresh keys per finger (revoke)")
-    p.add_argument("--m", type=int, default=DEFAULT_M)
-    p.add_argument("--q", type=int, default=DEFAULT_Q)
+    _add_key_args(p)
     _add_mcc_args(p)
     _add_lgs_args(p)
 
@@ -210,7 +210,7 @@ def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
 
 def _cmd_hash(parser: argparse.ArgumentParser, args) -> None:
     mcc = _params(parser, MccParams, args)
-    key = _key_from_args(parser, args, args.seed, mcc)
+    key = _params(parser, HashKey, args, d=mcc.dim)
     templates = load_minutiae(args.data)
     hashed = hash_dataset(encode_dataset(templates, mcc), key)
     out = _out_dir(args)
@@ -241,7 +241,7 @@ def _cmd_match(parser: argparse.ArgumentParser, args) -> None:
 def _cmd_evaluate(parser: argparse.ArgumentParser, args) -> None:
     mcc = _params(parser, MccParams, args)
     lgs = _params(parser, LgsParams, args)
-    key = _key_from_args(parser, args, args.seed, mcc)
+    key = _params(parser, HashKey, args, d=mcc.dim)
     dataset = load_minutiae(args.data)
     report = run_evaluation(dataset, key, mcc, lgs)
     # the config dict is this report's own, so the scores are not copied into a new report
@@ -293,8 +293,9 @@ def _analyze_unlink(parser: argparse.ArgumentParser, args) -> None:
         parser.error("analyze --mode unlink requires --data, --seed-a and --seed-b")
     mcc = _params(parser, MccParams, args)
     lgs = _params(parser, LgsParams, args)
-    key_a = _key_from_args(parser, args, args.seed_a, mcc)
-    key_b = _key_from_args(parser, args, args.seed_b, mcc)
+    # analyze's own --seed draws fresh keys and samples preimages; it is never a key's seed
+    key_a = _params(parser, HashKey, args, seed=args.seed_a, d=mcc.dim)
+    key_b = _params(parser, HashKey, args, seed=args.seed_b, d=mcc.dim)
     with _usage_errors(parser):
         security.check_key_pair(key_a, key_b)
     dataset = load_minutiae(args.data)
@@ -320,7 +321,7 @@ def _analyze_revoke(parser: argparse.ArgumentParser, args) -> None:
         parser.error("analyze --mode revoke requires --data and --base-seed")
     mcc = _params(parser, MccParams, args)
     lgs = _params(parser, LgsParams, args)
-    base_key = _key_from_args(parser, args, args.base_seed, mcc)
+    base_key = _params(parser, HashKey, args, seed=args.base_seed, d=mcc.dim)
     dataset = load_minutiae(args.data)
     mated, genuine, impostor = security.revocability_experiment(
         dataset, base_key, n_keys=args.n_keys, seed=args.seed, mcc=mcc, lgs=lgs

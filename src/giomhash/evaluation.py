@@ -12,7 +12,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,9 +47,7 @@ def genuine_pairs(dataset) -> list[Pair]:
     for finger_id, templates in fingers.items():
         if len(templates) < 2:
             raise ValueError(f"finger {finger_id} has {len(templates)} sample(s); need >= 2")
-        for i in range(len(templates)):
-            for j in range(i + 1, len(templates)):
-                pairs.append((templates[i].key, templates[j].key))
+        pairs += combinations([t.key for t in templates], 2)
     return pairs
 
 
@@ -60,12 +58,7 @@ def first_samples(dataset) -> list[TemplateKey]:
 
 def impostor_pairs(dataset) -> list[Pair]:
     """First samples of distinct fingers, unordered; F fingers give F*(F-1)/2 pairs."""
-    firsts = first_samples(dataset)
-    return [
-        (firsts[i], firsts[j])
-        for i in range(len(firsts))
-        for j in range(i + 1, len(firsts))
-    ]
+    return list(combinations(first_samples(dataset), 2))
 
 
 def protocol_pairs(dataset) -> tuple[list[Pair], list[Pair]]:

@@ -154,18 +154,19 @@ def _is_frozen(arr: np.ndarray) -> bool:
 _SEED_LIMIT = 10**4300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class HashKey:
     """Seed material for one revocable bank of Gaussian projection matrices.
 
     Two keys with equal (seed, m, q, d) derive identical banks; changing the
-    seed revokes the old templates.
+    seed revokes the old templates. m and q default to the paper's 700 and 100;
+    fields are keyword-only, so no positional call can mistake one for another.
     """
 
     # the seed is the revocable secret, so repr leaves it out
     seed: int = field(repr=False)
-    m: int
-    q: int
+    m: int = 700
+    q: int = 100
     d: int
 
     def __post_init__(self) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 import giomhash
 from giomhash import cases
-from giomhash.cli import _add_lgs_args, _add_mcc_args, _add_synth_args, main
+from giomhash.cli import _add_key_args, _add_lgs_args, _add_mcc_args, _add_synth_args, main
 from giomhash.evaluation import encode_dataset, hash_dataset
 from giomhash.matching import LgsParams
 from giomhash.mcc import MccParams, SynthParams
@@ -645,15 +645,17 @@ class TestTopLevel:
         assert f"giom {argv[0]}: error: unrecognized arguments: {' '.join(removed)}" in err
 
     @pytest.mark.parametrize(
-        "add_args, title, params",
+        "add_args, title, params, elsewhere",
         [
-            (_add_mcc_args, "cylinder encoding", MccParams),
-            (_add_lgs_args, "matcher", LgsParams),
-            (_add_synth_args, "dataset shape", SynthParams),
+            (_add_mcc_args, "cylinder encoding", MccParams, set()),
+            (_add_lgs_args, "matcher", LgsParams, set()),
+            (_add_synth_args, "dataset shape", SynthParams, set()),
+            # each command's own seed flag gives seed, and d is the cylinder encoding's dim
+            (_add_key_args, "hash key", HashKey, {"seed", "d"}),
         ],
-        ids=["mcc", "lgs", "synth"],
+        ids=["mcc", "lgs", "synth", "key"],
     )
-    def test_one_flag_per_parameter_field(self, add_args, title, params):
+    def test_one_flag_per_parameter_field(self, add_args, title, params, elsewhere):
         parser = argparse.ArgumentParser()
         add_args(parser)
         (group,) = [group for group in parser._action_groups if group.title == title]
@@ -661,18 +663,22 @@ class TestTopLevel:
         fields = {"min_minutiae": "minutiae_range", "max_minutiae": "minutiae_range"}
         assert {fields.get(action.dest, action.dest) for action in group._group_actions} == {
             f.name for f in dataclasses.fields(params)
-        }
+        } - elsewhere
 
     @pytest.mark.parametrize(
         "argv, library, params",
         [
             (["gen-data", "--seed", "1"], "giomhash.cli.synth_dataset", [SynthParams()]),
-            (["evaluate", "--seed", "1"], "giomhash.cli.run_evaluation", [MccParams(), LgsParams()]),
+            (
+                ["evaluate", "--seed", "1"],
+                "giomhash.cli.run_evaluation",
+                [HashKey(seed=1, d=MccParams().dim), MccParams(), LgsParams()],
+            ),
             (["sweep", "--seed", "1"], "giomhash.cli.sweep", [MccParams(), LgsParams()]),
             (
                 ["analyze", "--mode", "revoke", "--base-seed", "1"],
                 "giomhash.security.revocability_experiment",
-                [MccParams(), LgsParams()],
+                [HashKey(seed=1, d=MccParams().dim), MccParams(), LgsParams()],
             ),
         ],
         ids=["gen-data", "evaluate", "sweep", "analyze-revoke"],
@@ -682,7 +688,7 @@ class TestTopLevel:
             pass
 
         def capture(*args, **kwargs):
-            types = (SynthParams, MccParams, LgsParams)
+            types = (SynthParams, MccParams, LgsParams, HashKey)
             raise Called([value for value in (*args, *kwargs.values()) if isinstance(value, types)])
 
         monkeypatch.setattr(library, capture)
@@ -690,6 +696,25 @@ class TestTopLevel:
         with pytest.raises(Called) as called:
             main(argv + data + ["--out", str(tmp_path / "x")])
         assert called.value.args[0] == params
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["gen-data", "--seed", "1", "--out", ""], id="gen-data"),
+            pytest.param(["hash", "--data", "", "--seed", "1", "--out", "x"], id="hash"),
+            pytest.param(["match", "--a", "A", "--b", "B", "--detail", ""], id="match"),
+            pytest.param(["evaluate", "--data", "DATA", "--seed", "1", "--out", ""] + SMALL_KEY + SMALL_MCC, id="evaluate"),
+            pytest.param(["sweep", "--data", "DATA", "--seed", "1", "--out", ""] + SMALL_KEY + SMALL_MCC, id="sweep"),
+            pytest.param(["analyze", "--mode", "revoke", "--data", "", "--base-seed", "1", "--out", "x"], id="analyze"),
+        ],
+    )
+    def test_empty_path_is_usage_error(self, data_dir, hashed_dir, tmp_path, monkeypatch, capsys, argv):
+        # an empty path would name the working directory, so it is refused before anything is read or made
+        files = {"A": hashed_dir / "f0000_01.json", "B": hashed_dir / "f0001_01.json", "DATA": data_dir}
+        monkeypatch.chdir(tmp_path)
+        err = assert_usage_error([str(files.get(part, part)) for part in argv], tmp_path / "x", capsys)
+        assert "expected a non-empty path" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["giom", "gen-data", "hash", "match", "evaluate", "sweep", "analyze"])
     def test_help_exits_zero(self, command, capsys):

@@ -171,6 +171,13 @@ class TestHashKey:
         with pytest.raises(ValueError, match="argmax over fewer than two candidates is degenerate"):
             HashKey(seed=1, m=1, q=1, d=3)
 
+    def test_defaults_and_keyword_only(self):
+        key = HashKey(seed=1, d=3)
+        assert (key.m, key.q) == (700, 100)
+        # a positional call could put q where m belongs, so none is accepted
+        with pytest.raises(TypeError):
+            HashKey(1, 32, 12, 144)
+
     def test_invalid_fields(self):
         with pytest.raises(ValueError):
             HashKey(seed=-1, m=1, q=2, d=3)
@@ -564,8 +571,12 @@ class TestKeyIO:
         save_key(key, tmp_path / "key.json")
         assert load_key(tmp_path / "key.json") == key
 
-    def test_missing_field(self, tmp_path):
-        (tmp_path / "key.json").write_text(json.dumps({"seed": 1, "m": 2, "q": 3}))
+    @pytest.mark.parametrize("dropped", ["seed", "m", "q", "d"])
+    def test_missing_field(self, tmp_path, dropped):
+        # a key file names every field; HashKey's defaults for m and q never fill a missing one
+        payload = {"seed": 1, "m": 2, "q": 3, "d": 4}
+        del payload[dropped]
+        (tmp_path / "key.json").write_text(json.dumps(payload))
         with pytest.raises(IntegrityError, match="invalid key file"):
             load_key(tmp_path / "key.json")
 
