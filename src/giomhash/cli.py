@@ -199,11 +199,7 @@ def _write_hist_csv(path: Path, columns: dict[str, list[float]]) -> None:
 
 
 def _cmd_gen_data(parser: argparse.ArgumentParser, args) -> None:
-    # the one field built from two flags; an absent flag keeps its end of the default range
-    ends = zip((args.min_minutiae, args.max_minutiae), SynthParams.minutiae_range)
-    minutiae_range = tuple(default if flag is None else flag for flag, default in ends)
-    params = _params(parser, SynthParams, args, minutiae_range=minutiae_range)
-    dataset = synth_dataset(args.seed, params)
+    dataset = synth_dataset(args.seed, _params(parser, SynthParams, args))
     paths = write_dataset(dataset, args.out)
     print(f"wrote {len(paths)} templates to {args.out}")
 

@@ -190,10 +190,8 @@ def hash_dataset(encoded: EncodedDataset, key: HashKey) -> dict[TemplateKey, Has
     """Hash every template under one key in one hash_rows call over all rows.
 
     Each template's codes are a read-only view, with its rows' range, of one frozen (N, m) array.
-    Raises ValueError unless key.d is the rows' dimension.
+    hash_rows raises ValueError, before any matrix is drawn, unless key.d is the rows' dimension.
     """
-    if key.d != encoded.rows.shape[1]:
-        raise ValueError(f"key d={key.d} does not match cylinder dimension {encoded.rows.shape[1]}")
     codes = hash_rows(encoded.rows, derive_bank(key))
     codes.flags.writeable = False
     fingerprint = key.fingerprint()

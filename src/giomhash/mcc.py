@@ -126,26 +126,23 @@ class SynthParams:
 
     fingers: int = 10
     samples_per_finger: int = 8
-    minutiae_range: tuple[int, int] = (15, 30)
+    min_minutiae: int = 15
+    max_minutiae: int = 30
     jitter_pos: float = 5.0
     jitter_theta: float = 0.1
     drop_rate: float = 0.05
     field_size: float = 500.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fingers", _integer(self.fingers, "fingers"))
-        object.__setattr__(self, "samples_per_finger", _integer(self.samples_per_finger, "samples_per_finger"))
-        lo, hi = (_integer(v, "minutiae_range") for v in self.minutiae_range)
-        object.__setattr__(self, "minutiae_range", (lo, hi))
+        for name in ("fingers", "samples_per_finger", "min_minutiae", "max_minutiae"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("jitter_pos", "jitter_theta", "drop_rate", "field_size"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        for name in ("fingers", "samples_per_finger"):
+        for name in ("fingers", "samples_per_finger", "min_minutiae"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {_shown(getattr(self, name))}")
-        if lo < 1:
-            raise ValueError("minutiae_range minimum must be >= 1")
-        if lo > hi:
-            raise ValueError(f"minutiae_range min {lo} > max {hi}")
+        if self.min_minutiae > self.max_minutiae:
+            raise ValueError(f"min_minutiae {self.min_minutiae} > max_minutiae {self.max_minutiae}")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must lie in [0, 1]")
         for name in ("jitter_pos", "jitter_theta"):
@@ -167,11 +164,10 @@ def synth_dataset(seed: int, params: SynthParams = SynthParams()) -> list[Minuti
     sample that would lose every minutia is redrawn, and persistent total
     drop (e.g. drop_rate = 1) is an error.
     """
-    lo, hi = params.minutiae_range
     dataset: list[MinutiaeTemplate] = []
     for f in range(params.fingers):
         rng = stream(seed, f)
-        count = int(rng.integers(lo, hi + 1))
+        count = int(rng.integers(params.min_minutiae, params.max_minutiae + 1))
         master_xy = rng.random((count, 2)) * params.field_size
         master_theta = rng.random(count) * TWO_PI
         finger_id = f"f{f:04d}"

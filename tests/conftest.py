@@ -15,7 +15,8 @@ settings.load_profile("suite")
 
 # dense geometry: most minutiae have neighbors, so cylinders are informative
 DENSE_SYNTH = dict(
-    minutiae_range=(15, 22),
+    min_minutiae=15,
+    max_minutiae=22,
     jitter_pos=4.0,
     jitter_theta=0.08,
     drop_rate=0.1,

@@ -128,15 +128,17 @@ class TestGenData:
     @pytest.mark.parametrize(
         "flag, message",
         [
-            (["--min-minutiae", "30", "--max-minutiae", "10"], "minutiae_range min 30 > max 10"),
+            (["--min-minutiae", "30", "--max-minutiae", "10"], "min_minutiae 30 > max_minutiae 10"),
             (["--jitter-pos", "-1"], "jitter_pos must be >= 0, got -1.0"),
             (["--jitter-theta", "-1"], "jitter_theta must be >= 0, got -1.0"),
             (["--drop-rate", "-1"], "drop_rate must lie in [0, 1]"),
             (["--field-size", "0"], "field_size must be positive"),
             (["--fingers", "0"], "fingers must be >= 1, got 0"),
+            # an absent --max-minutiae keeps the type's default, 30
+            (["--min-minutiae", "40"], "min_minutiae 40 > max_minutiae 30"),
         ],
         # ids as in the flag-only form, so each case keeps its name
-        ids=[f"flag{i}" for i in range(6)],
+        ids=[f"flag{i}" for i in range(7)],
     )
     def test_value_rejected_by_synth_params_is_usage_error(self, tmp_path, capsys, flag, message):
         # SynthParams owns these ranges; the CLI parses plain numbers
@@ -659,9 +661,7 @@ class TestTopLevel:
         parser = argparse.ArgumentParser()
         add_args(parser)
         (group,) = [group for group in parser._action_groups if group.title == title]
-        # minutiae_range is the one field given by two flags
-        fields = {"min_minutiae": "minutiae_range", "max_minutiae": "minutiae_range"}
-        assert {fields.get(action.dest, action.dest) for action in group._group_actions} == {
+        assert {action.dest for action in group._group_actions} == {
             f.name for f in dataclasses.fields(params)
         } - elsewhere
 
@@ -669,6 +669,17 @@ class TestTopLevel:
         "argv, library, params",
         [
             (["gen-data", "--seed", "1"], "giomhash.cli.synth_dataset", [SynthParams()]),
+            # one end of the minutiae range given, the other keeps its default
+            (
+                ["gen-data", "--seed", "1", "--min-minutiae", "20"],
+                "giomhash.cli.synth_dataset",
+                [SynthParams(min_minutiae=20)],
+            ),
+            (
+                ["gen-data", "--seed", "1", "--max-minutiae", "18"],
+                "giomhash.cli.synth_dataset",
+                [SynthParams(max_minutiae=18)],
+            ),
             (
                 ["evaluate", "--seed", "1"],
                 "giomhash.cli.run_evaluation",
@@ -681,7 +692,7 @@ class TestTopLevel:
                 [HashKey(seed=1, d=MccParams().dim), MccParams(), LgsParams()],
             ),
         ],
-        ids=["gen-data", "evaluate", "sweep", "analyze-revoke"],
+        ids=["gen-data", "gen-data-min", "gen-data-max", "evaluate", "sweep", "analyze-revoke"],
     )
     def test_absent_parameter_flags_take_the_type_defaults(self, data_dir, tmp_path, monkeypatch, argv, library, params):
         class Called(Exception):
@@ -762,17 +773,6 @@ class TestTopLevel:
             ["giom", "analyze", "--mode", "invert", "--out", str(out)], capture_output=True, text=True
         )
         assert_invert_ran(proc, out)
-
-    def test_readme_library_example_runs(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        library = readme.split("\n## Library\n", 1)[1]
-        example = library.split("```python\n", 1)[1].split("```", 1)[0]
-        proc = subprocess.run(
-            [sys.executable, "-c", example], capture_output=True, text=True, env=child_env(), timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        genuine, impostor = (float(v) for v in proc.stdout.split(">"))
-        assert genuine > impostor
 
     def test_no_binary_artifacts(self, data_dir, hashed_dir):
         for directory in (data_dir, hashed_dir):

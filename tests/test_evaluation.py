@@ -153,7 +153,8 @@ def eval_setup(request):
     params = SynthParams(
         fingers=4,
         samples_per_finger=3,
-        minutiae_range=(15, 22),
+        min_minutiae=15,
+        max_minutiae=22,
         jitter_pos=4.0,
         jitter_theta=0.08,
         drop_rate=0.1,
@@ -202,7 +203,7 @@ class TestRunEvaluation:
     def test_dimension_mismatch_rejected(self, eval_setup):
         dataset, _, mcc = eval_setup
         bad_key = HashKey(seed=1, m=4, q=5, d=mcc.dim + 1)
-        with pytest.raises(ValueError, match="does not match cylinder dimension"):
+        with pytest.raises(ValueError, match="does not match bank"):
             run_evaluation(dataset, bad_key, mcc)
 
     def test_encode_dataset_rows_in_dataset_order(self, eval_setup):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import DENSE_SYNTH
 from oracles import oracle_cylinders, reference_encode_cylinders
 
 from giomhash.evaluation import encode_dataset
@@ -214,16 +216,18 @@ class TestEncodeCylinders:
 
 class TestSynthParams:
     def test_range_order_enforced(self):
-        with pytest.raises(ValueError, match="min 10 > max 5"):
-            SynthParams(minutiae_range=(10, 5))
+        with pytest.raises(ValueError, match="min_minutiae 10 > max_minutiae 5"):
+            SynthParams(min_minutiae=10, max_minutiae=5)
+        with pytest.raises(ValueError, match="min_minutiae 31 > max_minutiae 30"):
+            SynthParams(min_minutiae=31)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SynthParams(fingers=0)
         with pytest.raises(ValueError):
             SynthParams(drop_rate=1.5)
-        with pytest.raises(ValueError):
-            SynthParams(minutiae_range=(0, 5))
+        with pytest.raises(ValueError, match="min_minutiae must be >= 1, got 0"):
+            SynthParams(min_minutiae=0, max_minutiae=5)
         with pytest.raises(ValueError):
             SynthParams(jitter_pos=-1.0)
 
@@ -232,8 +236,8 @@ class TestSynthParams:
         [
             ({"fingers": 2.5}, "fingers must be an integer, got 2.5"),
             ({"samples_per_finger": 3.0}, "samples_per_finger must be an integer, got 3.0"),
-            ({"minutiae_range": (4.5, 9)}, "minutiae_range must be an integer, got 4.5"),
-            ({"minutiae_range": (4, "9")}, "minutiae_range must be an integer, got '9'"),
+            ({"min_minutiae": 4.5}, "min_minutiae must be an integer, got 4.5"),
+            ({"max_minutiae": "9"}, "max_minutiae must be an integer, got '9'"),
         ],
     )
     def test_non_integer_counts_rejected(self, change, message):
@@ -270,14 +274,15 @@ class TestSynthParams:
         assert str(info.value) == message
 
     def test_numpy_counts_stored_as_int(self):
-        p = SynthParams(fingers=np.int64(3), samples_per_finger=np.int32(2), minutiae_range=(np.int8(4), 6))
-        assert (p.fingers, p.samples_per_finger, p.minutiae_range) == (3, 2, (4, 6))
-        assert all(type(v) is int for v in (p.fingers, p.samples_per_finger, *p.minutiae_range))
+        p = SynthParams(fingers=np.int64(3), samples_per_finger=np.int32(2), min_minutiae=np.int8(4), max_minutiae=6)
+        counts = (p.fingers, p.samples_per_finger, p.min_minutiae, p.max_minutiae)
+        assert counts == (3, 2, 4, 6)
+        assert all(type(v) is int for v in counts)
 
 
 class TestSynthDataset:
     def test_shape_and_ids(self):
-        params = SynthParams(fingers=3, samples_per_finger=4, minutiae_range=(5, 9))
+        params = SynthParams(fingers=3, samples_per_finger=4, min_minutiae=5, max_minutiae=9)
         data = synth_dataset(1, params)
         assert len(data) == 12
         assert {t.finger_id for t in data} == {"f0000", "f0001", "f0002"}
@@ -286,24 +291,24 @@ class TestSynthDataset:
             assert 1 <= len(t) <= 9
 
     def test_deterministic(self):
-        params = SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6))
+        params = SynthParams(fingers=2, samples_per_finger=2, min_minutiae=4, max_minutiae=6)
         assert synth_dataset(9, params) == synth_dataset(9, params)
 
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_non_integer_seed_rejected(self, seed):
         # int() used to read both as seed 1
-        params = SynthParams(fingers=1, samples_per_finger=1, minutiae_range=(2, 3))
+        params = SynthParams(fingers=1, samples_per_finger=1, min_minutiae=2, max_minutiae=3)
         with pytest.raises(ValueError, match=f"entropy must be an integer, got {seed!r}"):
             synth_dataset(seed, params)
 
     def test_finger_streams_stable_under_more_fingers(self):
-        small = synth_dataset(3, SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6)))
-        large = synth_dataset(3, SynthParams(fingers=4, samples_per_finger=2, minutiae_range=(4, 6)))
+        small = synth_dataset(3, SynthParams(fingers=2, samples_per_finger=2, min_minutiae=4, max_minutiae=6))
+        large = synth_dataset(3, SynthParams(fingers=4, samples_per_finger=2, min_minutiae=4, max_minutiae=6))
         assert large[: len(small)] == small
 
     def test_no_jitter_no_drop_copies_master(self):
         params = SynthParams(
-            fingers=1, samples_per_finger=3, minutiae_range=(5, 5),
+            fingers=1, samples_per_finger=3, min_minutiae=5, max_minutiae=5,
             jitter_pos=0.0, jitter_theta=0.0, drop_rate=0.0,
         )
         s1, s2, s3 = synth_dataset(4, params)
@@ -311,17 +316,38 @@ class TestSynthDataset:
         np.testing.assert_array_equal(s1.points, s3.points)
 
     def test_total_drop_rejected(self):
-        params = SynthParams(fingers=1, samples_per_finger=1, minutiae_range=(2, 3), drop_rate=1.0)
+        params = SynthParams(fingers=1, samples_per_finger=1, min_minutiae=2, max_minutiae=3, drop_rate=1.0)
         with pytest.raises(ValueError, match="drop_rate"):
             synth_dataset(5, params)
 
     def test_angles_wrapped(self):
-        data = synth_dataset(6, SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(4, 6), jitter_theta=2.0))
+        params = SynthParams(fingers=2, samples_per_finger=2, min_minutiae=4, max_minutiae=6, jitter_theta=2.0)
+        data = synth_dataset(6, params)
         for t in data:
             assert ((0.0 <= t.points[:, 2]) & (t.points[:, 2] < 2 * math.pi)).all()
 
+    @pytest.mark.parametrize(
+        "seed, params, sha256",
+        [
+            pytest.param(7, SynthParams(), "1cf23a1c86da413d41ca12a36506e7052980d209abbe6095acaf40e87399b1f3",
+                         id="defaults"),
+            # the 100 x 8 data of CI's memory gate and of ROADMAP's Baseline
+            pytest.param(7, SynthParams(fingers=100, samples_per_finger=8),
+                         "2c6e3203da02842e9dd5143f297acbdcfc708ee4ae5845760a4f3dbf1c1dbff3", id="100x8"),
+            pytest.param(424, SynthParams(fingers=5, samples_per_finger=3, **DENSE_SYNTH),
+                         "3d38456f734c8758235ed795ff187e32da875c3b39469010cdeb98035c25b1a4", id="dense"),
+        ],
+    )
+    def test_points_pinned(self, seed, params, sha256):
+        # every dataset the suite and the Baseline build on, bit for bit: new fields must leave them alone
+        digest = hashlib.sha256()
+        for t in synth_dataset(seed, params):
+            digest.update(repr(t.key).encode())
+            digest.update(t.points.tobytes())
+        assert digest.hexdigest() == sha256
+
     def test_positions_clipped_to_field(self):
-        params = SynthParams(fingers=2, samples_per_finger=3, minutiae_range=(5, 8),
+        params = SynthParams(fingers=2, samples_per_finger=3, min_minutiae=5, max_minutiae=8,
                              jitter_pos=100.0, field_size=50.0)
         for t in synth_dataset(7, params):
             assert ((0.0 <= t.points[:, :2]) & (t.points[:, :2] <= 50.0)).all()
@@ -329,7 +355,7 @@ class TestSynthDataset:
 
 class TestWriteDataset:
     def test_round_trip(self, tmp_path):
-        params = SynthParams(fingers=2, samples_per_finger=2, minutiae_range=(3, 5))
+        params = SynthParams(fingers=2, samples_per_finger=2, min_minutiae=3, max_minutiae=5)
         data = synth_dataset(11, params)
         paths = write_dataset(data, tmp_path)
         assert len(paths) == 4

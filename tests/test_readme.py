@@ -8,6 +8,8 @@ attribute path (`GaussianBank.of`); tokens with other punctuation (`(N, d)`,
 Every `giom` line of the "Command line" block parses with the CLI's parser;
 none is run here. CI's step that runs the block takes its lines from
 `command_lines`, so both see the same argv lists.
+
+The "Library" block runs, and prints a genuine score above an impostor score.
 """
 
 import builtins
@@ -52,6 +54,12 @@ def command_lines(text: str) -> list[list[str]]:
     return [argv for argv in commands if argv[0] == "giom"]
 
 
+def library_block(text: str) -> str:
+    """The Python source of the Library section's code block."""
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 ROWS = module_rows(README.read_text())
 COMMANDS = command_lines(README.read_text())
 
@@ -79,3 +87,10 @@ def test_command_line_parses(argv):
         build_parser().parse_args(argv[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_library_block_runs(capsys):
+    exec(library_block(README.read_text()), {})
+    (line,) = capsys.readouterr().out.splitlines()
+    genuine, impostor = (float(v) for v in line.split(">"))
+    assert genuine > impostor

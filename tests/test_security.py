@@ -243,7 +243,7 @@ class TestUnlinkability:
     def test_dimension_mismatch_rejected(self, small_dataset, small_mcc):
         a = HashKey(seed=1, m=8, q=6, d=small_mcc.dim + 4)
         b = HashKey(seed=2, m=8, q=6, d=small_mcc.dim + 4)
-        with pytest.raises(ValueError, match="cylinder dimension"):
+        with pytest.raises(ValueError, match="does not match bank"):
             unlinkability_experiment(small_dataset, a, b, mcc=small_mcc)
 
     def test_score_set_sizes(self, small_dataset, small_mcc):
@@ -321,7 +321,7 @@ class TestRevocability:
 
     def test_dimension_mismatch_rejected(self, small_dataset, small_mcc):
         base = HashKey(seed=5, m=8, q=6, d=small_mcc.dim + 1)
-        with pytest.raises(ValueError, match="cylinder dimension"):
+        with pytest.raises(ValueError, match="does not match bank"):
             revocability_experiment(small_dataset, base, n_keys=1, seed=0, mcc=small_mcc)
 
 
